@@ -12,11 +12,13 @@ each run's exact work counts:
 The benchmark's own tests:
   python3 perfbench/run.py --self-test
 
-The build goes to $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench),
-relative to the current directory. Every run's pass-0 work counts are kept
-there per (workload, seed, binary); a later run of the same seed with the
-same binary that did different work fails loudly, because its work would
-depend on the wall clock.
+The build goes to $CARGO_TARGET_DIR/perfbench-<digest of this directory's
+path> (default root .bench_build, relative to the current directory), so two
+checkouts sharing one build root never build each other's sources; CMake's
+configure step runs on every invocation, so the provenance it records stays
+current. Every run's pass-0 work counts are kept there per (workload, seed,
+binary); a later run of the same seed with the same binary that did
+different work fails loudly, because its work would depend on the wall clock.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ COUNT_KEYS = ["search.nodes", "milp.nodes", "lp.iterations", "driver.engine_runs
 
 
 def build_dir() -> Path:
-    return Path(os.environ.get("CARGO_TARGET_DIR", ".bench_build")).resolve() / "perfbench"
+    root = Path(os.environ.get("CARGO_TARGET_DIR", ".bench_build")).resolve()
+    return root / ("perfbench-" + hashlib.sha256(str(HERE).encode()).hexdigest()[:8])
 
 
 def log(msg: str) -> None:
@@ -48,9 +51,9 @@ def log(msg: str) -> None:
 def build(target: str) -> Path:
     out = build_dir()
     gen = ["-G", "Ninja"] if shutil.which("ninja") else []
-    if not (out / "CMakeCache.txt").exists():
-        subprocess.run(["cmake", "-S", str(HERE), "-B", str(out), "-DCMAKE_BUILD_TYPE=Release",
-                        *gen], check=True, stdout=sys.stderr)
+    log(f"building {target} in {out}")
+    subprocess.run(["cmake", "-S", str(HERE), "-B", str(out), "-DCMAKE_BUILD_TYPE=Release", *gen],
+                   check=True, stdout=sys.stderr)
     jobs = str(min(4, os.cpu_count() or 1))
     subprocess.run(["cmake", "--build", str(out), "--target", target, "-j", jobs], check=True,
                    stdout=sys.stderr)

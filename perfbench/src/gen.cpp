@@ -200,7 +200,21 @@ constexpr long kProofPool[] = {
     10977, 10978, 10979, 10981, 10982, 10984, 10987, 10995, 10996, 11000, 11001, 11004,
     11006, 11008, 11009, 11013, 11017, 11025, 11026, 11031, 11032, 11035, 11039, 11040,
     11043, 11045, 11046, 11051, 11056, 11058, 11060, 11061, 11063, 11065, 11067, 11081,
-    11086, 11091, 11101, 11103, 11106, 11110, 11111, 11112,
+    11086, 11091, 11101, 11103, 11106, 11110, 11111, 11112, 11113, 11116, 11117, 11119,
+    11121, 11122, 11125, 11129, 11132, 11137, 11138, 11141, 11143, 11146, 11147, 11150,
+    11152, 11153, 11158, 11160, 11163, 11165, 11175, 11180, 11183, 11184, 11186, 11187,
+    11189, 11192, 11193, 11195, 11197, 11201, 11207, 11208, 11212, 11213, 11217, 11223,
+    11226, 11231, 11237, 11239, 11242, 11245, 11249, 11258, 11259, 11261, 11264, 11266,
+    11272, 11274, 11286, 11287, 11291, 11295, 11301, 11303, 11308, 11310, 11313, 11314,
+    11315, 11318, 11321, 11326, 11332, 11340, 11341, 11348, 11353, 11354, 11356, 11358,
+    11359, 11360, 11363, 11364, 11367, 11372, 11373, 11377, 11378, 11379, 11381, 11384,
+    11385, 11387, 11388, 11390, 11392, 11399, 11401, 11402, 11403, 11404, 11406, 11411,
+    11414, 11415, 11417, 11419, 11427, 11428, 11430, 11431, 11441, 11443, 11447, 11450,
+    11451, 11453, 11454, 11455, 11463, 11467, 11473, 11476, 11479, 11480, 11485, 11494,
+    11496, 11498, 11499, 11501, 11504, 11508, 11509, 11511, 11516, 11519, 11520, 11521,
+    11524, 11527, 11530, 11531, 11533, 11534, 11535, 11541, 11550, 11551, 11559, 11561,
+    11562, 11565, 11567, 11569, 11572, 11573, 11575, 11576, 11579, 11580, 11581, 11582,
+    11587, 11588, 11589, 11590,
 };
 constexpr long kTruncatedPool[] = {
     20002, 20008, 20013, 20016, 20018, 20022, 20025, 20028, 20029, 20037, 20038, 20039,
@@ -308,15 +322,17 @@ Workload milpTree(std::uint64_t seed) {
   return b.w;
 }
 
-// milp-root: MILP-O on ~2.2k-row formulations (three regions, one FC area,
+// milp-root: MILP-O on ~2.8k-row formulations (three regions, one FC area,
 // Eq. 14 objective: one MILP stage) with a node limit of 2, so formulation
-// build, presolve, cover-cut rounds and the cold root LP dominate. Seed as
+// build, presolve, cover-cut rounds and the cold root LP dominate. Their
+// dense tableau (~127 MiB) is twice kAuto's 64 MiB switch, so a formulation
+// would have to shrink by ~30% before the dense engine took over. Seed as
 // for milp-tree.
 Workload milpRoot(std::uint64_t seed) {
   Builder b;
   Rng rng(seed);
   const std::string tag = "_s" + std::to_string(seed);
-  const DeviceSpec wide{"root10x6", "CBCDCCBCDC", 6, {}};
+  const DeviceSpec wide{"root11x6", "CBCDCCBCDCB", 6, {}};
   const int dw = b.addDevice(wide);
   for (const int id : b.generated(dw, wide, {3, 4, 3, 1, 1, 1, 0.2, true}, 1, 25, "root", tag))
     b.w.pass.push_back(solveRequest(Backend::kMilpO, 2, id));
@@ -401,7 +417,10 @@ class CacheModel {
 // popularity distribution), and the tier and fresh counts are exact, so
 // every seed does a similar amount of work.
 Workload batchSweep(std::uint64_t seed) {
-  constexpr int kBatches = 105, kBatchSize = 32, kFreshPerBatch = 4, kWorkingProof = 112;
+  constexpr int kBatches = kSweepBatches, kBatchSize = kSweepBatchSize,
+                kFreshPerBatch = kSweepFreshPerBatch, kWorkingProof = 112;
+  static_assert(std::size(kProofPool) >= kWorkingProof + kBatches * kFreshPerBatch,
+                "the fresh pool must last the whole pass");
   // Of the 28 popular draws per batch, 7 come from the truncated pool: its
   // share (26%) of the Zipf(0.9) mass at ranks 2, 5, 8 of every ten.
   constexpr int kTruncatedDraws = 7, kProofDraws = kBatchSize - kFreshPerBatch - kTruncatedDraws;
@@ -499,15 +518,23 @@ Workload batchSweep(std::uint64_t seed) {
       if (admit(fresh[next_fresh])) ++next_fresh;
     for (const auto& [pool, draws] : {std::pair{0, kProofDraws}, std::pair{1, kTruncatedDraws}}) {
       const Ranks& pr = by_pool[pool];
-      for (int k = 0; k < draws; ++k)
-        for (int attempt = 0; attempt < 50; ++attempt) {
+      for (int k = 0; k < draws; ++k) {
+        bool drawn = false;
+        for (int attempt = 0; attempt < 50 && !drawn; ++attempt) {
           // First try the k-th stratum of the pool's popularity distribution.
           const double u = attempt == 0 ? (k + rng.unit()) / draws : rng.unit();
           const auto i = std::lower_bound(pr.cdf.begin(), pr.cdf.end(), u * pr.cdf.back()) -
                          pr.cdf.begin();
-          if (admit(working[pr.rank[static_cast<std::size_t>(i)]])) break;
+          drawn = admit(working[pr.rank[static_cast<std::size_t>(i)]]);
         }
+        // Under the second tier the pool can run out of admissible problems
+        // (every near miss inserts); the most popular admissible problem of
+        // the working set then keeps the batch full.
+        for (std::size_t r = 0; !drawn && r < working.size(); ++r) drawn = admit(working[r]);
+      }
     }
+    if (req.problems.size() != static_cast<std::size_t>(kBatchSize))
+      throw std::logic_error("batch-sweep: batch " + std::to_string(batch) + " is not full");
     cache.apply(read, inserted);
     b.w.pass.push_back(std::move(req));
   }

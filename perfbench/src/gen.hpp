@@ -116,6 +116,10 @@ struct Workload {
   int thread_budget = 1;
 };
 
+/// batch-sweep's pass: kSweepBatches batches of kSweepBatchSize problems,
+/// the first kSweepFreshPerBatch of each new to the stream.
+constexpr int kSweepBatches = 105, kSweepBatchSize = 32, kSweepFreshPerBatch = 4;
+
 [[nodiscard]] const std::vector<std::string>& workloadNames();
 
 /// Builds the workload `name` for `seed`; throws std::invalid_argument for

@@ -50,6 +50,7 @@
 #include "model/floorplan.hpp"
 #include "oracle.hpp"
 #include "partition/columnar.hpp"
+#include "probe.hpp"
 #include "search/candidates.hpp"
 #include "search/solver.hpp"
 #include "spans.hpp"
@@ -61,7 +62,7 @@ using rfp::driver::Backend;
 using rfp::driver::SolveResponse;
 using Clock = std::chrono::steady_clock;
 
-constexpr int kSetups = 3;             ///< set-ups per run; setup_s is their median
+constexpr int kSetupsPerPass = 3;      ///< setup_s is the median of all of a run's set-ups
 constexpr std::size_t kMinSamples = 100;  ///< p90 needs 10 samples beyond it
 constexpr double kMaxRunSeconds = 150.0;  ///< keeps every run well inside 180 s
 
@@ -163,10 +164,11 @@ struct Answer {
 };
 
 struct Pass {
-  std::vector<double> latencies;  ///< per request, seconds
-  std::vector<double> overheads;  ///< per request: Driver wall - engine seconds
+  std::vector<double> latencies;      ///< per request, seconds on the reference host
+  std::vector<double> raw_latencies;  ///< per request, seconds as timed
+  std::vector<double> overheads;      ///< per request: Driver wall - engine seconds
   std::vector<Answer> answers;
-  double busy_s = 0.0;
+  double busy_s = 0.0, raw_busy_s = 0.0;
   WorkCounts counts;
   rfp::driver::CacheStats cache;
 };
@@ -176,6 +178,7 @@ Pass runPass(const Workload& w, const Setup& s, SpanRecorder* spans, long* reque
   // every pass does the same work.
   const rfp::driver::Driver driver(driverOptions(w));
   Pass pass;
+  HostSpeed host;
   for (const Request& r : w.pass) {
     const Clock::time_point t0 = Clock::now();
     std::vector<SolveResponse> out;
@@ -187,8 +190,11 @@ Pass runPass(const Workload& w, const Setup& s, SpanRecorder* spans, long* reque
       out = call(driver, w, s, r);
     }
     const double wall = since(t0);
-    pass.latencies.push_back(wall);
-    pass.busy_s += wall;
+    const double scaled = host.scale(wall);
+    pass.latencies.push_back(scaled);
+    pass.busy_s += scaled;
+    pass.raw_latencies.push_back(wall);
+    pass.raw_busy_s += wall;
     double engine_s = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i) {
       SolveResponse& res = out[i];
@@ -254,7 +260,8 @@ Verdicts judgePass(const Workload& w, const Setup& s, const ReferenceTable& refs
       if (v.errors.size() < 5)
         v.errors.push_back(p.instance + " (" + rfp::driver::toString(a.request.backend) + "): " + why);
     } else if (a.response.hasSolution() && ref->second.feasible) {
-      v.cost_ratios.push_back(costRatio(a.response.costs, ref->second, problem.lexicographic()));
+      v.cost_ratios.push_back(costRatio(rfp::model::evaluate(problem, a.response.plan), ref->second,
+                                        problem.lexicographic()));
     }
   }
   return v;
@@ -286,7 +293,8 @@ std::string resultLine(bool correct, const Verdicts& v, const std::vector<Metric
 }
 
 void writeDetail(const Args& a, const std::vector<Pass>& passes, const std::vector<Metric>& metrics,
-                 const Verdicts& v, const std::vector<double>& setups) {
+                 const std::vector<Metric>& raw, const Verdicts& v,
+                 const std::vector<double>& setups) {
   rfp::io::JsonWriter w;
   w.beginObject();
   rfp::bench::writeBenchMeta(w);
@@ -301,6 +309,7 @@ void writeDetail(const Args& a, const std::vector<Pass>& passes, const std::vect
     w.beginObject();
     w.key("requests").value(static_cast<long>(p.latencies.size()));
     w.key("busy_s").value(p.busy_s);
+    w.key("raw_busy_s").value(p.raw_busy_s);
     w.key("search.nodes").value(p.counts.search_nodes);
     w.key("milp.nodes").value(p.counts.milp_nodes);
     w.key("lp.iterations").value(p.counts.lp_iterations);
@@ -314,6 +323,9 @@ void writeDetail(const Args& a, const std::vector<Pass>& passes, const std::vect
   w.endArray();
   w.key("metrics").beginObject();
   for (const Metric& m : metrics) w.key(m.name).value(m.value);
+  w.endObject();
+  w.key("as_timed").beginObject();
+  for (const Metric& m : raw) w.key(m.name).value(m.value);
   w.endObject();
   w.endObject();
   std::ofstream(a.out + "/run-" + a.workload + "-" + std::to_string(a.seed) + "-" +
@@ -543,13 +555,23 @@ int runCommand(const Args& a) {
   const Workload w = makeWorkload(a.workload, a.seed);
   const ReferenceTable refs = parseReferenceTable(slurp(a.data + "/reference.tsv"));
 
-  std::vector<double> setup_times;
+  // Set-ups run before every pass rather than all at the start: the host's
+  // speed shifts within seconds, and set-ups spread over the run give a
+  // median that a slow stretch at its start cannot move. Every set-up builds
+  // the same objects; each pass uses the latest. Times are kept both scaled
+  // to the reference host (probe.hpp), which the metrics report, and as
+  // timed, which the run detail file and stderr report beside them.
+  std::vector<double> setup_times, raw_setup_times;
   std::unique_ptr<Setup> setup;
-  for (int i = 0; i < kSetups; ++i) {
-    setup = setUp(w);
-    setup_times.push_back(setup->total_s);
-  }
-  const Setup& s = *setup;
+  const auto setUpAgain = [&]() -> const Setup& {
+    HostSpeed host;
+    for (int i = 0; i < kSetupsPerPass; ++i) {
+      setup = setUp(w);
+      setup_times.push_back(host.scale(setup->total_s));
+      raw_setup_times.push_back(setup->total_s);
+    }
+    return *setup;
+  };
 
   // Passes keep their latencies and counts; answers are released once
   // judged (retaining them would grow peak_rss_mib with the pass count),
@@ -558,23 +580,34 @@ int runCommand(const Args& a) {
   std::optional<Pass> traced;
   Verdicts verdicts, first_pass;
   std::vector<std::string> guard;
+  // peak_rss_mib is read after the first pass, a fixed amount of work: the
+  // process still grows by ~2 MiB per batch-sweep pass, so a reading at the
+  // end of the run would follow how many passes the host's speed allowed.
+  double peak_rss_mib = 0.0;
   // Whole passes until the budget is spent (an untraced run also until the
   // tail percentile has its samples). Returns every request latency and the
   // median pass's problems per second of busy time, which a transiently
   // slowed pass cannot move.
+  std::vector<double> raw_latencies, raw_rates;
   const auto measure = [&](double budget, SpanRecorder* spans, long* request_id) {
     const Clock::time_point t0 = Clock::now();
     std::vector<double> latencies, rates;
     do {
+      const Setup& s = setUpAgain();
       Pass p = runPass(w, s, spans, request_id);
       const Verdicts v = judgePass(w, s, refs, p);
-      if (passes.empty()) first_pass = v;
+      if (passes.empty()) {
+        first_pass = v;
+        peak_rss_mib = static_cast<double>(peakRssKib()) / 1024.0;
+      }
       verdicts.merge(v);
       if (!passes.empty() && !(p.counts == passes.front().counts))
         guard.push_back("pass " + std::to_string(passes.size()) + " did " + p.counts.str() +
                         " but pass 0 did " + passes.front().counts.str());
       latencies.insert(latencies.end(), p.latencies.begin(), p.latencies.end());
       rates.push_back(static_cast<double>(p.answers.size()) / p.busy_s);
+      raw_latencies.insert(raw_latencies.end(), p.raw_latencies.begin(), p.raw_latencies.end());
+      raw_rates.push_back(static_cast<double>(p.answers.size()) / p.raw_busy_s);
       if (spans != nullptr && !traced) traced = p;
       p.answers = {};
       passes.push_back(std::move(p));
@@ -583,7 +616,7 @@ int runCommand(const Args& a) {
     return std::make_pair(std::move(latencies), median(rates));
   };
 
-  std::vector<Metric> metrics;
+  std::vector<Metric> metrics, raw;
   if (!a.trace) {
     auto [lat, rate] = measure(a.seconds, nullptr, nullptr);
     std::sort(lat.begin(), lat.end());
@@ -599,10 +632,17 @@ int runCommand(const Args& a) {
         {"correct_ratio", "ratio",
          1.0 - static_cast<double>(verdicts.failed) / static_cast<double>(verdicts.attempted)},
         {"setup_s", "s", median(setup_times)},
-        {"peak_rss_mib", "MiB", static_cast<double>(peakRssKib()) / 1024.0},
+        {"peak_rss_mib", "MiB", peak_rss_mib},
     };
     if (tailReportable(lat.size(), 0.9))
       metrics.insert(metrics.begin() + 1, Metric{"solve_p90_s", "s", percentile(lat, 0.9)});
+    std::sort(raw_latencies.begin(), raw_latencies.end());
+    raw = {
+        {"solve_p50_s", "s", percentile(raw_latencies, 0.5)},
+        {"solve_p90_s", "s", percentile(raw_latencies, 0.9)},
+        {"solves_per_s", "1/s", median(raw_rates)},
+        {"setup_s", "s", median(raw_setup_times)},
+    };
     std::fprintf(stderr, "perfbench: %s seed %llu: %zu requests in %zu passes\n",
                  a.workload.c_str(), static_cast<unsigned long long>(a.seed), lat.size(),
                  passes.size());
@@ -611,7 +651,7 @@ int runCommand(const Args& a) {
     long request_id = 0;
     const double untraced_rate = measure(a.seconds / 2, nullptr, nullptr).second;
     const double traced_rate = measure(a.seconds / 2, &spans, &request_id).second;
-    metrics = layerMetrics(w, s, *traced, spans, untraced_rate, traced_rate);
+    metrics = layerMetrics(w, *setup, *traced, spans, untraced_rate, traced_rate);
     std::ofstream(a.out + "/trace-" + a.workload + "-" + std::to_string(a.seed) + ".json")
         << spans.chromeJson(a.workload, a.seed) << "\n";
     std::fprintf(stderr, "perfbench: self time by span (ms):");
@@ -624,7 +664,9 @@ int runCommand(const Args& a) {
   for (const std::string& g : guard) std::fprintf(stderr, "perfbench: NONDETERMINISTIC WORK %s\n", g.c_str());
   for (const Metric& m : metrics)
     std::fprintf(stderr, "perfbench: %-32s %.6g %s\n", m.name.c_str(), m.value, m.unit.c_str());
-  writeDetail(a, passes, metrics, verdicts, setup_times);
+  for (const Metric& m : raw)
+    std::fprintf(stderr, "perfbench: %-32s %.6g %s (as timed)\n", m.name.c_str(), m.value, m.unit.c_str());
+  writeDetail(a, passes, metrics, raw, verdicts, setup_times);
   const bool correct = verdicts.failed == 0 && guard.empty();
   std::printf("%s\n", resultLine(correct, verdicts, metrics).c_str());
   return correct ? 0 : 1;

@@ -108,7 +108,8 @@ std::string judge(const rfp::model::FloorplanProblem& problem,
   if (!violation.empty()) return "plan fails the checker: " + violation;
   const rfp::model::FloorplanCosts own = rfp::model::evaluate(problem, response.plan);
   if (own.wasted_frames != response.costs.wasted_frames ||
-      !close(own.wire_length, response.costs.wire_length))
+      !close(own.wire_length, response.costs.wire_length) ||
+      !close(own.objective, response.costs.objective))
     return "reported costs are not the plan's own";
   if (!ref.feasible) return "returns a plan for a problem the reference proves infeasible";
   const int cmp = compare(own, ref, problem.lexicographic());

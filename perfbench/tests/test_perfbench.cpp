@@ -3,6 +3,8 @@
 // test_run.py against BENCHMARK.json and a real run's output). Plain
 // main(): exits non-zero when any check fails.
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "gen.hpp"
 #include "io/problem_text.hpp"
 #include "oracle.hpp"
+#include "probe.hpp"
 #include "search/solver.hpp"
 
 namespace {
@@ -48,6 +51,16 @@ void testPercentileRule() {
   CHECK(median({4.0, 1.0, 2.0, 3.0}) == 2.5);
 }
 
+void testHostScaling() {
+  // Times read as on a host where the probe takes kReferenceProbeSeconds.
+  const double ref = kReferenceProbeSeconds;
+  CHECK(onReferenceHost(2.0, ref, ref) == 2.0);
+  CHECK(onReferenceHost(2.0, 2 * ref, 2 * ref) == 1.0);
+  CHECK(onReferenceHost(3.0, ref, 2 * ref) == 2.0);
+  const double probe = probeSeconds();
+  CHECK(probe > 0.0 && probe < 1.0);
+}
+
 void testGeneration() {
   for (const std::string& name : workloadNames()) {
     const Workload a = makeWorkload(name, 7), b = makeWorkload(name, 7), c = makeWorkload(name, 8);
@@ -66,6 +79,25 @@ void testGeneration() {
       CHECK(rfp::io::parseProblem(p.text, dev).validateStructure().empty());
     }
   }
+  // batch-sweep: every batch is full and opens with fresh problems, each
+  // requested in no other batch, for the whole pass.
+  const Workload sweep = makeWorkload("batch-sweep", 7);
+  const auto instance = [&](int p) -> const std::string& {
+    return sweep.problems[static_cast<std::size_t>(p)].instance;
+  };
+  CHECK(sweep.pass.size() == static_cast<std::size_t>(kSweepBatches));
+  std::map<std::string, int> batches_of;
+  for (const Request& r : sweep.pass) {
+    std::set<std::string> seen;
+    for (const int p : r.problems) seen.insert(instance(p));
+    for (const std::string& i : seen) ++batches_of[i];
+  }
+  for (const Request& r : sweep.pass) {
+    CHECK(r.problems.size() == static_cast<std::size_t>(kSweepBatchSize));
+    for (std::size_t k = 0; k < static_cast<std::size_t>(kSweepFreshPerBatch) && k < r.problems.size(); ++k)
+      CHECK(batches_of[instance(r.problems[k])] == 1);
+  }
+
   bool threw = false;
   try {
     (void)makeWorkload("no-such-workload", 1);
@@ -126,6 +158,10 @@ void testOracle() {
   broken.plan.regions[1] = broken.plan.regions[0];
   CHECK(!judge(problem, broken, ref).empty());
 
+  rfp::driver::SolveResponse misreported = ok;  // costs that are not the plan's own
+  misreported.costs.objective += 0.5;
+  CHECK(!judge(problem, misreported, ref).empty());
+
   // A reference optimum below the answer: an optimality claim is wrong, a
   // plan without a proof is merely suboptimal.
   Reference lower = ref;
@@ -145,6 +181,7 @@ void testOracle() {
 
 int main() {
   testPercentileRule();
+  testHostScaling();
   testGeneration();
   testTwinsShareFingerprints();
   testOracle();
