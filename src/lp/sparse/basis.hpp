@@ -9,7 +9,10 @@
 // instead of a full cold two-phase solve.
 //
 // The struct is intentionally opaque to callers: nothing outside src/lp
-// should interpret the contents, only pass them back unmodified. A basis is
+// should interpret the contents, only pass them back unmodified. The one
+// exception is the MILP cut loop (milp/bb.cpp), which grows a basis by a
+// basic slack per appended row — still a valid basis of the grown model.
+// A basis is
 // tied to the (numVars, numConstrs) shape of the model it came from; the
 // solver validates the shape and silently falls back to a cold start on
 // mismatch, so stale bases are safe.

@@ -27,6 +27,7 @@ const char* toString(MipStatus s) noexcept {
 
 namespace {
 
+using detail::addLpEffort;
 using detail::BoundChange;
 using detail::cappedLpOptions;
 using detail::clampedRemaining;
@@ -97,11 +98,13 @@ class Search {
   }
 
 
-  MipResult run(std::optional<std::vector<double>> warm_start) {
+  /// `root_basis` (null: cold root) warm-starts the root relaxation; `res`
+  /// carries the root phase's LP effort, to which the tree's is added.
+  MipResult run(std::optional<std::vector<double>> warm_start,
+                std::shared_ptr<const lp::sparse::Basis> root_basis, MipResult res) {
     Stopwatch watch;
     Deadline deadline(opt_.time_limit_seconds);
     deadline_ = &deadline;
-    MipResult res;
 
     if (warm_start && model_.isFeasible(*warm_start, opt_.int_tol)) {
       incumbent_ = *warm_start;
@@ -110,7 +113,9 @@ class Search {
 
     res.lp_engine = lp_solver_.resolveEngine(model_);
 
-    nodes_.push_back(Node{});  // root
+    Node root;
+    root.start_basis = std::move(root_basis);
+    nodes_.push_back(std::move(root));
     heap_.push(HeapEntry{-lp::kInfinity, seq_++, 0});
 
     bool truncated = false;
@@ -189,20 +194,6 @@ class Search {
       res.status = truncated ? MipStatus::kNoSolution : MipStatus::kInfeasible;
       res.best_bound = userObj(bound);
     }
-    res.lp_iterations = lp_iterations_;
-    res.lp_solves = lp_solves_;
-    res.lp_warm_hits = lp_warm_hits_;
-    res.lp_refactorizations = lp_refactorizations_;
-    res.lp_primal_pivots = lp_primal_pivots_;
-    res.lp_dual_pivots = lp_dual_pivots_;
-    res.lp_bound_flips = lp_bound_flips_;
-    res.lp_ft_updates = lp_ft_updates_;
-    res.lp_dual_reopts = lp_dual_reopts_;
-    res.lp_ftran_sparse = lp_ftran_sparse_;
-    res.lp_ftran_dense = lp_ftran_dense_;
-    res.lp_btran_sparse = lp_btran_sparse_;
-    res.lp_btran_dense = lp_btran_dense_;
-    res.lp_dse_updates = lp_dse_updates_;
     return res;
   }
 
@@ -292,16 +283,8 @@ class Search {
         // A dual attempt that gave up still burned pivots and possibly a
         // refactorization; fold its effort into the telemetry so the
         // pivot-class counters reflect actual solver work.
-        lp_iterations_ += declined.iterations;
-        lp_dual_pivots_ += declined.dual_pivots;
-        lp_bound_flips_ += declined.bound_flips;
-        lp_ft_updates_ += declined.ft_updates;
-        lp_refactorizations_ += declined.refactorizations;
-        lp_ftran_sparse_ += declined.ftran_sparse;
-        lp_ftran_dense_ += declined.ftran_dense;
-        lp_btran_sparse_ += declined.btran_sparse;
-        lp_btran_dense_ += declined.btran_dense;
-        lp_dse_updates_ += declined.dse_updates;
+        addLpEffort(res, declined, /*solve=*/false);
+        if (lp_iter_ctr_ != nullptr) lp_iter_ctr_->add(declined.iterations);
       }
     }
     if (!solved) {
@@ -310,20 +293,7 @@ class Search {
       rel = lp::LpSolver(lopt).solve(
           model_, lb, ub, opt_.lp_warm_start ? start_basis.get() : nullptr, csc_.get());
     }
-    lp_iterations_ += rel.iterations;
-    lp_refactorizations_ += rel.refactorizations;
-    lp_warm_hits_ += rel.warm_started ? 1 : 0;
-    lp_primal_pivots_ += rel.primal_pivots;
-    lp_dual_pivots_ += rel.dual_pivots;
-    lp_bound_flips_ += rel.bound_flips;
-    lp_ft_updates_ += rel.ft_updates;
-    lp_dual_reopts_ += rel.dual_reopt ? 1 : 0;
-    lp_ftran_sparse_ += rel.ftran_sparse;
-    lp_ftran_dense_ += rel.ftran_dense;
-    lp_btran_sparse_ += rel.btran_sparse;
-    lp_btran_dense_ += rel.btran_dense;
-    lp_dse_updates_ += rel.dse_updates;
-    ++lp_solves_;
+    addLpEffort(res, rel);
     if (lp_solves_ctr_ != nullptr) {
       lp_solves_ctr_->increment();
       lp_iter_ctr_->add(rel.iterations);
@@ -332,7 +302,7 @@ class Search {
     // Warm nodes either rode the dual fast path or fell back to the primal
     // engine; sample the distinction into the trace (every LP when the
     // sampling knob is 1). Refactorizations are rare enough to always emit.
-    if (telemetry::sampleHit(opt_.telemetry, static_cast<std::uint64_t>(lp_solves_)))
+    if (telemetry::sampleHit(opt_.telemetry, static_cast<std::uint64_t>(res.lp_solves)))
       opt_.telemetry->trace->instant("lp", rel.dual_reopt ? "dual_reopt" : "primal_fallback",
                                      "iterations", static_cast<double>(rel.iterations));
     if (rel.refactorizations > 0)
@@ -437,20 +407,6 @@ class Search {
   std::vector<Node> nodes_;
   std::priority_queue<HeapEntry> heap_;
   long seq_ = 0;
-  long lp_iterations_ = 0;
-  long lp_solves_ = 0;
-  long lp_warm_hits_ = 0;
-  long lp_refactorizations_ = 0;
-  long lp_primal_pivots_ = 0;
-  long lp_dual_pivots_ = 0;
-  long lp_bound_flips_ = 0;
-  long lp_ft_updates_ = 0;
-  long lp_dual_reopts_ = 0;
-  long lp_ftran_sparse_ = 0;
-  long lp_ftran_dense_ = 0;
-  long lp_btran_sparse_ = 0;
-  long lp_btran_dense_ = 0;
-  long lp_dse_updates_ = 0;
   /// Structural CSC matrix shared by every node solve of this tree (sparse
   /// engine only; null on the dense path).
   std::shared_ptr<const lp::sparse::CscMatrix> csc_;
@@ -478,29 +434,51 @@ void downgradeIfCancelled(MipResult& res, const MilpSolver::Options& opt) {
   else if (res.status == MipStatus::kInfeasible) res.status = MipStatus::kNoSolution;
 }
 
+/// `basis` grown to a model with `rows` rows, every appended row entering
+/// with its slack basic. The reduced costs are unchanged (slacks cost
+/// nothing), so the grown basis stays dual feasible: a violated cut only
+/// makes its own slack primal infeasible, which the dual simplex repairs.
+std::shared_ptr<const lp::sparse::Basis> withBasicSlacks(const lp::sparse::Basis& basis,
+                                                         int rows) {
+  auto grown = std::make_shared<lp::sparse::Basis>(basis);
+  for (int i = basis.rows; i < rows; ++i) {
+    grown->basic.push_back(basis.cols + i);
+    grown->status.push_back(lp::sparse::VarStatus::kBasic);
+  }
+  grown->rows = rows;
+  return grown;
+}
+
 }  // namespace
+
+MipLpEffort& MipLpEffort::operator+=(const MipLpEffort& o) noexcept {
+  lp_iterations += o.lp_iterations;
+  lp_solves += o.lp_solves;
+  lp_warm_hits += o.lp_warm_hits;
+  lp_refactorizations += o.lp_refactorizations;
+  lp_primal_pivots += o.lp_primal_pivots;
+  lp_dual_pivots += o.lp_dual_pivots;
+  lp_bound_flips += o.lp_bound_flips;
+  lp_ft_updates += o.lp_ft_updates;
+  lp_dual_reopts += o.lp_dual_reopts;
+  lp_ftran_sparse += o.lp_ftran_sparse;
+  lp_ftran_dense += o.lp_ftran_dense;
+  lp_btran_sparse += o.lp_btran_sparse;
+  lp_btran_dense += o.lp_btran_dense;
+  lp_dse_updates += o.lp_dse_updates;
+  return *this;
+}
 
 MipResult MilpSolver::solve(const lp::Model& model,
                             std::optional<std::vector<double>> warm_start) const {
+  MipResult res;
   if (!model.hasIntegerVars()) {
     // Pure LP: solve the relaxation directly (with the MILP-level budget and
     // stop flag threaded into the pivot loop).
     lp::LpSolver solver(cappedLpOptions(options_, options_.time_limit_seconds));
     lp::LpResult rel = solver.solve(model);
-    MipResult res;
-    res.lp_iterations = rel.iterations;
+    addLpEffort(res, rel);
     res.lp_engine = rel.engine;
-    res.lp_solves = 1;
-    res.lp_refactorizations = rel.refactorizations;
-    res.lp_primal_pivots = rel.primal_pivots;
-    res.lp_dual_pivots = rel.dual_pivots;
-    res.lp_bound_flips = rel.bound_flips;
-    res.lp_ft_updates = rel.ft_updates;
-    res.lp_ftran_sparse = rel.ftran_sparse;
-    res.lp_ftran_dense = rel.ftran_dense;
-    res.lp_btran_sparse = rel.btran_sparse;
-    res.lp_btran_dense = rel.btran_dense;
-    res.lp_dse_updates = rel.dse_updates;
     res.seconds = rel.seconds;
     switch (rel.status) {
       case lp::LpStatus::kOptimal:
@@ -525,19 +503,20 @@ MipResult MilpSolver::solve(const lp::Model& model,
   Stopwatch root_watch;
   const Deadline cut_deadline(options_.time_limit_seconds);
   lp::Model work = model;
+  res.lp_engine = lp::LpSolver(options_.lp).resolveEngine(work);
+  std::vector<double> lb(static_cast<std::size_t>(work.numVars()));
+  std::vector<double> ub(static_cast<std::size_t>(work.numVars()));
+  for (int j = 0; j < work.numVars(); ++j) {
+    lb[static_cast<std::size_t>(j)] = work.var(j).lb;
+    ub[static_cast<std::size_t>(j)] = work.var(j).ub;
+  }
 
   if (options_.enable_presolve) {
     telemetry::Span presolve_span(options_.telemetry, "milp", "presolve");
-    std::vector<double> lb(static_cast<std::size_t>(work.numVars()));
-    std::vector<double> ub(static_cast<std::size_t>(work.numVars()));
-    for (int j = 0; j < work.numVars(); ++j) {
-      lb[static_cast<std::size_t>(j)] = work.var(j).lb;
-      ub[static_cast<std::size_t>(j)] = work.var(j).ub;
-    }
     const PresolveResult pr = tightenBounds(work, lb, ub);
     if (pr.infeasible) {
-      MipResult res;
       res.status = MipStatus::kInfeasible;
+      res.seconds = root_watch.seconds();
       downgradeIfCancelled(res, options_);
       return res;
     }
@@ -545,27 +524,29 @@ MipResult MilpSolver::solve(const lp::Model& model,
       work.setVarBounds(j, lb[static_cast<std::size_t>(j)], ub[static_cast<std::size_t>(j)]);
   }
 
-  long cut_solves = 0, cut_iters = 0, cut_refacs = 0;
-  long cut_primal = 0, cut_flips = 0, cut_fts = 0;
-  long cut_ftran_sp = 0, cut_ftran_dn = 0, cut_btran_sp = 0, cut_btran_dn = 0;
+  // The root relaxation is one warm chain: each cut round re-solves from
+  // the previous round's optimal basis grown by the appended cover rows,
+  // and the last round's basis warm-starts the tree's root — a round that
+  // found no cuts already *is* the root optimum. lp_warm_start=false keeps
+  // every round and the root cold; the dense engine returns no basis, so
+  // it stays cold either way.
+  std::shared_ptr<const lp::sparse::Basis> root_basis;
   if (options_.enable_cover_cuts) {
     telemetry::Span cuts_span(options_.telemetry, "milp", "cover_cuts");
+    telemetry::MetricsRegistry* reg =
+        options_.telemetry != nullptr ? options_.telemetry->metrics : nullptr;
     for (int round = 0; round < options_.cut_rounds; ++round) {
       if (cut_deadline.expired() ||
           (options_.stop && options_.stop->load(std::memory_order_relaxed)))
         break;
-      const lp::LpResult rel =
-          lp::LpSolver(cappedLpOptions(options_, clampedRemaining(cut_deadline))).solve(work);
-      ++cut_solves;
-      cut_iters += rel.iterations;
-      cut_refacs += rel.refactorizations;
-      cut_primal += rel.primal_pivots;
-      cut_flips += rel.bound_flips;
-      cut_fts += rel.ft_updates;
-      cut_ftran_sp += rel.ftran_sparse;
-      cut_ftran_dn += rel.ftran_dense;
-      cut_btran_sp += rel.btran_sparse;
-      cut_btran_dn += rel.btran_dense;
+      const lp::LpSolver solver(cappedLpOptions(options_, clampedRemaining(cut_deadline)));
+      const lp::LpResult rel = solver.solve(work, lb, ub, root_basis.get());
+      addLpEffort(res, rel);
+      if (reg != nullptr) {
+        reg->counter("lp.solves").increment();
+        reg->counter("lp.iterations").add(rel.iterations);
+      }
+      root_basis = options_.lp_warm_start ? rel.basis : nullptr;
       if (rel.status != lp::LpStatus::kOptimal) break;
       const std::vector<CoverCut> cuts = separateCoverCuts(work, rel.x);
       if (cuts.empty()) break;
@@ -574,6 +555,7 @@ MipResult MilpSolver::solve(const lp::Model& model,
         for (const int j : cut.vars) expr.addTerm(lp::Var{j}, 1.0);
         work.addConstr(expr, lp::Sense::kLessEqual, cut.rhs, "cover_cut");
       }
+      if (root_basis) root_basis = withBasicSlacks(*root_basis, work.numConstrs());
     }
   }
 
@@ -584,22 +566,12 @@ MipResult MilpSolver::solve(const lp::Model& model,
   // threads > 1 dispatches to the work-stealing parallel engine
   // (bb_parallel.cpp); the sequential engine stays the single-thread path so
   // existing single-threaded behavior is bit-for-bit unchanged.
-  MipResult res = search_opt.threads > 1
-                      ? detail::runParallelSearch(work, search_opt, std::move(warm_start))
-                      : Search(work, search_opt).run(std::move(warm_start));
+  res = search_opt.threads > 1
+            ? detail::runParallelSearch(work, search_opt, std::move(warm_start),
+                                        std::move(root_basis), std::move(res))
+            : Search(work, search_opt)
+                  .run(std::move(warm_start), std::move(root_basis), std::move(res));
   res.seconds = root_watch.seconds();  // include presolve + cut time
-  // Cut-separation LPs are real (cold) LP work: report them, or the
-  // telemetry under-counts solves and inflates the warm-start hit rate.
-  res.lp_solves += cut_solves;
-  res.lp_iterations += cut_iters;
-  res.lp_refactorizations += cut_refacs;
-  res.lp_primal_pivots += cut_primal;
-  res.lp_bound_flips += cut_flips;
-  res.lp_ft_updates += cut_fts;
-  res.lp_ftran_sparse += cut_ftran_sp;
-  res.lp_ftran_dense += cut_ftran_dn;
-  res.lp_btran_sparse += cut_btran_sp;
-  res.lp_btran_dense += cut_btran_dn;
   return res;
 }
 

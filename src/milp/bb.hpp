@@ -8,6 +8,8 @@
 //    optimal basis instead of solving each relaxation cold (the tree solves
 //    thousands of near-identical LPs; a warm solve is typically a handful
 //    of pivots),
+//  * root cover-cut rounds chained warm: each round re-solves from the
+//    previous round's basis, and the last basis warm-starts the root node,
 //  * hybrid node selection: best-bound with depth-first "plunging",
 //  * most-fractional / pseudo-cost branching,
 //  * rounding primal heuristic to find incumbents early,
@@ -54,28 +56,22 @@ struct MipWorkerStats {
   double idle_seconds = 0.0;  ///< time spent with an empty deque and no loot
 };
 
-struct MipResult {
-  MipStatus status = MipStatus::kNoSolution;
-  std::vector<double> x;       ///< incumbent (model variable order)
-  double objective = 0.0;      ///< incumbent objective (minimization sense)
-  double best_bound = -lp::kInfinity;  ///< proven dual bound
-  double gap = lp::kInfinity;  ///< |obj - bound| / max(1, |obj|)
-  long nodes = 0;
+/// LP work of one MILP solve, summed over every relaxation it ran: cut
+/// rounds, root and nodes. Engines accumulate it with detail::addLpEffort
+/// and merge per-worker totals with +=.
+struct MipLpEffort {
   long lp_iterations = 0;
-  double seconds = 0.0;
-  // LP substrate telemetry (surfaced through the driver's SolveResponse).
-  lp::LpEngine lp_engine = lp::LpEngine::kDense;  ///< engine the relaxations used
-  long lp_solves = 0;           ///< relaxations solved (root + nodes)
-  long lp_warm_hits = 0;        ///< solves that adopted a parent basis
+  long lp_solves = 0;           ///< relaxations solved (cut rounds + root + nodes)
+  long lp_warm_hits = 0;        ///< solves that adopted a caller basis
   long lp_refactorizations = 0; ///< sparse engine: total basis refactorizations
-  // Pivot-class telemetry (sparse engine): how the node LPs were actually
-  // reoptimized — dual fast-path pivots vs primal pivots vs pure bound
-  // flips, and Forrest–Tomlin factor updates vs full refactorizations.
+  // Pivot-class telemetry (sparse engine): how the LPs were actually
+  // solved — dual fast-path pivots vs primal pivots vs pure bound flips,
+  // and Forrest–Tomlin factor updates vs full refactorizations.
   long lp_primal_pivots = 0;    ///< basis changes made by the primal simplex
   long lp_dual_pivots = 0;      ///< basis changes made by the dual simplex
   long lp_bound_flips = 0;      ///< bound-to-bound moves without a basis change
   long lp_ft_updates = 0;       ///< Forrest–Tomlin factor updates applied
-  long lp_dual_reopts = 0;      ///< node solves answered by the dual fast path
+  long lp_dual_reopts = 0;      ///< solves answered by the dual fast path
   // Hyper-sparse kernel telemetry: which path the triangular solves took,
   // and how many exact steepest-edge weight updates ran.
   long lp_ftran_sparse = 0;     ///< FTRANs through the graph-driven sparse path
@@ -83,6 +79,19 @@ struct MipResult {
   long lp_btran_sparse = 0;     ///< BTRANs through the graph-driven sparse path
   long lp_btran_dense = 0;      ///< BTRANs through the dense sweep
   long lp_dse_updates = 0;      ///< steepest-edge weight recurrence applications
+
+  MipLpEffort& operator+=(const MipLpEffort& o) noexcept;
+};
+
+struct MipResult : MipLpEffort {
+  MipStatus status = MipStatus::kNoSolution;
+  std::vector<double> x;       ///< incumbent (model variable order)
+  double objective = 0.0;      ///< incumbent objective (minimization sense)
+  double best_bound = -lp::kInfinity;  ///< proven dual bound
+  double gap = lp::kInfinity;  ///< |obj - bound| / max(1, |obj|)
+  long nodes = 0;
+  double seconds = 0.0;
+  lp::LpEngine lp_engine = lp::LpEngine::kDense;  ///< engine the relaxations used
   // Incumbent-exchange telemetry (zero without the callbacks below).
   long external_adoptions = 0;  ///< external incumbents adopted as the cutoff
   long cutoff_prunes = 0;       ///< nodes pruned against an external cutoff

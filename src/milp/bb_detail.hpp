@@ -1,12 +1,14 @@
 // Internal helpers shared by the sequential (bb.cpp) and parallel
-// (bb_parallel.cpp) branch & bound engines: LP option derivation, branching
-// variable selection, pseudo-cost bookkeeping and integer rounding. Both
-// engines must make identical per-node decisions given identical state, so
-// the decision logic lives here exactly once.
+// (bb_parallel.cpp) branch & bound engines: LP option derivation, LP effort
+// accounting, branching variable selection, pseudo-cost bookkeeping and
+// integer rounding. Both engines must make identical per-node decisions
+// given identical state, so the decision logic lives here exactly once.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "milp/bb.hpp"
@@ -46,6 +48,28 @@ inline lp::LpSolver::Options cappedLpOptions(const MilpSolver::Options& opt,
 
 [[nodiscard]] inline double clampedRemaining(const Deadline& deadline) {
   return deadline.limit() > 0 ? std::max(0.01, deadline.remaining()) : 0.0;
+}
+
+/// Folds one LP's effort into `into` — the single accumulation point for
+/// cut rounds, roots and nodes of both engines. A declined dual attempt
+/// (`solve` false) adds its pivots and factorizations but is no solve of
+/// its own: the fallback that replaces it is.
+inline void addLpEffort(MipLpEffort& into, const lp::LpResult& lp, bool solve = true) {
+  into.lp_iterations += lp.iterations;
+  into.lp_refactorizations += lp.refactorizations;
+  into.lp_primal_pivots += lp.primal_pivots;
+  into.lp_dual_pivots += lp.dual_pivots;
+  into.lp_bound_flips += lp.bound_flips;
+  into.lp_ft_updates += lp.ft_updates;
+  into.lp_ftran_sparse += lp.ftran_sparse;
+  into.lp_ftran_dense += lp.ftran_dense;
+  into.lp_btran_sparse += lp.btran_sparse;
+  into.lp_btran_dense += lp.btran_dense;
+  into.lp_dse_updates += lp.dse_updates;
+  if (!solve) return;
+  ++into.lp_solves;
+  into.lp_warm_hits += lp.warm_started ? 1 : 0;
+  into.lp_dual_reopts += lp.dual_reopt ? 1 : 0;
 }
 
 /// Most-fractional selection (binaries first), the pseudo-cost fallback.
@@ -134,7 +158,12 @@ inline void roundIntegers(const lp::Model& model, std::vector<double>& x) {
 /// instances, cooperating through an atomic incumbent cutoff. With
 /// `opt.deterministic` the same workers run lock-step on one OS thread and
 /// the result carries a replay hash over the node order and steal schedule.
+/// `root_basis` (null: cold root) is the cut loop's final basis, which
+/// worker 0 warm-starts the root from; `res` carries the root phase's LP
+/// effort, to which the tree's is added.
 [[nodiscard]] MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& opt,
-                                          std::optional<std::vector<double>> warm_start);
+                                          std::optional<std::vector<double>> warm_start,
+                                          std::shared_ptr<const lp::sparse::Basis> root_basis,
+                                          MipResult res);
 
 }  // namespace rfp::milp::detail

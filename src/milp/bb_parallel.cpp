@@ -325,21 +325,15 @@ class PWorker {
     return true;
   }
 
-  [[nodiscard]] const MipWorkerStats& stats() const { return stats_; }
+  [[nodiscard]] MipWorkerStats stats() const {
+    MipWorkerStats s = stats_;
+    s.lp_solves = lp_effort.lp_solves;
+    s.lp_warm_hits = lp_effort.lp_warm_hits;
+    return s;
+  }
 
-  // Per-worker LP telemetry, aggregated into MipResult by the driver loop.
-  long lp_iterations = 0;
-  long lp_refactorizations = 0;
-  long lp_primal_pivots = 0;
-  long lp_dual_pivots = 0;
-  long lp_bound_flips = 0;
-  long lp_ft_updates = 0;
-  long lp_dual_reopts = 0;
-  long lp_ftran_sparse = 0;
-  long lp_ftran_dense = 0;
-  long lp_btran_sparse = 0;
-  long lp_btran_dense = 0;
-  long lp_dse_updates = 0;
+  /// Per-worker LP effort, merged into MipResult by the driver loop.
+  MipLpEffort lp_effort;
 
  private:
   NodeDeque& deque() { return *shared_.deques[static_cast<std::size_t>(id_)]; }
@@ -439,16 +433,8 @@ class PWorker {
         rel = *std::move(dual);
         solved = true;
       } else {
-        lp_iterations += declined.iterations;
-        lp_dual_pivots += declined.dual_pivots;
-        lp_bound_flips += declined.bound_flips;
-        lp_ft_updates += declined.ft_updates;
-        lp_refactorizations += declined.refactorizations;
-        lp_ftran_sparse += declined.ftran_sparse;
-        lp_ftran_dense += declined.ftran_dense;
-        lp_btran_sparse += declined.btran_sparse;
-        lp_btran_dense += declined.btran_dense;
-        lp_dse_updates += declined.dse_updates;
+        addLpEffort(lp_effort, declined, /*solve=*/false);
+        if (lp_iter_ctr_ != nullptr) lp_iter_ctr_->add(declined.iterations);
       }
     }
     if (!solved) {
@@ -459,26 +445,14 @@ class PWorker {
                                      shared_.csc.get());
     }
     node.start_basis.reset();
-    lp_iterations += rel.iterations;
-    lp_refactorizations += rel.refactorizations;
-    stats_.lp_warm_hits += rel.warm_started ? 1 : 0;
-    lp_primal_pivots += rel.primal_pivots;
-    lp_dual_pivots += rel.dual_pivots;
-    lp_bound_flips += rel.bound_flips;
-    lp_ft_updates += rel.ft_updates;
-    lp_dual_reopts += rel.dual_reopt ? 1 : 0;
-    lp_ftran_sparse += rel.ftran_sparse;
-    lp_ftran_dense += rel.ftran_dense;
-    lp_btran_sparse += rel.btran_sparse;
-    lp_btran_dense += rel.btran_dense;
-    lp_dse_updates += rel.dse_updates;
-    ++stats_.lp_solves;
+    addLpEffort(lp_effort, rel);
     if (lp_solves_ctr_ != nullptr) {
       lp_solves_ctr_->increment();
       lp_iter_ctr_->add(rel.iterations);
       node_iter_hist_->record(static_cast<double>(rel.iterations));
     }
-    if (telemetry::sampleHit(shared_.opt.telemetry, static_cast<std::uint64_t>(stats_.lp_solves)))
+    const auto solves = static_cast<std::uint64_t>(lp_effort.lp_solves);
+    if (telemetry::sampleHit(shared_.opt.telemetry, solves))
       trace_->instant("lp", rel.dual_reopt ? "dual_reopt" : "primal_fallback", "iterations",
                       static_cast<double>(rel.iterations));
     if (rel.refactorizations > 0)
@@ -604,7 +578,8 @@ class PWorker {
 }  // namespace
 
 MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& opt,
-                            std::optional<std::vector<double>> warm_start) {
+                            std::optional<std::vector<double>> warm_start,
+                            std::shared_ptr<const lp::sparse::Basis> root_basis, MipResult res) {
   const Stopwatch watch;
   const int W = std::max(2, opt.threads);
   SharedTree shared(model, opt);
@@ -622,7 +597,6 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
     shared.csc =
         std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(model));
 
-  MipResult res;
   res.lp_engine = shared.engine;
 
   if (warm_start && model.isFeasible(*warm_start, opt.int_tol)) {
@@ -642,7 +616,9 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
   for (int i = 0; i < W; ++i) workers.push_back(std::make_unique<PWorker>(i, shared));
 
   shared.outstanding.store(1, std::memory_order_relaxed);
-  shared.deques[0]->pushBack(PNode{});  // root
+  PNode root;
+  root.start_basis = std::move(root_basis);  // worker 0 warm-starts the root
+  shared.deques[0]->pushBack(std::move(root));
 
   if (opt.deterministic) {
     // Lock-step round-robin: one node quantum per worker per round, on this
@@ -673,20 +649,7 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
     w->finishTrace();
     res.workers.push_back(w->stats());
     res.steals += w->stats().steals;
-    res.lp_solves += w->stats().lp_solves;
-    res.lp_warm_hits += w->stats().lp_warm_hits;
-    res.lp_iterations += w->lp_iterations;
-    res.lp_refactorizations += w->lp_refactorizations;
-    res.lp_primal_pivots += w->lp_primal_pivots;
-    res.lp_dual_pivots += w->lp_dual_pivots;
-    res.lp_bound_flips += w->lp_bound_flips;
-    res.lp_ft_updates += w->lp_ft_updates;
-    res.lp_dual_reopts += w->lp_dual_reopts;
-    res.lp_ftran_sparse += w->lp_ftran_sparse;
-    res.lp_ftran_dense += w->lp_ftran_dense;
-    res.lp_btran_sparse += w->lp_btran_sparse;
-    res.lp_btran_dense += w->lp_btran_dense;
-    res.lp_dse_updates += w->lp_dse_updates;
+    res += w->lp_effort;
   }
   res.external_adoptions = shared.external_adoptions.load(std::memory_order_relaxed);
   res.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);

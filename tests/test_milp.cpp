@@ -5,8 +5,13 @@
 #include <cmath>
 #include <optional>
 
+#include "device/builders.hpp"
+#include "fp/formulation.hpp"
 #include "milp/bb.hpp"
+#include "partition/columnar.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/metrics.hpp"
+#include "support/telemetry/trace.hpp"
 
 namespace rfp::milp {
 namespace {
@@ -262,6 +267,169 @@ TEST(MilpParallel, WarmStartSeedsSharedIncumbent) {
   const MipResult r = MilpSolver(opt).solve(m, std::vector<double>{1.0, 0.0});
   ASSERT_EQ(r.status, MipStatus::kOptimal);
   EXPECT_NEAR(r.objective, 2.0, 1e-6);
+}
+
+// ---- warm root chain -------------------------------------------------------
+
+/// Three knapsack rows over 16 binaries with correlated weights: the root LP
+/// is fractional on every row, so round 1 separates cover cuts and round 2
+/// re-solves the grown model.
+Model coverHeavyKnapsack() {
+  Model m;
+  Rng rng(2024);
+  std::vector<Var> items;
+  for (int j = 0; j < 16; ++j) items.push_back(m.addBinary("item"));
+  LinExpr value;
+  for (int row = 0; row < 3; ++row) {
+    LinExpr weight;
+    double total = 0.0;
+    for (const Var v : items) {
+      const double w = 5.0 + static_cast<double>(rng.nextBelow(20));
+      weight += w * v;
+      total += w;
+    }
+    m.addConstr(weight, Sense::kLessEqual, std::floor(total * 0.3));
+  }
+  for (const Var v : items) value += (10.0 + static_cast<double>(rng.nextBelow(30))) * v;
+  m.setObjective(value, ObjSense::kMaximize);
+  return m;
+}
+
+/// Sparse engine: the dense tableau returns no basis, so only the sparse
+/// engine chains the root.
+MilpSolver::Options sparseOptions() {
+  MilpSolver::Options opt;
+  opt.lp.engine = lp::LpEngine::kSparse;
+  return opt;
+}
+
+/// Root-only solve (no plunge below the first node): lp_solves counts the
+/// cut rounds plus the root.
+MipResult solveRootOnly(const Model& m, MilpSolver::Options opt) {
+  opt.node_limit = 1;
+  opt.plunge_depth = 0;
+  return MilpSolver(opt).solve(m);
+}
+
+void expectSameAnswerAsColdPath(const Model& m, const MilpSolver::Options& warm_opt) {
+  MilpSolver::Options cold_opt = warm_opt;
+  cold_opt.lp_warm_start = false;
+  const MipResult warm = MilpSolver(warm_opt).solve(m);
+  const MipResult cold = MilpSolver(cold_opt).solve(m);
+  EXPECT_EQ(cold.lp_warm_hits, 0);
+  ASSERT_EQ(warm.status, cold.status);
+  if (warm.hasSolution()) {
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
+    EXPECT_TRUE(m.isFeasible(warm.x, 1e-6));
+  }
+}
+
+TEST(MilpWarmRoot, CutRoundsAndRootReuseTheChainedBasis) {
+  const Model m = coverHeavyKnapsack();
+  const MipResult root = solveRootOnly(m, sparseOptions());
+  const long rounds = root.lp_solves - 1;
+  ASSERT_GE(rounds, 2) << "round 1 must separate cuts for a second round to run";
+  // Only round 1 is cold: every later round and the root adopt a basis.
+  EXPECT_EQ(root.lp_warm_hits, rounds);
+  expectSameAnswerAsColdPath(m, sparseOptions());
+
+  // Round budget spent with cuts just appended: the root starts from the
+  // grown basis and repairs the violated cuts itself.
+  MilpSolver::Options one_round = sparseOptions();
+  one_round.cut_rounds = 1;
+  const MipResult grown = solveRootOnly(m, one_round);
+  EXPECT_EQ(grown.lp_solves, 2);
+  EXPECT_EQ(grown.lp_warm_hits, 1);
+  EXPECT_GT(grown.lp_dual_pivots, 0);
+  expectSameAnswerAsColdPath(m, one_round);
+}
+
+TEST(MilpWarmRoot, ParallelDeterministicRootReusesTheChainedBasis) {
+  const Model m = coverHeavyKnapsack();
+  for (const int threads : {2, 4}) {
+    MilpSolver::Options opt = sparseOptions();
+    opt.threads = threads;
+    opt.deterministic = true;
+    const MipResult root = solveRootOnly(m, opt);
+    const long rounds = root.lp_solves - 1;
+    ASSERT_GE(rounds, 2) << threads << " threads";
+    EXPECT_EQ(root.lp_warm_hits, rounds) << threads << " threads";
+    EXPECT_EQ(root.workers.at(0).lp_warm_hits, 1) << threads << " threads";
+    expectSameAnswerAsColdPath(m, opt);
+    const MipResult a = MilpSolver(opt).solve(m);
+    const MipResult b = MilpSolver(opt).solve(m);
+    EXPECT_EQ(a.replay_hash, b.replay_hash) << threads << " threads";
+    EXPECT_EQ(a.nodes, b.nodes) << threads << " threads";
+  }
+}
+
+TEST(MilpWarmRoot, RegistryTotalsMatchTheResultAcrossCutRounds) {
+  // Cut-round LPs must reach the live registry too, not only the result.
+  const Model m = coverHeavyKnapsack();
+  ASSERT_GE(solveRootOnly(m, sparseOptions()).lp_solves - 1, 2);  // >= 2 cut rounds
+  for (const int threads : {1, 2}) {
+    telemetry::MetricsRegistry reg;
+    telemetry::Context ctx;
+    ctx.metrics = &reg;
+    MilpSolver::Options opt = sparseOptions();
+    opt.threads = threads;
+    opt.telemetry = &ctx;
+    const MipResult r = MilpSolver(opt).solve(m);
+    ASSERT_EQ(r.status, MipStatus::kOptimal);
+    EXPECT_EQ(reg.counter("lp.solves").total(), r.lp_solves) << threads << " threads";
+    EXPECT_EQ(reg.counter("lp.iterations").total(), r.lp_iterations) << threads << " threads";
+    EXPECT_EQ(reg.counter("milp.nodes").total(), r.nodes) << threads << " threads";
+  }
+}
+
+TEST(MilpWarmRoot, FloorplanRootWithoutCutsSolvesColdOnce) {
+  const device::Device dev = device::columnarFromPattern("t", "CCBCC", 3);
+  model::FloorplanProblem p(&dev);
+  p.addRegion(model::RegionSpec{"a", {2, 1, 0}});
+  p.addRegion(model::RegionSpec{"b", {2, 0, 0}});
+  p.addNet(model::Net{{0, 1}, 1.0, "n"});
+  const fp::MilpFormulation formulation(p, *partition::columnarPartition(dev));
+  const Model& m = formulation.model();
+
+  const MipResult root = solveRootOnly(m, sparseOptions());
+  ASSERT_EQ(root.lp_solves, 2) << "one cut round that finds no cuts, then the root";
+  EXPECT_EQ(root.lp_warm_hits, 1);
+  const MipResult full = MilpSolver(sparseOptions()).solve(m);
+  EXPECT_EQ(full.lp_solves - full.lp_warm_hits, 1) << "exactly one cold LP per solve";
+  expectSameAnswerAsColdPath(m, sparseOptions());
+}
+
+TEST(MilpWarmRoot, AgreesWithColdPathOnPresolveKnapsacks) {
+  // test_presolve's random-knapsack fixture shape, on the sparse engine:
+  // warm cut rounds plus the warm root reproduce the cold path's answer.
+  Rng rng(4242);
+  for (int trial = 0; trial < 12; ++trial) {
+    Model m;
+    LinExpr weight_row, value;
+    for (int i = 0; i < 10; ++i) {
+      const Var x = m.addBinary();
+      weight_row.addTerm(x, 1.0 + static_cast<double>(rng.nextBelow(9)));
+      value.addTerm(x, 1.0 + static_cast<double>(rng.nextBelow(20)));
+    }
+    m.addConstr(weight_row, Sense::kLessEqual, 17);
+    m.setObjective(value, ObjSense::kMaximize);
+    SCOPED_TRACE(trial);
+    EXPECT_GT(MilpSolver(sparseOptions()).solve(m).lp_warm_hits, 0);
+    expectSameAnswerAsColdPath(m, sparseOptions());
+  }
+}
+
+TEST(MilpWarmRoot, PresolveInfeasibleReportsRootTimeAndEngine) {
+  Model m;
+  const Var x = m.addInteger(3, 10, "x");
+  const Var y = m.addInteger(3, 10, "y");
+  m.addConstr(LinExpr(x) + y, Sense::kLessEqual, 5);
+  m.setObjective(LinExpr(x), ObjSense::kMinimize);
+  const MipResult res = MilpSolver(sparseOptions()).solve(m);
+  EXPECT_EQ(res.status, MipStatus::kInfeasible);
+  EXPECT_EQ(res.lp_solves, 0);  // presolve proved it: no LP ran
+  EXPECT_GT(res.seconds, 0.0);
+  EXPECT_EQ(res.lp_engine, lp::LpEngine::kSparse);
 }
 
 }  // namespace

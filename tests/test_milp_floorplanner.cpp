@@ -103,5 +103,54 @@ TEST(MilpFloorplanner, InfeasibleProblemReported) {
   EXPECT_FALSE(res.hasSolution());
 }
 
+TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
+  // Every fixture above, on the sparse engine (the one that chains the cut
+  // rounds into the root): warm and cold LP paths give the same answer.
+  const device::Device dev5 = device::columnarFromPattern("t", "CCBCC", 3);
+  const device::Device dev8 = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  const device::Device dev5r = device::columnarFromPattern("t", "CCBCC", 4);
+  const device::Device dev4 = device::columnarFromPattern("t", "CCCC", 3);
+  const device::Device dev2 = device::columnarFromPattern("t", "CC", 2);
+  std::vector<model::FloorplanProblem> problems;
+  problems.push_back(smallProblem(dev5));
+  problems.emplace_back(&dev8);
+  problems.back().addRegion(model::RegionSpec{"a", {3, 1, 0}});
+  problems.back().addRegion(model::RegionSpec{"b", {2, 0, 1}});
+  problems.back().addNet(model::Net{{0, 1}, 4.0, "n"});
+  problems.emplace_back(&dev5r);
+  problems.back().addRegion(model::RegionSpec{"a", {2, 0, 0}});
+  problems.back().addRelocation(model::RelocationRequest{0, 1, true, 1.0});
+  problems.emplace_back(&dev4);
+  problems.back().addRegion(model::RegionSpec{"a", {2, 0, 0}});
+  problems.back().addRelocation(model::RelocationRequest{0, 1, false, 1.0});
+  problems.back().setWeights(model::ObjectiveWeights{1, 0, 1, 1});
+  problems.emplace_back(&dev2);
+  problems.back().addRegion(model::RegionSpec{"r", {4, 0, 0}});
+  problems.back().addRelocation(model::RelocationRequest{0, 1, true, 1.0});
+
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    for (const Algorithm algo : {Algorithm::kO, Algorithm::kHO}) {
+      MilpFloorplannerOptions warm;
+      warm.algorithm = algo;
+      warm.lexicographic = i != 3;  // the weighted fixture
+      warm.milp.lp.engine = lp::LpEngine::kSparse;
+      MilpFloorplannerOptions cold = warm;
+      cold.milp.lp_warm_start = false;
+      const FpResult w = MilpFloorplanner(warm).solve(problems[i]);
+      const FpResult c = MilpFloorplanner(cold).solve(problems[i]);
+      ASSERT_EQ(w.status, c.status) << "fixture " << i;
+      EXPECT_EQ(c.lp_warm_hits, 0) << "fixture " << i;
+      if (!w.hasSolution()) continue;
+      EXPECT_EQ(model::check(problems[i], w.plan), "") << "fixture " << i;
+      if (warm.lexicographic) {
+        EXPECT_EQ(w.costs.wasted_frames, c.costs.wasted_frames) << "fixture " << i;
+        EXPECT_NEAR(w.costs.wire_length, c.costs.wire_length, 1e-6) << "fixture " << i;
+      } else {
+        EXPECT_NEAR(w.costs.objective, c.costs.objective, 1e-6) << "fixture " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rfp::fp
