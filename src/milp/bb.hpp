@@ -10,7 +10,8 @@
 //    of pivots),
 //  * root cover-cut rounds chained warm: each round re-solves from the
 //    previous round's basis, and the last basis warm-starts the root node,
-//  * hybrid node selection: best-bound with depth-first "plunging",
+//  * hybrid node selection: best-bound with depth-first "plunging", in
+//    one work-stealing tree search whose single-worker case is sequential,
 //  * most-fractional / pseudo-cost branching,
 //  * rounding primal heuristic to find incumbents early,
 //  * MIP-gap, node-limit and wall-clock termination,
@@ -44,8 +45,8 @@ enum class MipStatus {
 
 [[nodiscard]] const char* toString(MipStatus s) noexcept;
 
-/// Per-worker telemetry from the work-stealing parallel engine (one entry
-/// per worker when Options::threads > 1; empty for sequential solves).
+/// Per-worker telemetry from the tree search (one entry per worker at
+/// every thread count).
 struct MipWorkerStats {
   int id = 0;
   long nodes = 0;         ///< nodes this worker expanded
@@ -95,7 +96,7 @@ struct MipResult : MipLpEffort {
   // Incumbent-exchange telemetry (zero without the callbacks below).
   long external_adoptions = 0;  ///< external incumbents adopted as the cutoff
   long cutoff_prunes = 0;       ///< nodes pruned against an external cutoff
-  // Parallel-engine telemetry (empty/zero for sequential solves).
+  // Per-worker telemetry: one entry per worker, so one at threads <= 1.
   std::vector<MipWorkerStats> workers;
   long steals = 0;  ///< successful steal operations across all workers
   /// Deterministic-replay digest over the node expansion order and steal
@@ -112,7 +113,11 @@ class MilpSolver {
  public:
   struct Options {
     double time_limit_seconds = 0.0;  ///< <= 0: none
-    long node_limit = 0;              ///< <= 0: none
+    /// <= 0: none. The limit is checked only when a worker takes a
+    /// node from its pool, and a started plunge runs to its end, so
+    /// MipResult::nodes can exceed node_limit by at most plunge_depth (at
+    /// every thread count: past the limit only one plunge keeps going).
+    long node_limit = 0;
     double gap_tol = 1e-6;            ///< relative MIP gap for optimality
     double int_tol = 1e-6;            ///< integrality tolerance
     int plunge_depth = 64;            ///< DFS dives from each best-bound node
@@ -123,16 +128,17 @@ class MilpSolver {
     bool pseudo_cost_branching = true;  ///< reliability-style var selection
     bool log_progress = false;
     /// In-solve parallelism: branch & bound workers over one tree. <= 1 runs
-    /// the sequential engine. Workers own private node deques (and private
-    /// dual reoptimizers) and steal half a victim's shallowest nodes when
-    /// theirs drains; the incumbent is the shared pruning cutoff. Thread
-    /// count changes which optimal solution is returned, never the final
-    /// status or objective.
+    /// one worker inline on the calling thread. Workers own private
+    /// best-bound node pools (and private dual reoptimizers) and steal the
+    /// best half of a victim's pool when theirs drains; the incumbent is the
+    /// shared pruning cutoff. Thread count changes which optimal solution is
+    /// returned, never the final status or objective.
     int threads = 1;
-    /// Deterministic replay (threads > 1): the same logical workers run
-    /// lock-step on one OS thread in a fixed round-robin schedule, making
-    /// node order, steal schedule and MipResult::replay_hash identical
-    /// across runs. A testing mode — no wall-clock speedup.
+    /// Deterministic replay: the same logical workers run lock-step on one
+    /// OS thread in a fixed round-robin schedule, making node order, steal
+    /// schedule and MipResult::replay_hash identical across runs. A testing
+    /// mode — no wall-clock speedup. It matters only when threads > 1: one
+    /// worker is deterministic without it (the flag only adds the hash).
     bool deterministic = false;
     /// Cooperative external cancellation: when non-null and set, the solve
     /// terminates at the next node boundary with a truncated status (an

@@ -1,8 +1,7 @@
-// Internal helpers shared by the sequential (bb.cpp) and parallel
-// (bb_parallel.cpp) branch & bound engines: LP option derivation, LP effort
-// accounting, branching variable selection, pseudo-cost bookkeeping and
-// integer rounding. Both engines must make identical per-node decisions
-// given identical state, so the decision logic lives here exactly once.
+// Internal helpers of the branch & bound: the root phase (bb.cpp) and the
+// tree search (bb_parallel.cpp) share LP option derivation and LP effort
+// accounting; the tree search's workers share branching variable
+// selection, pseudo-cost bookkeeping and integer rounding.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +50,7 @@ inline lp::LpSolver::Options cappedLpOptions(const MilpSolver::Options& opt,
 }
 
 /// Folds one LP's effort into `into` — the single accumulation point for
-/// cut rounds, roots and nodes of both engines. A declined dual attempt
+/// cut rounds, the root and the tree's nodes. A declined dual attempt
 /// (`solve` false) adds its pivots and factorizations but is no solve of
 /// its own: the fallback that replaces it is.
 inline void addLpEffort(MipLpEffort& into, const lp::LpResult& lp, bool solve = true) {
@@ -153,17 +152,18 @@ inline void roundIntegers(const lp::Model& model, std::vector<double>& x) {
       x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
 }
 
-/// Work-stealing parallel branch & bound over `model` (bb_parallel.cpp):
-/// `opt.threads` workers with per-worker deques and private DualReoptimizer
+/// The branch & bound tree search over `model` (bb_parallel.cpp):
+/// `opt.threads` workers (at least one; one runs inline on the caller's
+/// thread) with per-worker best-bound pools and private DualReoptimizer
 /// instances, cooperating through an atomic incumbent cutoff. With
-/// `opt.deterministic` the same workers run lock-step on one OS thread and
+/// `opt.deterministic` several workers run lock-step on one OS thread and
 /// the result carries a replay hash over the node order and steal schedule.
 /// `root_basis` (null: cold root) is the cut loop's final basis, which
 /// worker 0 warm-starts the root from; `res` carries the root phase's LP
 /// effort, to which the tree's is added.
-[[nodiscard]] MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& opt,
-                                          std::optional<std::vector<double>> warm_start,
-                                          std::shared_ptr<const lp::sparse::Basis> root_basis,
-                                          MipResult res);
+[[nodiscard]] MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
+                                  std::optional<std::vector<double>> warm_start,
+                                  std::shared_ptr<const lp::sparse::Basis> root_basis,
+                                  MipResult res);
 
 }  // namespace rfp::milp::detail

@@ -1,14 +1,18 @@
-// Work-stealing parallel branch & bound (MilpSolver::Options::threads > 1).
+// The branch & bound tree search behind MilpSolver::solve, at every thread
+// count: Options::threads workers over one tree, the single-worker case
+// being the sequential best-bound B&B with depth-first plunging.
 //
 // Architecture (SNIPPETS.md Snippet 2 is the blueprint, adapted to this
 // repo's warm-start substrate):
-//  * every worker owns a finely-locked deque of open nodes and expands from
-//    its back — LIFO pops reproduce the sequential engine's depth-first
-//    plunge, so each worker dives a subtree with hot parent bases;
-//  * a worker whose deque drains steals the front *half* of the first
-//    non-empty victim deque — front entries are the shallowest nodes, which
-//    root the largest unexplored subtrees, so one steal buys a long stretch
-//    of independent work;
+//  * every worker owns a finely-locked pool of open nodes: a best-bound heap
+//    keyed by (parent LP bound, push order), FIFO among equal bounds. It
+//    takes the pool's best node and plunges below it, solving next the
+//    child nearer the LP value, for at most plunge_depth + 1 nodes; the
+//    other child of each branch goes into the pool. A plunge that ends with
+//    a child in hand returns that child to the pool;
+//  * a worker whose pool drains steals the best half of the first
+//    non-empty victim pool — the most promising open nodes, so one steal
+//    buys a stretch of useful independent work;
 //  * nodes carry their bound-change chain as an immutable shared_ptr spine
 //    (a node arena would need a global lock; the chain is lock-free to read
 //    and O(1) per node) plus the exported parent Basis, so a thief
@@ -23,23 +27,26 @@
 //    (externally, SharedIncumbent plugs in through the poll/publish
 //    callbacks — both serialized here because the fp-layer wrappers carry
 //    unsynchronized mutable captures);
-//  * termination: an atomic count of open nodes (root = 1, +2 per branch,
+//  * termination: an atomic count of open nodes (root = 1, +1 per branch,
 //    -1 per finished node). Idle workers spin-steal until it reaches zero —
-//    deques can all be momentarily empty while a peer is still expanding a
-//    node that will repopulate them, so "all deques empty" alone is not
-//    termination.
+//    pools can all be momentarily empty while a peer is still plunging, so
+//    "all pools empty" alone is not termination.
+//
+// One worker runs inline on the caller's thread, with no idle wait: its
+// pool is empty only when the tree is exhausted.
 //
 // Deterministic replay (Options::deterministic): the same logical workers
-// run lock-step on one OS thread in a fixed round-robin schedule with a
-// fixed steal-victim order. Node expansion order and the steal schedule are
-// then functions of the instance alone; both feed MipResult::replay_hash,
-// which tests compare across runs.
+// run lock-step on one OS thread in a fixed round-robin schedule (one pool
+// pick and its plunge per quantum) with a fixed steal-victim order. Node
+// expansion order and the steal schedule are then functions of the
+// instance alone; both feed MipResult::replay_hash, which tests compare
+// across runs.
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -63,13 +70,15 @@ struct PathNode {
 };
 
 /// An open node: the bound chain that defines it, the dual bound and branch
-/// metadata of the parent LP, and the parent's exported optimal basis.
+/// metadata of the parent LP, the parent's exported optimal basis, and its
+/// pool key's tiebreak.
 struct PNode {
   std::shared_ptr<const PathNode> path;  ///< null: root
   double lp_bound = -lp::kInfinity;
   int depth = 0;
   double branch_frac = 0.0;
   std::shared_ptr<const lp::sparse::Basis> start_basis;
+  long seq = 0;  ///< push order: older nodes first among equal bounds
 };
 
 /// FNV-1a accumulator for the deterministic replay digest.
@@ -84,74 +93,79 @@ struct ReplayHash {
   void mixDouble(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
 };
 
-/// Finely-locked work deque. The owner pushes and pops at the back (the
-/// depth-first dive); thieves take half from the front (the shallowest,
-/// biggest subtrees). One mutex per deque: owner and thief only collide on
-/// this worker's queue, never globally.
-class NodeDeque {
+/// Heap order for NodePool: the best node (lowest bound, then oldest) sits
+/// at the front of a std::make_heap max-heap.
+struct WorseNode {
+  bool operator()(const PNode& a, const PNode& b) const {
+    if (a.lp_bound != b.lp_bound) return a.lp_bound > b.lp_bound;
+    return a.seq > b.seq;
+  }
+};
+
+/// Finely-locked best-bound pool. The owner pushes and pops the best node;
+/// thieves take the best half. One mutex per pool: owner and thief only
+/// collide on this worker's pool, never globally.
+class NodePool {
  public:
-  void pushBack(PNode n) {
+  void push(PNode n) {
     const sync::MutexLock lock(mu_);
-    q_.push_back(std::move(n));
+    heap_.push_back(std::move(n));
+    std::push_heap(heap_.begin(), heap_.end(), WorseNode{});
   }
 
-  bool popBack(PNode& out) {
+  bool pop(PNode& out) {
     const sync::MutexLock lock(mu_);
-    if (q_.empty()) return false;
-    out = std::move(q_.back());
-    q_.pop_back();
+    if (heap_.empty()) return false;
+    popBest(out);
     return true;
   }
 
-  /// Steal-half policy: moves the front ceil(size/2) nodes into `out`.
+  /// Steal-half policy: moves the best ceil(size/2) nodes into `out`, best
+  /// first.
   int stealHalf(std::vector<PNode>& out) {
     const sync::MutexLock lock(mu_);
-    const int take = static_cast<int>((q_.size() + 1) / 2);
-    for (int i = 0; i < take; ++i) {
-      out.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
+    const int take = static_cast<int>((heap_.size() + 1) / 2);
+    for (int i = 0; i < take; ++i) popBest(out.emplace_back());
     return take;
   }
 
   /// Weakest dual bound among the leftover nodes (+inf when empty) — the
-  /// truncated-run bound, mirroring the sequential engine's heap top.
+  /// truncated-run bound.
   double minBound() const {
     const sync::MutexLock lock(mu_);
-    double b = lp::kInfinity;
-    for (const PNode& n : q_) b = std::min(b, n.lp_bound);
-    return b;
-  }
-
-  bool empty() const {
-    const sync::MutexLock lock(mu_);
-    return q_.empty();
+    return heap_.empty() ? lp::kInfinity : heap_.front().lp_bound;
   }
 
  private:
+  void popBest(PNode& out) RFP_REQUIRES(mu_) {
+    std::pop_heap(heap_.begin(), heap_.end(), WorseNode{});
+    out = std::move(heap_.back());
+    heap_.pop_back();
+  }
+
   mutable sync::Mutex mu_;
-  std::deque<PNode> q_ RFP_GUARDED_BY(mu_);
+  std::vector<PNode> heap_ RFP_GUARDED_BY(mu_);
 };
 
-class PWorker;
-
-/// State shared by all workers of one parallel tree.
+/// State shared by all workers of one tree.
 struct SharedTree {
   const lp::Model& model;
   const MilpSolver::Options& opt;
   bool minimize = true;
   std::vector<double> base_lb, base_ub;
   std::shared_ptr<const lp::sparse::CscMatrix> csc;  ///< sparse engine only
-  lp::LpEngine engine = lp::LpEngine::kDense;
   Deadline deadline;
 
-  std::vector<std::unique_ptr<NodeDeque>> deques;
-  /// Open-node count: nodes sitting in deques plus nodes being expanded.
+  std::vector<std::unique_ptr<NodePool>> pools;
+  std::atomic<long> next_seq{0};
+  /// Open-node count: nodes sitting in pools plus nodes in a worker's hand.
   /// Zero means the tree is exhausted (the termination signal).
   std::atomic<long> outstanding{0};
   std::atomic<long> total_nodes{0};
+  /// The one worker whose plunge may run past the node limit (-1: none yet).
+  std::atomic<int> overrun_owner{-1};
   /// Abnormal-stop latch: deadline, node limit, external stop, unbounded
-  /// root. Workers observe it at node boundaries and drain out.
+  /// root. Workers observe it at pool picks and drain out.
   std::atomic<bool> halt{false};
   std::atomic<bool> truncated{false};
   std::atomic<bool> dropped{false};  ///< a node LP hit a limit mid-solve
@@ -192,8 +206,8 @@ struct SharedTree {
     if (!has_incumbent.load(std::memory_order_acquire)) return 0.0;
     return opt.gap_tol * std::max(1.0, std::abs(cutoff.load(std::memory_order_relaxed)));
   }
-  /// Cutoff test against the shared incumbent (counts external-cutoff
-  /// prunes like the sequential engine).
+  /// Cutoff test against the shared incumbent (counts the prunes an
+  /// external incumbent caused).
   [[nodiscard]] bool prunedByCutoff(double bound) {
     if (!has_incumbent.load(std::memory_order_acquire)) return false;
     if (bound < cutoff.load(std::memory_order_relaxed) - absGapSlack()) return false;
@@ -223,13 +237,17 @@ struct SharedTree {
       opt.incumbent_publish(snapshot);
     }
     telemetry::instant(opt.telemetry, "incumbent", external ? "adopt" : "publish",
-                       "objective", userObj(obj), "engine", "milp-par");
+                       "objective", userObj(obj), "engine", "milp");
     return true;
   }
 
-  /// Polls the external incumbent channel (same adoption rules as the
-  /// sequential engine). try_lock: if a peer is already polling, this
-  /// worker skips — the channel is shared, one reader per version suffices.
+  /// Polls the incumbent-exchange callback and adopts its point as the
+  /// objective cutoff when it is integer-feasible for this (possibly cut-
+  /// and presolve-augmented) model and beats the current incumbent. Cover
+  /// cuts and presolve preserve every integer-feasible point, so a genuinely
+  /// feasible external plan passes; HO's sequence-pair rows legitimately
+  /// reject plans outside the restricted space. try_lock: if a peer is
+  /// already polling, this worker skips — one reader per version suffices.
   void pollExternal() {
     if (!opt.incumbent_poll) return;
     if (!callback_mu.try_lock()) return;
@@ -243,28 +261,57 @@ struct SharedTree {
     roundIntegers(model, *x);
     if (offerIncumbent(std::move(*x), obj, true)) {
       external_adoptions.fetch_add(1, std::memory_order_relaxed);
-      if (opt.log_progress)
-        RFP_LOG_INFO("milp[par]: adopted external incumbent " << userObj(obj));
+      if (opt.log_progress) RFP_LOG_INFO("milp: adopted external incumbent " << userObj(obj));
     }
   }
 
-  /// True when a global stop condition holds; latches halt+truncated for
-  /// the abnormal ones so every worker drains out promptly.
-  bool checkGlobalStop() {
+  void latchTruncation() {
+    truncated.store(true, std::memory_order_relaxed);
+    halt.store(true, std::memory_order_relaxed);
+  }
+
+  /// True when no pool pick may start: a stop latched, or the deadline,
+  /// the external stop flag or the node limit was reached (the last three
+  /// latch a truncation so every worker drains out promptly).
+  bool stopped() {
     if (halt.load(std::memory_order_relaxed)) return true;
-    if (deadline.expired() || externallyStopped() ||
-        (opt.node_limit > 0 && total_nodes.load(std::memory_order_relaxed) >= opt.node_limit)) {
-      truncated.store(true, std::memory_order_relaxed);
-      halt.store(true, std::memory_order_relaxed);
-      return true;
+    const bool limit_hit =
+        deadline.expired() || externallyStopped() ||
+        (opt.node_limit > 0 && total_nodes.load(std::memory_order_relaxed) >= opt.node_limit);
+    if (limit_hit) latchTruncation();
+    return limit_hit;
+  }
+
+  /// Claims the expansion of one node, or latches a truncation and returns
+  /// false. The deadline and the external stop end a plunge at any node
+  /// boundary. The node limit binds only a pool pick (`diving` false): a
+  /// started plunge runs to its end. Past the limit only the first worker
+  /// to get there keeps diving, so `nodes` exceeds node_limit by at most
+  /// plunge_depth at every thread count.
+  bool claimNode(int worker, bool diving) {
+    if (!deadline.expired() && !externallyStopped()) {
+      long n = total_nodes.load(std::memory_order_relaxed);
+      while (opt.node_limit <= 0 || n < opt.node_limit || (diving && ownsOverrun(worker)))
+        if (total_nodes.compare_exchange_weak(n, n + 1, std::memory_order_relaxed)) return true;
     }
+    latchTruncation();
     return false;
+  }
+
+  /// Makes `worker` the overrun owner if there is none yet; true when it is.
+  bool ownsOverrun(int worker) {
+    int owner = -1;
+    return overrun_owner.compare_exchange_strong(owner, worker, std::memory_order_relaxed) ||
+           owner == worker;
   }
 };
 
-class PWorker {
+/// Outcome of one scheduling quantum.
+enum class Step { kWorked, kIdle, kDone };
+
+class Worker {
  public:
-  PWorker(int id, SharedTree& shared) : id_(id), shared_(shared) {
+  Worker(int id, SharedTree& shared) : id_(id), shared_(shared) {
     stats_.id = id;
     pseudo_costs_.assign(static_cast<std::size_t>(shared.model.numVars()), PseudoCost{});
     if (shared.csc && shared.opt.lp_warm_start && shared.opt.lp.dual_reopt) {
@@ -289,40 +336,40 @@ class PWorker {
     }
   }
 
-  /// Threaded main loop: expand own work, steal when dry, exit when the
-  /// tree is exhausted or a stop condition latched.
+  /// Thread main loop: runs quanta until the tree is exhausted or a stop
+  /// latched, sleeping briefly while peers hold all the open nodes.
   void runThreaded() {
     if (trace_ != nullptr) {
       char label[32];
       std::snprintf(label, sizeof(label), "milp-worker-%d", id_);
       trace_->nameThread(label);
     }
-    PNode node;
-    while (true) {
-      if (shared_.checkGlobalStop()) break;
-      shared_.pollExternal();
-      if (deque().popBack(node)) {
-        processNode(std::move(node));
-        continue;
-      }
-      if (trySteal()) continue;
-      if (shared_.outstanding.load(std::memory_order_acquire) == 0) break;
+    for (Step s = step(); s != Step::kDone; s = step()) {
+      if (s != Step::kIdle) continue;
       const Stopwatch idle;
       std::this_thread::sleep_for(std::chrono::microseconds(50));
       stats_.idle_seconds += idle.seconds();
     }
-    flushBatch();  // close the trailing batch on the worker's own lane
   }
 
-  /// Deterministic quantum: one node expansion, preceded by one steal pass
-  /// if the own deque is dry. Returns whether any node was expanded.
-  bool step() {
+  /// One quantum: takes the best node of the own pool (stealing first when
+  /// it is empty), prunes it against the incumbent or plunges from it.
+  Step step() {
+    if (shared_.outstanding.load(std::memory_order_acquire) == 0 || shared_.stopped())
+      return Step::kDone;
+    shared_.pollExternal();
     PNode node;
-    if (!deque().popBack(node)) {
-      if (!trySteal() || !deque().popBack(node)) return false;
+    if (!pool().pop(node) && !(trySteal() && pool().pop(node)))
+      return shared_.outstanding.load(std::memory_order_acquire) == 0 ? Step::kDone : Step::kIdle;
+    // Prune against the incumbent before solving (releasing the node's
+    // basis snapshot — at paper scale each holds ~hundreds of KB and
+    // thousands of nodes can be pruned without ever being processed).
+    if (shared_.prunedByCutoff(node.lp_bound)) {
+      finishNode();
+      return Step::kWorked;
     }
-    processNode(std::move(node));
-    return true;
+    plunge(std::move(node));
+    return Step::kWorked;
   }
 
   [[nodiscard]] MipWorkerStats stats() const {
@@ -332,22 +379,27 @@ class PWorker {
     return s;
   }
 
-  /// Per-worker LP effort, merged into MipResult by the driver loop.
+  /// Per-worker LP effort, merged into MipResult by runSearch.
   MipLpEffort lp_effort;
 
  private:
-  NodeDeque& deque() { return *shared_.deques[static_cast<std::size_t>(id_)]; }
+  NodePool& pool() { return *shared_.pools[static_cast<std::size_t>(id_)]; }
+
+  void pushOpen(PNode node) {
+    node.seq = shared_.next_seq.fetch_add(1, std::memory_order_relaxed);
+    pool().push(std::move(node));
+  }
 
   /// Scans victims in a fixed ring order from this worker's successor and
-  /// moves half of the first non-empty deque into its own. The fixed order
-  /// makes the steal schedule a pure function of tree shape in
+  /// moves the best half of the first non-empty pool into its own. The
+  /// fixed order makes the steal schedule a pure function of tree shape in
   /// deterministic mode.
   bool trySteal() {
-    const int W = static_cast<int>(shared_.deques.size());
+    const int W = static_cast<int>(shared_.pools.size());
     for (int k = 1; k < W; ++k) {
       const int victim = (id_ + k) % W;
       std::vector<PNode> loot;
-      const int got = shared_.deques[static_cast<std::size_t>(victim)]->stealHalf(loot);
+      const int got = shared_.pools[static_cast<std::size_t>(victim)]->stealHalf(loot);
       if (got == 0) continue;
       ++stats_.steals;
       stats_.stolen_nodes += got;
@@ -359,15 +411,34 @@ class PWorker {
         shared_.replay.mix(static_cast<std::uint64_t>(victim));
         shared_.replay.mix(static_cast<std::uint64_t>(got));
       }
-      // Re-push in steal order: the deque back then holds the deepest of
-      // the stolen prefix, so the thief keeps diving depth-first.
-      for (PNode& n : loot) deque().pushBack(std::move(n));
+      for (PNode& n : loot) pool().push(std::move(n));  // keys travel unchanged
       return true;
     }
     return false;
   }
 
   void finishNode() { shared_.outstanding.fetch_sub(1, std::memory_order_acq_rel); }
+
+  /// Depth-first plunge from a pool pick: solves `node`, then keeps solving
+  /// the child nearer the LP value, at most plunge_depth + 1 nodes in all.
+  /// Only the pool pick takes the pre-solve cutoff test. One plunge is one
+  /// node-batch span in the trace: fine enough to see where tree time goes,
+  /// coarse enough to stay off the per-node path.
+  void plunge(PNode node) {
+    telemetry::Span span(shared_.opt.telemetry, "milp", "node_batch");
+    std::optional<PNode> next = std::move(node);
+    int solved = 0;
+    for (int dive = 0; next && dive <= shared_.opt.plunge_depth; ++dive) {
+      if (!shared_.claimNode(id_, dive > 0)) break;
+      if (dive > 0) shared_.pollExternal();  // dives outlive the pool-pick poll
+      next = processNode(*std::move(next));
+      ++solved;
+    }
+    span.arg("nodes", solved);
+    // A plunge that stops with a child in hand returns it: the child is an
+    // open node, and dropping it would let the run claim a false proof.
+    if (next) pushOpen(*std::move(next));
+  }
 
   void materializeBounds(const PNode& node, std::vector<double>& lb,
                          std::vector<double>& ub) const {
@@ -384,24 +455,12 @@ class PWorker {
     }
   }
 
-  /// Solves one node LP and prunes or branches — the parallel counterpart
-  /// of the sequential engine's processNode, with children pushed onto the
-  /// own deque instead of a plunge recursion.
-  void processNode(PNode node) {
-    if (shared_.prunedByCutoff(node.lp_bound)) {
-      finishNode();
-      return;
-    }
+  /// Solves one node LP and prunes or branches: the child farther from the
+  /// LP value goes into the pool, the nearer one is returned to continue
+  /// the plunge (nullopt ends it).
+  std::optional<PNode> processNode(PNode node) {
     ++stats_.nodes;
-    shared_.total_nodes.fetch_add(1, std::memory_order_relaxed);
     if (nodes_ctr_ != nullptr) nodes_ctr_->increment();
-    // Node-batch spans, opened lazily and closed every 64 nodes (or at
-    // drain time through finishTrace): per-node spans would dominate the
-    // ring on big trees.
-    if (trace_ != nullptr) {
-      if (batch_nodes_ == 0) batch_start_us_ = trace_->nowUs();
-      if (++batch_nodes_ >= 64) flushBatch();
-    }
     if (shared_.deterministic) {
       shared_.replay.mix(static_cast<std::uint64_t>(id_));
       shared_.replay.mix(static_cast<std::uint64_t>(node.depth));
@@ -418,13 +477,16 @@ class PWorker {
     // reoptimizer; the primal engine is the fallback for cold nodes and
     // warm bases the dual engine declines. A stolen node's basis is not
     // the reoptimizer's live one, so it takes the adopt-and-refactorize
-    // path — still far cheaper than a cold phase-1 solve.
+    // path — still far cheaper than a cold phase-1 solve. The root
+    // relaxation dominates wall clock at paper scale; it gets its own span.
     telemetry::Span root_span;
     if (node.depth == 0 && shared_.opt.telemetry != nullptr)
       root_span = telemetry::Span(shared_.opt.telemetry, "lp", "root_lp");
     lp::LpResult rel;
     bool solved = false;
     if (reopt_ && shared_.opt.lp_warm_start && node.start_basis) {
+      // The node deadline: per-LP limit capped by the tree's remaining
+      // time, merged exactly as cappedLpOptions does for the primal path.
       const double limit =
           cappedLpOptions(shared_.opt, clampedRemaining(shared_.deadline)).core.time_limit_seconds;
       lp::LpResult declined;
@@ -433,6 +495,9 @@ class PWorker {
         rel = *std::move(dual);
         solved = true;
       } else {
+        // A dual attempt that gave up still burned pivots and possibly a
+        // refactorization; fold its effort into the telemetry so the
+        // pivot-class counters reflect actual solver work.
         addLpEffort(lp_effort, declined, /*solve=*/false);
         if (lp_iter_ctr_ != nullptr) lp_iter_ctr_->add(declined.iterations);
       }
@@ -451,6 +516,9 @@ class PWorker {
       lp_iter_ctr_->add(rel.iterations);
       node_iter_hist_->record(static_cast<double>(rel.iterations));
     }
+    // Warm nodes either rode the dual fast path or fell back to the primal
+    // engine; sample the distinction into the trace (every LP when the
+    // sampling knob is 1). Refactorizations are rare enough to always emit.
     const auto solves = static_cast<std::uint64_t>(lp_effort.lp_solves);
     if (telemetry::sampleHit(shared_.opt.telemetry, solves))
       trace_->instant("lp", rel.dual_reopt ? "dual_reopt" : "primal_fallback", "iterations",
@@ -459,35 +527,32 @@ class PWorker {
       telemetry::instant(shared_.opt.telemetry, "lp", "refactorize", "count",
                          static_cast<double>(rel.refactorizations));
 
-    if (rel.status == lp::LpStatus::kInfeasible) {
-      finishNode();
-      return;
-    }
-    if (rel.status == lp::LpStatus::kUnbounded) {
-      if (node.depth == 0) {
-        shared_.root_unbounded.store(true, std::memory_order_relaxed);
-        shared_.halt.store(true, std::memory_order_relaxed);
+    if (rel.status != lp::LpStatus::kOptimal) {
+      if (rel.status == lp::LpStatus::kUnbounded) {
+        if (node.depth == 0) {
+          shared_.root_unbounded.store(true, std::memory_order_relaxed);
+          shared_.halt.store(true, std::memory_order_relaxed);
+        }
+      } else if (rel.status != lp::LpStatus::kInfeasible) {
+        // Limit hit (or the sparse engine refused to certify its point):
+        // the subtree is dropped unexplored, so the final answer is a
+        // truncation, never a proof.
+        shared_.dropped.store(true, std::memory_order_relaxed);
       }
       finishNode();
-      return;
-    }
-    if (rel.status != lp::LpStatus::kOptimal) {
-      // Limit hit mid-solve: the subtree is dropped unexplored, so the
-      // final answer is a truncation, never a proof.
-      shared_.dropped.store(true, std::memory_order_relaxed);
-      finishNode();
-      return;
+      return std::nullopt;
     }
 
     const double bound = shared_.signedObj(rel.objective);
     if (shared_.prunedByCutoff(bound)) {
       finishNode();
-      return;
+      return std::nullopt;
     }
 
-    // Pseudo-costs are worker-local: no cross-worker synchronization, at
-    // the cost of each worker learning branching scores from its own
-    // subtree only (stolen nodes still contribute to the thief's tables).
+    // Pseudo-cost update: this node's LP bound vs the parent bound measures
+    // the objective degradation of the branch that created it. The tables
+    // are worker-local: no cross-worker synchronization, at the cost of
+    // each worker learning branching scores from its own subtrees only.
     if (shared_.opt.pseudo_cost_branching && node.path && node.lp_bound > -lp::kInfinity / 2 &&
         node.branch_frac > 0)
       updatePseudoCost(pseudo_costs_, node.path->change, node.lp_bound, node.branch_frac, bound);
@@ -498,13 +563,16 @@ class PWorker {
       std::vector<double> x = std::move(rel.x);
       roundIntegers(shared_.model, x);
       if (shared_.offerIncumbent(std::move(x), bound, false) && shared_.opt.log_progress)
-        RFP_LOG_INFO("milp[par]: incumbent " << shared_.userObj(bound) << " from worker " << id_);
+        RFP_LOG_INFO("milp: incumbent " << shared_.userObj(bound) << " at node "
+                                        << shared_.total_nodes.load(std::memory_order_relaxed));
       finishNode();
-      return;
+      return std::nullopt;
     }
 
     if (shared_.opt.enable_rounding_heuristic) tryRounding(rel.x);
 
+    // Down child (ub := floor) and up child (lb := ceil); both reoptimize
+    // from this node's optimal basis (one shared snapshot).
     const double xv = rel.x[static_cast<std::size_t>(frac)];
     const double frac_part = xv - std::floor(xv);
     auto down_path = std::make_shared<const PathNode>(
@@ -514,49 +582,26 @@ class PWorker {
     PNode down{std::move(down_path), bound, node.depth + 1, frac_part, rel.basis};
     PNode up{std::move(up_path), bound, node.depth + 1, frac_part, rel.basis};
 
-    // Push the away-side child first: the next popBack takes the child
-    // closer to the LP value — the sequential engine's plunge rule — and
-    // leaves the other at a stealable (shallower) position.
+    // Plunge into the child closer to the LP value; pool the other. Two
+    // open children replace this node.
     const bool go_down = frac_part <= 0.5;
-    shared_.outstanding.fetch_add(2, std::memory_order_acq_rel);
-    deque().pushBack(go_down ? std::move(up) : std::move(down));
-    deque().pushBack(go_down ? std::move(down) : std::move(up));
-    finishNode();
+    shared_.outstanding.fetch_add(1, std::memory_order_acq_rel);
+    pushOpen(go_down ? std::move(up) : std::move(down));
+    return go_down ? std::move(down) : std::move(up);
   }
 
-  /// Rounds the fractional LP point and offers it if feasible — same cheap
-  /// heuristic as the sequential engine, now feeding the shared incumbent.
+  /// Rounds the fractional LP point and offers it if feasible — cheap and
+  /// surprisingly effective on big-M floorplanning models where most
+  /// binaries are already integral.
   void tryRounding(const std::vector<double>& x) {
     std::vector<double> cand = x;
     roundIntegers(shared_.model, cand);
     if (!shared_.model.isFeasible(cand, shared_.opt.int_tol)) return;
     const double obj = shared_.signedObj(shared_.model.evalObjective(cand));
     if (shared_.offerIncumbent(std::move(cand), obj, false) && shared_.opt.log_progress)
-      RFP_LOG_INFO("milp[par]: rounding incumbent " << shared_.userObj(obj));
+      RFP_LOG_INFO("milp: rounding incumbent " << shared_.userObj(obj));
   }
 
-  void flushBatch() {
-    if (trace_ == nullptr || batch_nodes_ == 0) return;
-    telemetry::TraceEvent ev;
-    ev.cat = "milp";
-    ev.name = "node_batch";
-    ev.ph = 'X';
-    ev.ts_us = batch_start_us_;
-    ev.dur_us = trace_->nowUs() - batch_start_us_;
-    ev.akey[0] = "nodes";
-    ev.aval[0] = static_cast<double>(batch_nodes_);
-    ev.nargs = 1;
-    trace_->complete(ev);
-    batch_nodes_ = 0;
-  }
-
- public:
-  /// Closes the trailing node-batch span; the driver loop calls it after
-  /// workers quiesce (covers the deterministic mode, which has no
-  /// per-worker thread exit to hook).
-  void finishTrace() { flushBatch(); }
-
- private:
   const int id_;
   SharedTree& shared_;
   MipWorkerStats stats_;
@@ -571,17 +616,15 @@ class PWorker {
   telemetry::Counter* lp_solves_ctr_ = nullptr;
   telemetry::Counter* lp_iter_ctr_ = nullptr;
   telemetry::Histogram* node_iter_hist_ = nullptr;
-  int batch_nodes_ = 0;
-  double batch_start_us_ = 0.0;
 };
 
 }  // namespace
 
-MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& opt,
-                            std::optional<std::vector<double>> warm_start,
-                            std::shared_ptr<const lp::sparse::Basis> root_basis, MipResult res) {
+MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
+                    std::optional<std::vector<double>> warm_start,
+                    std::shared_ptr<const lp::sparse::Basis> root_basis, MipResult res) {
   const Stopwatch watch;
-  const int W = std::max(2, opt.threads);
+  const int W = std::max(1, opt.threads);
   SharedTree shared(model, opt);
   shared.minimize = model.objSense() == lp::ObjSense::kMinimize;
   shared.deterministic = opt.deterministic;
@@ -592,12 +635,11 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
     shared.base_lb[static_cast<std::size_t>(j)] = model.var(j).lb;
     shared.base_ub[static_cast<std::size_t>(j)] = model.var(j).ub;
   }
-  shared.engine = lp::LpSolver(opt.lp).resolveEngine(model);
-  if (shared.engine == lp::LpEngine::kSparse)
+  res.lp_engine = lp::LpSolver(opt.lp).resolveEngine(model);
+  // One CSC build per tree: every node solve differs only in bounds.
+  if (res.lp_engine == lp::LpEngine::kSparse)
     shared.csc =
         std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(model));
-
-  res.lp_engine = shared.engine;
 
   if (warm_start && model.isFeasible(*warm_start, opt.int_tol)) {
     std::vector<double> x = *std::move(warm_start);
@@ -609,28 +651,29 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
     shared.incumbent_external.store(false, std::memory_order_relaxed);
   }
 
-  shared.deques.reserve(static_cast<std::size_t>(W));
-  std::vector<std::unique_ptr<PWorker>> workers;
+  shared.pools.reserve(static_cast<std::size_t>(W));
+  std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(static_cast<std::size_t>(W));
-  for (int i = 0; i < W; ++i) shared.deques.push_back(std::make_unique<NodeDeque>());
-  for (int i = 0; i < W; ++i) workers.push_back(std::make_unique<PWorker>(i, shared));
+  for (int i = 0; i < W; ++i) shared.pools.push_back(std::make_unique<NodePool>());
+  for (int i = 0; i < W; ++i) workers.push_back(std::make_unique<Worker>(i, shared));
 
   shared.outstanding.store(1, std::memory_order_relaxed);
   PNode root;
   root.start_basis = std::move(root_basis);  // worker 0 warm-starts the root
-  shared.deques[0]->pushBack(std::move(root));
+  root.seq = shared.next_seq.fetch_add(1, std::memory_order_relaxed);
+  shared.pools[0]->push(std::move(root));
 
-  if (opt.deterministic) {
-    // Lock-step round-robin: one node quantum per worker per round, on this
-    // thread. No OS scheduling enters the node order, so two runs expand
-    // identical trees and record identical steal schedules.
-    while (shared.outstanding.load(std::memory_order_acquire) > 0) {
-      if (shared.checkGlobalStop()) break;
-      shared.pollExternal();
-      for (int i = 0; i < W && !shared.halt.load(std::memory_order_relaxed); ++i)
-        workers[static_cast<std::size_t>(i)]->step();
-    }
-    res.replay_hash = shared.replay.h;
+  if (W == 1 || opt.deterministic) {
+    // Inline on this thread. With several workers: lock-step round-robin,
+    // one quantum per worker per round, so no OS scheduling enters the node
+    // order and two runs expand identical trees and steal schedules. A
+    // quantum ends with every open node in some pool, so a worker always
+    // finds one to take or steal until the run is done.
+    bool live = true;
+    while (live)
+      for (std::size_t i = 0; live && i < workers.size(); ++i)
+        live = workers[i]->step() != Step::kDone;
+    if (opt.deterministic) res.replay_hash = shared.replay.h;
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(W));
@@ -639,14 +682,18 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
     for (std::thread& t : pool) t.join();
   }
 
-  // ---- final status assembly (mirrors the sequential engine) ----
+  // ---- final status assembly ----
+  // A run that ends with the external stop flag set never claims a proof,
+  // even when every node happened to be processed before the flag was
+  // observed: the flag means another engine settled the problem, and a
+  // cancelled run racing it must not hand arbitration a second "proof"
+  // whose final LPs may have been cut short mid-pivot.
   const bool truncated = shared.truncated.load(std::memory_order_relaxed) ||
                          shared.dropped.load(std::memory_order_relaxed) ||
                          shared.externallyStopped();
   res.seconds = watch.seconds();
   res.nodes = shared.total_nodes.load(std::memory_order_relaxed);
-  for (const std::unique_ptr<PWorker>& w : workers) {
-    w->finishTrace();
+  for (const std::unique_ptr<Worker>& w : workers) {
     res.workers.push_back(w->stats());
     res.steals += w->stats().steals;
     res += w->lp_effort;
@@ -659,10 +706,10 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
     return res;
   }
 
-  // Snapshot the incumbent under its lock. The workers have all been
-  // joined, but pollExternal/offerIncumbent wrote these fields from their
-  // threads — taking inc_mu here keeps the access pattern uniform (and the
-  // annotation checkable) instead of relying on the join's happens-before.
+  // Snapshot the incumbent under its lock. The workers have all finished,
+  // but pollExternal/offerIncumbent wrote these fields from their threads —
+  // taking inc_mu here keeps the access pattern uniform (and the annotation
+  // checkable) instead of relying on the join's happens-before.
   const bool has_inc = shared.has_incumbent.load(std::memory_order_acquire);
   std::vector<double> inc_x;
   double inc_obj = lp::kInfinity;
@@ -674,15 +721,16 @@ MipResult runParallelSearch(const lp::Model& model, const MilpSolver::Options& o
   double bound;
   if (truncated) {
     if (shared.dropped.load(std::memory_order_relaxed)) {
-      // A dropped subtree leaves the dual bound unknown entirely.
+      // A dropped subtree leaves the dual bound unknown entirely: without
+      // this, drained pools would report gap 0 and claim optimality.
       bound = -lp::kInfinity;
     } else {
-      // Weakest unexplored node across all leftover deques (halted workers
-      // leave their unprocessed nodes in place); a fully drained tree that
-      // was still cancelled keeps the incumbent objective, as sequential.
+      // Weakest unexplored node across all leftover pools (halted workers
+      // leave their open nodes in place; root nodes carry -inf until their
+      // parent LP is solved, so this is conservative). A drained tree that
+      // was still cancelled keeps the incumbent objective.
       bound = lp::kInfinity;
-      for (const std::unique_ptr<NodeDeque>& d : shared.deques)
-        bound = std::min(bound, d->minBound());
+      for (const std::unique_ptr<NodePool>& p : shared.pools) bound = std::min(bound, p->minBound());
       if (bound == lp::kInfinity) bound = has_inc ? inc_obj : -lp::kInfinity;
     }
   } else {

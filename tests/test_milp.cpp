@@ -88,7 +88,9 @@ TEST(Milp, WarmStartAcceptedAsIncumbent) {
 }
 
 TEST(Milp, NodeLimitReportsTruncation) {
-  // A 14-item knapsack with a 1-node limit cannot be proven optimal.
+  // A 14-item knapsack with a 1-node limit cannot be proven optimal. The
+  // limit binds only pool picks, so the started plunge may finish: at most
+  // plunge_depth nodes past the limit, at every thread count.
   Model m;
   LinExpr weight, value;
   Rng rng(5);
@@ -99,13 +101,17 @@ TEST(Milp, NodeLimitReportsTruncation) {
   }
   m.addConstr(weight, Sense::kLessEqual, 20);
   m.setObjective(value, ObjSense::kMaximize);
-  MilpSolver::Options opt;
-  opt.node_limit = 1;
-  opt.enable_rounding_heuristic = false;
-  const MipResult r = MilpSolver(opt).solve(m);
-  EXPECT_TRUE(r.status == MipStatus::kFeasible || r.status == MipStatus::kNoSolution ||
-              r.status == MipStatus::kOptimal);
-  EXPECT_LE(r.nodes, 2 + opt.plunge_depth);
+  for (const int threads : {1, 4}) {
+    MilpSolver::Options opt;
+    opt.node_limit = 1;
+    opt.enable_rounding_heuristic = false;
+    opt.threads = threads;
+    const MipResult r = MilpSolver(opt).solve(m);
+    EXPECT_TRUE(r.status == MipStatus::kFeasible || r.status == MipStatus::kNoSolution ||
+                r.status == MipStatus::kOptimal)
+        << threads << " threads";
+    EXPECT_LE(r.nodes, 2 + opt.plunge_depth) << threads << " threads";
+  }
 }
 
 TEST(Milp, EqualityConstrainedAssignment) {
@@ -141,6 +147,15 @@ std::optional<double> bruteForceBest(const Model& m) {
 }
 
 TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
+  // Every plunge depth must give exact answers: a plunge that stops at
+  // plunge_depth with a child in hand must keep that child open, or the
+  // run claims a false proof. Checked at one worker and at two
+  // deterministic ones.
+  struct Config {
+    int plunge_depth;
+    int threads;
+  };
+  const Config configs[] = {{0, 1}, {1, 1}, {64, 1}, {0, 2}, {1, 2}, {64, 2}};
   Rng rng(99);
   for (int trial = 0; trial < 80; ++trial) {
     const int n = 3 + static_cast<int>(rng.nextBelow(8));  // up to 10 binaries
@@ -164,13 +179,21 @@ TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
     m.setObjective(obj, sense);
 
     const std::optional<double> expected = bruteForceBest(m);
-    const MipResult r = MilpSolver().solve(m);
-    if (!expected) {
-      EXPECT_EQ(r.status, MipStatus::kInfeasible) << "trial " << trial;
-    } else {
-      ASSERT_EQ(r.status, MipStatus::kOptimal) << "trial " << trial;
-      EXPECT_NEAR(r.objective, *expected, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.isFeasible(r.x, 1e-6)) << "trial " << trial;
+    for (const Config& c : configs) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << ", plunge_depth "
+                                      << c.plunge_depth << ", " << c.threads << " threads");
+      MilpSolver::Options opt;
+      opt.plunge_depth = c.plunge_depth;
+      opt.threads = c.threads;
+      opt.deterministic = c.threads > 1;
+      const MipResult r = MilpSolver(opt).solve(m);
+      if (!expected) {
+        EXPECT_EQ(r.status, MipStatus::kInfeasible);
+      } else {
+        ASSERT_EQ(r.status, MipStatus::kOptimal);
+        EXPECT_NEAR(r.objective, *expected, 1e-6);
+        EXPECT_TRUE(m.isFeasible(r.x, 1e-6));
+      }
     }
   }
 }
@@ -219,19 +242,22 @@ TEST(MilpParallel, MatchesSequentialStatusAndObjective) {
 }
 
 TEST(MilpParallel, WorkerTelemetryAggregates) {
+  // One entry per worker at every thread count, summing to the totals.
   Rng rng(7);
   const Model m = randomBinaryProgram(rng);
-  MilpSolver::Options opt;
-  opt.threads = 4;
-  const MipResult r = MilpSolver(opt).solve(m);
-  ASSERT_EQ(r.workers.size(), 4u);
-  long nodes = 0, steals = 0;
-  for (const MipWorkerStats& w : r.workers) {
-    nodes += w.nodes;
-    steals += w.steals;
+  for (const int threads : {1, 4}) {
+    MilpSolver::Options opt;
+    opt.threads = threads;
+    const MipResult r = MilpSolver(opt).solve(m);
+    ASSERT_EQ(r.workers.size(), static_cast<std::size_t>(threads));
+    long nodes = 0, steals = 0;
+    for (const MipWorkerStats& w : r.workers) {
+      nodes += w.nodes;
+      steals += w.steals;
+    }
+    EXPECT_EQ(nodes, r.nodes) << threads << " threads";
+    EXPECT_EQ(steals, r.steals) << threads << " threads";
   }
-  EXPECT_EQ(nodes, r.nodes);
-  EXPECT_EQ(steals, r.steals);
 }
 
 TEST(MilpParallel, DeterministicReplayIsReproducible) {

@@ -32,6 +32,31 @@ TEST(MilpFloorplanner, OLexicographicMatchesSearch) {
   EXPECT_NEAR(milp_res.costs.wire_length, sres.costs.wire_length, 1e-6);
 }
 
+TEST(MilpFloorplanner, OTwoThreadsMatchesOneThread) {
+  // Thread count changes neither status nor cost. The per-worker figures
+  // of both lexicographic stages merge by worker id: one worker at one
+  // thread, two at two, and their nodes sum to the solve's total.
+  const device::Device dev = device::columnarFromPattern("t", "CCBCC", 3);
+  const model::FloorplanProblem p = smallProblem(dev);
+  std::vector<FpResult> results;
+  for (const int threads : {1, 2}) {
+    MilpFloorplannerOptions opt;
+    opt.algorithm = Algorithm::kO;
+    opt.milp.threads = threads;
+    const FpResult res = MilpFloorplanner(opt).solve(p);
+    ASSERT_TRUE(res.hasSolution()) << threads << " threads: " << res.detail;
+    EXPECT_EQ(model::check(p, res.plan), "") << threads << " threads";
+    ASSERT_EQ(res.workers.size(), static_cast<std::size_t>(threads));
+    long nodes = 0;
+    for (const milp::MipWorkerStats& w : res.workers) nodes += w.nodes;
+    EXPECT_EQ(nodes, res.nodes) << threads << " threads";
+    results.push_back(res);
+  }
+  EXPECT_EQ(results[0].status, results[1].status);
+  EXPECT_EQ(results[0].costs.wasted_frames, results[1].costs.wasted_frames);
+  EXPECT_NEAR(results[0].costs.wire_length, results[1].costs.wire_length, 1e-6);
+}
+
 TEST(MilpFloorplanner, HoProducesValidSolutionQuickly) {
   const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
   model::FloorplanProblem p(&dev);
