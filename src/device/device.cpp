@@ -68,6 +68,10 @@ int Device::columnType(int x) const {
 void Device::addForbidden(Rect r, std::string label) {
   RFP_CHECK_MSG(bounds().containsRect(r), "forbidden area " << r.toString()
                                                             << " outside device");
+  // An empty rect forbids no tile, yet Rect::overlaps reports it crossing any
+  // rect that straddles its edge: reject it rather than let tile-level and
+  // rect-level forbidden tests disagree.
+  RFP_CHECK_MSG(!r.empty(), "forbidden area " << r.toString() << " covers no tile");
   forbidden_.push_back(r);
   forbidden_labels_.push_back(label.empty() ? "f" + std::to_string(forbidden_.size())
                                             : std::move(label));

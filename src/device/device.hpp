@@ -66,6 +66,7 @@ class Device {
   [[nodiscard]] int columnType(int x) const;
 
   // ---- forbidden areas -----------------------------------------------------
+  /// `r` must lie inside the device and cover at least one tile (checked).
   void addForbidden(Rect r, std::string label = "");
   [[nodiscard]] const std::vector<Rect>& forbidden() const noexcept { return forbidden_; }
   [[nodiscard]] const std::vector<std::string>& forbiddenLabels() const noexcept {

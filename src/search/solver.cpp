@@ -37,6 +37,9 @@ namespace {
 using device::Rect;
 
 constexpr std::uint64_t kKeyInf = ~0ull;
+/// Expanded nodes between two polls of the deadline, the external stop flag
+/// and the incumbent channel.
+constexpr long kPollNodes = 256;
 
 /// One expanded FC slot (a single requested free-compatible area).
 struct FcSlot {
@@ -53,12 +56,26 @@ struct Instance {
   std::vector<FcSlot> slots;                 ///< expanded FC requests
   std::vector<long> suffix_min_waste;        ///< Σ min_waste of order[i..]
   std::vector<double> min_perimeter;         ///< per region, over its shapes
-  std::vector<long> supply;                  ///< usable tiles per type
-  std::vector<long> base_need;               ///< Σ (1+hard_fc)·required per type
+  /// Per type: usable tiles minus Σ (1+hard_fc)·required (the supply prune's
+  /// margin with nothing placed).
+  std::vector<long> slack;
   std::vector<std::vector<int>> req;         ///< req[n][t] = required tiles
   std::vector<int> hard_fc;                  ///< hard FC slots per region
+  std::vector<std::size_t> witness_start;    ///< Σ hard_fc of regions before n
   std::vector<std::vector<int>> span_cache;  ///< (x, w) → matching column spans
   int span_stride = 0;                       ///< device width (span_cache index)
+  /// The device's forbidden tiles (sized in buildInstance); every worker's
+  /// occupancy starts as a copy, so its overlap tests cover forbidden areas
+  /// without a separate check.
+  Occupancy forbidden{1, 1};
+  // Nets flattened for the wire-length bound: net e's pins are
+  // net_pins[net_start[e] .. net_start[e+1]), and region n's nets are
+  // region_nets[region_net_start[n] .. region_net_start[n+1]).
+  std::vector<int> net_start;
+  std::vector<int> net_pins;
+  std::vector<double> net_weight;
+  std::vector<int> region_net_start;
+  std::vector<int> region_nets;
   SearchOptions opt;
   double wl_max = 1, p_max = 1, r_max = 1, rl_max = 1;  ///< Eq. 14 normalizers
 
@@ -216,27 +233,25 @@ void adoptExternalIncumbent(const Instance& inst, Shared& shared, std::uint64_t*
   }
 }
 
-/// Weighted-HPWL over nets counting only placed pins — admissible lower
-/// bound (adding pins can only grow a bounding box).
-double wireLengthLowerBound(const model::FloorplanProblem& problem,
-                            const std::vector<Rect>& rects,
-                            const std::vector<bool>& placed) {
-  double total = 0;
-  for (const model::Net& net : problem.nets()) {
-    double min_x = 1e30, max_x = -1e30, min_y = 1e30, max_y = -1e30;
-    bool any = false;
-    for (const int r : net.regions) {
-      if (!placed[static_cast<std::size_t>(r)]) continue;
-      any = true;
-      const Rect& rect = rects[static_cast<std::size_t>(r)];
-      min_x = std::min(min_x, rect.centerX());
-      max_x = std::max(max_x, rect.centerX());
-      min_y = std::min(min_y, rect.centerY());
-      max_y = std::max(max_y, rect.centerY());
-    }
-    if (any) total += net.weight * ((max_x - min_x) + (max_y - min_y));
+/// A region's contribution to a net's bounding box: its center while it is
+/// placed, and the empty box (the identity of min/max) while it is not.
+struct PinBox {
+  double min_x = 1e30, max_x = -1e30, min_y = 1e30, max_y = -1e30;
+};
+
+/// Weighted half-perimeter of net e over its placed pins (at least one must
+/// be placed). Unplaced pins carry the empty box, so the min/max run without
+/// a branch and pick exactly the values model::evaluate's arithmetic picks.
+double netTerm(const Instance& inst, const std::vector<PinBox>& pins, std::size_t e) {
+  PinBox box;
+  for (int i = inst.net_start[e]; i < inst.net_start[e + 1]; ++i) {
+    const PinBox& pin = pins[static_cast<std::size_t>(inst.net_pins[static_cast<std::size_t>(i)])];
+    box.min_x = std::min(box.min_x, pin.min_x);
+    box.max_x = std::max(box.max_x, pin.max_x);
+    box.min_y = std::min(box.min_y, pin.min_y);
+    box.max_y = std::max(box.max_y, pin.max_y);
   }
-  return total;
+  return inst.net_weight[e] * ((box.max_x - box.min_x) + (box.max_y - box.min_y));
 }
 
 class Worker {
@@ -248,13 +263,18 @@ class Worker {
         shared_(shared),
         sched_(sched),
         deadline_(deadline),
-        occ_(inst.prob().dev().width(), inst.prob().dev().height()),
+        occ_(inst.forbidden),
         rects_(static_cast<std::size_t>(inst.prob().numRegions())),
-        region_placed_(static_cast<std::size_t>(inst.prob().numRegions()), false),
+        pins_(rects_.size()),
+        net_term_(inst.net_weight.size(), 0.0),
+        net_live_(inst.net_weight.size(), 0),
+        region_placed_(rects_.size(), 0),
+        row_bits_((rects_.size() + 1) * static_cast<std::size_t>(occ_.wordsPerColumn())),
+        witnesses_(inst.witness_start.back()),
+        witnessed_(rects_.size(), 0),
         fc_rects_(inst.slots.size()),
         fc_placed_(inst.slots.size(), false),
-        used_(inst.supply.size(), 0),
-        need_(inst.base_need) {
+        slack_(inst.slack) {
     stats_.id = id;
     if (inst.opt.telemetry != nullptr) {
       trace_ = inst.opt.telemetry->trace;
@@ -335,8 +355,8 @@ class Worker {
         break;
       }
       ++placed;
-      if (!quickFcCheckAll() || boundKey(static_cast<int>(d) + 1) >=
-                                    shared_.best_key.load(std::memory_order_relaxed)) {
+      if (!quickFcCheckAll(n) ||
+          !boundBelow(static_cast<int>(d) + 1, shared_.best_key.load(std::memory_order_relaxed))) {
         if (shared_.best_is_external.load(std::memory_order_relaxed))
           ++local_external_prunes_;
         viable = false;
@@ -353,9 +373,12 @@ class Worker {
                      .shapes[static_cast<std::size_t>(task.prefix[static_cast<std::size_t>(d)].first)]);
     }
   }
+  /// Cheap on every call; the deadline, the external stop flag and the
+  /// incumbent channel are polled once per kPollNodes expanded nodes.
   [[nodiscard]] bool aborted() {
     if (shared_.stop.load(std::memory_order_relaxed)) return true;
-    if ((local_nodes_ & 255) == 0) {
+    if (poll_countdown_ <= 0) {
+      poll_countdown_ = kPollNodes;
       if (deadline_.expired() ||
           (inst_.opt.stop && inst_.opt.stop->load(std::memory_order_relaxed))) {
         shared_.stop.store(true);
@@ -366,25 +389,44 @@ class Worker {
     return false;
   }
 
-  /// Admissible cost-key lower bound for the current partial assignment.
-  [[nodiscard]] std::uint64_t boundKey(int depth) const {
+  /// Weighted-HPWL over nets counting only placed pins — admissible lower
+  /// bound (adding pins can only grow a bounding box). Each net's term is
+  /// kept current at place time; the sum runs over all nets in net order,
+  /// as model::evaluate's does.
+  [[nodiscard]] double wireLengthLowerBound() const {
+    double total = 0;
+    for (std::size_t e = 0; e < net_term_.size(); ++e)
+      if (net_live_[e] > 0) total += net_term_[e];
+    return total;
+  }
+
+  /// True when the admissible cost-key lower bound of the current partial
+  /// assignment (regions region_order[0..depth) placed) is below `cutoff`.
+  /// In lexicographic mode the waste word (lexKey's high 32 bits) decides
+  /// alone unless it ties the cutoff's, so the wire-length bound is only
+  /// computed on ties.
+  [[nodiscard]] bool boundBelow(int depth, std::uint64_t cutoff) const {
     const long waste_lb =
         waste_ + inst_.suffix_min_waste[static_cast<std::size_t>(depth)];
-    const double wl_lb = wireLengthLowerBound(inst_.prob(), rects_, region_placed_);
-    if (inst_.opt.mode == ObjectiveMode::kLexicographic)
-      return lexKey(waste_lb, inst_.opt.optimize_wirelength ? wl_lb : 0.0);
+    if (inst_.opt.mode == ObjectiveMode::kLexicographic) {
+      const std::uint64_t waste_key = lexKey(waste_lb, 0.0);
+      if (!inst_.opt.optimize_wirelength || (waste_key >> 32) != (cutoff >> 32))
+        return waste_key < cutoff;
+      return lexKey(waste_lb, wireLengthLowerBound()) < cutoff;
+    }
     // Weighted (Eq. 14): perimeter of placed regions + per-region minima;
     // unplaced FC areas are assumed placeable (RL lower bound 0 + committed
     // skips).
     double perim_lb = perim_;
     for (int d = depth; d < inst_.prob().numRegions(); ++d)
       perim_lb += inst_.min_perimeter[static_cast<std::size_t>(inst_.region_order[static_cast<std::size_t>(d)])];
+    const double wl_lb = wireLengthLowerBound();
     const model::ObjectiveWeights& q = inst_.prob().weights();
     const double obj = q.q1_wirelength * wl_lb / inst_.wl_max +
                        q.q2_perimeter * perim_lb / inst_.p_max +
                        q.q3_wasted * static_cast<double>(waste_lb) / inst_.r_max +
                        q.q4_relocation * rl_ / inst_.rl_max;
-    return weightedKey(obj);
+    return weightedKey(obj) < cutoff;
   }
 
   /// Supply prune + state mutation. Returns false — with no state touched —
@@ -396,51 +438,61 @@ class Worker {
   /// video decoder) cheap: DSP supply is tight, so wasteful shapes die
   /// immediately.
   bool tryPlace(int n, const Shape& s, int y) {
-    const std::size_t nt = inst_.supply.size();
+    const std::size_t nt = slack_.size();
     const long k_fc = inst_.hard_fc[static_cast<std::size_t>(n)];
-    for (std::size_t t = 0; t < nt; ++t) {
-      const long cov = s.covered[t];
-      const long req = inst_.req[static_cast<std::size_t>(n)][t];
-      const long used_after = used_[t] + cov;
-      const long need_after = need_[t] - (1 + k_fc) * req + k_fc * cov;
-      if (used_after + need_after > inst_.supply[t]) return false;
-    }
+    const std::vector<int>& req = inst_.req[static_cast<std::size_t>(n)];
+    // Placing s turns the region's bare requirement, and that of each of
+    // its k_fc hard FC slots, into s's footprint.
+    for (std::size_t t = 0; t < nt; ++t)
+      if ((1 + k_fc) * (s.covered[t] - req[t]) > slack_[t]) return false;
 
     ++local_nodes_;
+    --poll_countdown_;
     if ((local_nodes_ & 1023) == 0) flushNodes();
 
     const Rect r{s.x, y, s.w, s.h};
     occ_.fill(r);
     rects_[static_cast<std::size_t>(n)] = r;
-    region_placed_[static_cast<std::size_t>(n)] = true;
+    pins_[static_cast<std::size_t>(n)] = PinBox{r.centerX(), r.centerX(), r.centerY(), r.centerY()};
+    for (int i = inst_.region_net_start[static_cast<std::size_t>(n)];
+         i < inst_.region_net_start[static_cast<std::size_t>(n) + 1]; ++i) {
+      const auto e = static_cast<std::size_t>(inst_.region_nets[static_cast<std::size_t>(i)]);
+      saved_terms_.push_back(net_term_[e]);
+      ++net_live_[e];
+      net_term_[e] = netTerm(inst_, pins_, e);
+    }
+    region_placed_[static_cast<std::size_t>(n)] = 1;
     waste_ += s.waste;
     perim_ += 2.0 * (r.w + r.h);
-    for (std::size_t t = 0; t < nt; ++t) {
-      used_[t] += s.covered[t];
-      need_[t] += k_fc * s.covered[t] - (1 + k_fc) * inst_.req[static_cast<std::size_t>(n)][t];
-    }
+    for (std::size_t t = 0; t < nt; ++t) slack_[t] -= (1 + k_fc) * (s.covered[t] - req[t]);
     return true;
   }
 
   void unplace(int n, const Shape& s) {
-    const std::size_t nt = inst_.supply.size();
     const long k_fc = inst_.hard_fc[static_cast<std::size_t>(n)];
+    const std::vector<int>& req = inst_.req[static_cast<std::size_t>(n)];
     const Rect r = rects_[static_cast<std::size_t>(n)];
-    for (std::size_t t = 0; t < nt; ++t) {
-      used_[t] -= s.covered[t];
-      need_[t] -= k_fc * s.covered[t] - (1 + k_fc) * inst_.req[static_cast<std::size_t>(n)][t];
-    }
+    for (std::size_t t = 0; t < slack_.size(); ++t)
+      slack_[t] += (1 + k_fc) * (s.covered[t] - req[t]);
     perim_ -= 2.0 * (r.w + r.h);
     waste_ -= s.waste;
-    region_placed_[static_cast<std::size_t>(n)] = false;
+    region_placed_[static_cast<std::size_t>(n)] = 0;
+    pins_[static_cast<std::size_t>(n)] = PinBox{};
+    for (int i = inst_.region_net_start[static_cast<std::size_t>(n) + 1];
+         i-- > inst_.region_net_start[static_cast<std::size_t>(n)];) {
+      const auto e = static_cast<std::size_t>(inst_.region_nets[static_cast<std::size_t>(i)]);
+      net_term_[e] = saved_terms_.back();
+      saved_terms_.pop_back();
+      --net_live_[e];
+    }
     occ_.clear(r);
   }
 
   void placeRegion(int depth, int n, const Shape& s, std::size_t shape_index, int y) {
     if (aborted()) return;
     if (!tryPlace(n, s, y)) return;
-    if (quickFcCheckAll()) {
-      if (boundKey(depth + 1) < shared_.best_key.load(std::memory_order_relaxed)) {
+    if (quickFcCheckAll(n)) {
+      if (boundBelow(depth + 1, shared_.best_key.load(std::memory_order_relaxed))) {
         prefix_.emplace_back(static_cast<int>(shape_index), y);
         descendRegions(depth + 1);
         prefix_.pop_back();
@@ -468,35 +520,65 @@ class Worker {
     ++stats_.splits;
   }
 
-  /// quickFcCheck over every placed region: placing a region can also
-  /// destroy the FC candidates of regions placed earlier.
-  [[nodiscard]] bool quickFcCheckAll() const {
-    for (int m = 0; m < inst_.prob().numRegions(); ++m)
-      if (inst_.hard_fc[static_cast<std::size_t>(m)] > 0 &&
-          region_placed_[static_cast<std::size_t>(m)] && !quickFcCheck(m))
-        return false;
+  /// quickFcCheck over every placed region after region `placed` was
+  /// placed: placing a region can also destroy the FC candidates of regions
+  /// placed earlier. Those keep the free placements their last passing
+  /// check found (witnesses). Since then the occupancy only lost rects or
+  /// gained rects checked here, so a region whose witnesses the new rect
+  /// misses passes unchanged.
+  [[nodiscard]] bool quickFcCheckAll(int placed) {
+    const Rect& r = rects_[static_cast<std::size_t>(placed)];
+    for (int m = 0; m < inst_.prob().numRegions(); ++m) {
+      const auto mi = static_cast<std::size_t>(m);
+      if (inst_.hard_fc[mi] == 0 || region_placed_[mi] == 0) continue;
+      if (m != placed && witnessed_[mi] != 0) {
+        const Rect* w = &witnesses_[inst_.witness_start[mi]];
+        bool hit = false;
+        for (int i = 0; i < inst_.hard_fc[mi]; ++i) hit = hit || w[i].overlaps(r);
+        if (!hit) continue;
+      }
+      if (!quickFcCheck(m)) return false;
+    }
     return true;
   }
 
   /// Cheap necessary condition: each *hard* FC request of region n must have
-  /// at least `count` compatible placements free w.r.t. current occupancy.
-  [[nodiscard]] bool quickFcCheck(int n) const {
+  /// at least `count` compatible placements free w.r.t. current occupancy
+  /// (which holds the forbidden tiles too). Per matching column span, one
+  /// column OR and its free src.h-row windows; the first `count` found are
+  /// kept as region n's witnesses.
+  [[nodiscard]] bool quickFcCheck(int n) {
     const int needed = inst_.hard_fc[static_cast<std::size_t>(n)];
-    if (needed == 0) return true;
     const Rect& src = rects_[static_cast<std::size_t>(n)];
-    const device::Device& dev = inst_.prob().dev();
+    Rect* witness = &witnesses_[inst_.witness_start[static_cast<std::size_t>(n)]];
+    std::uint64_t* rows = rowBits(inst_.prob().numRegions());
     int found = 0;
     for (const int x : inst_.spans(src.x, src.w)) {
-      for (int y = 0; y + src.h <= dev.height(); ++y) {
-        const Rect cand{x, y, src.w, src.h};
-        if (dev.rectHitsForbidden(cand)) continue;
-        if (occ_.overlaps(cand)) continue;
-        // The source rect itself is occupied, so `found` counts genuinely
-        // free placements.
-        if (++found >= needed) return true;
-      }
+      occ_.orColumns(x, src.w, rows);
+      occ_.freeWindows(rows, src.h);
+      // The source rect itself is occupied, so these are genuinely free
+      // placements.
+      for (int k = 0; k < occ_.wordsPerColumn(); ++k)
+        for (std::uint64_t bits = rows[k]; bits != 0; bits &= bits - 1) {
+          witness[found] = Rect{x, 64 * k + __builtin_ctzll(bits), src.w, src.h};
+          if (++found == needed) {
+            witnessed_[static_cast<std::size_t>(n)] = 1;
+            return true;
+          }
+        }
     }
-    return found >= needed;
+    // A failed check overwrote only some witnesses: the rest may repeat
+    // them, so none of them counts until the next passing check.
+    witnessed_[static_cast<std::size_t>(n)] = 0;
+    return false;
+  }
+
+  /// Row-bit scratch slot `slot` (wordsPerColumn() words): slot d belongs to
+  /// descendRegions at depth d, slot numRegions to quickFcCheck and
+  /// startFcPhase.
+  [[nodiscard]] std::uint64_t* rowBits(int slot) {
+    return &row_bits_[static_cast<std::size_t>(slot) *
+                      static_cast<std::size_t>(occ_.wordsPerColumn())];
   }
 
   void descendRegions(int depth) {
@@ -508,6 +590,7 @@ class Worker {
     const int n = inst_.region_order[static_cast<std::size_t>(depth)];
     const RegionCandidates& cands = inst_.candidates[static_cast<std::size_t>(n)];
     const std::uint64_t best = shared_.best_key.load(std::memory_order_relaxed);
+    std::uint64_t* rows = rowBits(depth);
     for (std::size_t si = 0; si < cands.shapes.size(); ++si) {
       const Shape& s = cands.shapes[si];
       // Shapes are waste-sorted: once the waste bound alone exceeds the
@@ -522,8 +605,12 @@ class Worker {
           ++local_external_prunes_;
         break;
       }
+      // placeRegion restores the occupancy before the next y, so one column
+      // OR per shape serves every y.
+      occ_.orColumns(s.x, s.w, rows);
+      occ_.freeWindows(rows, s.h);
       for (const int y : s.ys) {
-        if (occ_.overlaps(Rect{s.x, y, s.w, s.h})) continue;
+        if (!Occupancy::windowFree(rows, y)) continue;
         if (maySplit(depth)) {
           // A starving peer exists: package this subtree for stealing
           // instead of diving it (it re-checks every prune on execution).
@@ -552,7 +639,8 @@ class Worker {
     // same region share one list. Order: fewest candidates first.
     std::vector<SlotPlan> plans;
     plans.reserve(inst_.slots.size());
-    const device::Device& dev = inst_.prob().dev();
+    const int height = inst_.prob().dev().height();
+    std::uint64_t* forbidden_rows = rowBits(inst_.prob().numRegions());
     std::vector<std::vector<Rect>> per_region(
         static_cast<std::size_t>(inst_.prob().numRegions()));
     std::vector<bool> computed(static_cast<std::size_t>(inst_.prob().numRegions()), false);
@@ -561,9 +649,13 @@ class Worker {
       if (!computed[static_cast<std::size_t>(n)]) {
         computed[static_cast<std::size_t>(n)] = true;
         const Rect& src = rects_[static_cast<std::size_t>(n)];
-        for (const int x : inst_.spans(src.x, src.w))
-          for (const int y : validRows(dev, x, src.w, src.h))
-            per_region[static_cast<std::size_t>(n)].push_back(Rect{x, y, src.w, src.h});
+        for (const int x : inst_.spans(src.x, src.w)) {
+          inst_.forbidden.orColumns(x, src.w, forbidden_rows);
+          inst_.forbidden.freeWindows(forbidden_rows, src.h);
+          for (int y = 0; y + src.h <= height; ++y)
+            if (Occupancy::windowFree(forbidden_rows, y))
+              per_region[static_cast<std::size_t>(n)].push_back(Rect{x, y, src.w, src.h});
+        }
       }
       plans.push_back(SlotPlan{static_cast<int>(i), per_region[static_cast<std::size_t>(n)]});
     }
@@ -590,6 +682,7 @@ class Worker {
       return rl_ == fc_entry_rl_;
     }
     ++local_nodes_;
+    --poll_countdown_;
     const SlotPlan& plan = plans[depth];
     const FcSlot& slot = inst_.slots[static_cast<std::size_t>(plan.slot)];
     const std::size_t start = next_start[static_cast<std::size_t>(slot.region)];
@@ -610,8 +703,8 @@ class Worker {
       // Soft request: skip with penalty cw_c (Sec. V).
       rl_ += slot.weight;
       bool done = false;
-      if (boundKey(inst_.prob().numRegions()) <
-          shared_.best_key.load(std::memory_order_relaxed))
+      if (boundBelow(inst_.prob().numRegions(),
+                     shared_.best_key.load(std::memory_order_relaxed)))
         done = descendSlots(plans, depth + 1, std::move(next_start));
       rl_ -= slot.weight;
       return done;
@@ -705,18 +798,30 @@ class Worker {
   /// (shape_index, y) of the current path's placements — the prefix a
   /// spawned task needs to replay this position.
   std::vector<std::pair<int, int>> prefix_;
-  Occupancy occ_;
+  Occupancy occ_;  ///< forbidden tiles plus the placed regions and FC areas
   std::vector<Rect> rects_;
-  std::vector<bool> region_placed_;
+  std::vector<PinBox> pins_;  ///< per region, set at place time
+  std::vector<double> net_term_;  ///< netTerm(e) while net e has a placed pin
+  std::vector<int> net_live_;     ///< placed pins per net
+  /// net_term_ values that placements overwrote, restored LIFO by unplace.
+  std::vector<double> saved_terms_;
+  std::vector<unsigned char> region_placed_;
+  std::vector<std::uint64_t> row_bits_;  ///< orColumns scratch, see rowBits()
+  /// Per placed region with hard FC slots, the free placements its last
+  /// quickFcCheck found (hard_fc of them, from witness_start).
+  std::vector<Rect> witnesses_;
+  std::vector<unsigned char> witnessed_;  ///< per region: its last quickFcCheck passed
   std::vector<Rect> fc_rects_;
   std::vector<bool> fc_placed_;
-  std::vector<long> used_;  ///< covered tiles per type over placed regions
-  std::vector<long> need_;  ///< remaining demand lower bound per type
+  /// Per type: usable tiles minus the tiles placed regions cover minus the
+  /// lower bound on the demand still outstanding (the supply prune's margin).
+  std::vector<long> slack_;
   long waste_ = 0;
   double perim_ = 0;
   double rl_ = 0;
   double fc_entry_rl_ = 0;  ///< rl_ on entering the FC phase (early-stop ref)
   long local_nodes_ = 0;
+  long poll_countdown_ = 0;  ///< expanded nodes left until aborted() polls
   long flushed_nodes_ = 0;
   long local_external_prunes_ = 0;
   std::uint64_t incumbent_seen_ = 0;  ///< last channel version this worker saw
@@ -784,21 +889,47 @@ Instance buildInstance(const model::FloorplanProblem& problem, const SearchOptio
   // Supply/demand bookkeeping for the per-type prune.
   const int T = problem.dev().numTileTypes();
   const std::vector<int> totals = problem.dev().totalTiles(/*usable_only=*/true);
-  inst.supply.assign(totals.begin(), totals.end());
+  inst.slack.assign(totals.begin(), totals.end());
   inst.hard_fc.assign(static_cast<std::size_t>(problem.numRegions()), 0);
   for (const FcSlot& s : inst.slots)
     if (s.hard) ++inst.hard_fc[static_cast<std::size_t>(s.region)];
+  inst.witness_start.assign(static_cast<std::size_t>(problem.numRegions()) + 1, 0);
+  for (int n = 0; n < problem.numRegions(); ++n)
+    inst.witness_start[static_cast<std::size_t>(n) + 1] =
+        inst.witness_start[static_cast<std::size_t>(n)] +
+        static_cast<std::size_t>(inst.hard_fc[static_cast<std::size_t>(n)]);
   inst.req.resize(static_cast<std::size_t>(problem.numRegions()));
-  inst.base_need.assign(static_cast<std::size_t>(T), 0);
   for (int n = 0; n < problem.numRegions(); ++n) {
     inst.req[static_cast<std::size_t>(n)].resize(static_cast<std::size_t>(T));
     for (int t = 0; t < T; ++t) {
       const int r = problem.region(n).required(t);
       inst.req[static_cast<std::size_t>(n)][static_cast<std::size_t>(t)] = r;
-      inst.base_need[static_cast<std::size_t>(t)] +=
+      inst.slack[static_cast<std::size_t>(t)] -=
           static_cast<long>(1 + inst.hard_fc[static_cast<std::size_t>(n)]) * r;
     }
   }
+
+  inst.forbidden = Occupancy(problem.dev().width(), problem.dev().height());
+  for (const Rect& f : problem.dev().forbidden()) inst.forbidden.fill(f);
+
+  inst.net_start.push_back(0);
+  for (const model::Net& net : problem.nets()) {
+    inst.net_pins.insert(inst.net_pins.end(), net.regions.begin(), net.regions.end());
+    inst.net_start.push_back(static_cast<int>(inst.net_pins.size()));
+    inst.net_weight.push_back(net.weight);
+  }
+  inst.region_net_start.assign(static_cast<std::size_t>(problem.numRegions()) + 1, 0);
+  for (const int r : inst.net_pins) ++inst.region_net_start[static_cast<std::size_t>(r) + 1];
+  for (int n = 0; n < problem.numRegions(); ++n)
+    inst.region_net_start[static_cast<std::size_t>(n) + 1] +=
+        inst.region_net_start[static_cast<std::size_t>(n)];
+  inst.region_nets.resize(inst.net_pins.size());
+  std::vector<int> next_net(inst.region_net_start.begin(), inst.region_net_start.end() - 1);
+  for (std::size_t e = 0; e < inst.net_weight.size(); ++e)
+    for (int i = inst.net_start[e]; i < inst.net_start[e + 1]; ++i)
+      inst.region_nets[static_cast<std::size_t>(
+          next_net[static_cast<std::size_t>(inst.net_pins[static_cast<std::size_t>(i)])]++)] =
+          static_cast<int>(e);
 
   // Column-span cache for the FC checks (only needed when FC slots exist).
   if (!inst.slots.empty()) {

@@ -75,6 +75,8 @@ TEST(Device, ForbiddenAreaQueries) {
   EXPECT_TRUE(dev.rectHitsForbidden(Rect{0, 0, 3, 2}));
   EXPECT_FALSE(dev.rectHitsForbidden(Rect{0, 0, 2, 4}));
   EXPECT_THROW(dev.addForbidden(Rect{5, 0, 3, 1}), CheckError);
+  // Empty: it forbids no tile but would still "overlap" rects straddling it.
+  EXPECT_THROW(dev.addForbidden(Rect{1, 1, 0, 2}), CheckError);
 }
 
 TEST(Device, UsableTotalsExcludeForbidden) {

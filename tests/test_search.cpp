@@ -2,12 +2,18 @@
 // optimality, relocation constraints and the feasibility analysis.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "device/builders.hpp"
 #include "driver/incumbent.hpp"
 #include "model/floorplan.hpp"
 #include "search/candidates.hpp"
 #include "search/occupancy.hpp"
 #include "search/solver.hpp"
+#include "support/rng.hpp"
 
 namespace rfp::search {
 namespace {
@@ -35,6 +41,115 @@ TEST(Occupancy, WordBoundarySpans) {
   EXPECT_EQ(occ.popcount(), 10);
   EXPECT_TRUE(occ.overlaps(Rect{63, 0, 2, 2}));
   EXPECT_FALSE(occ.overlaps(Rect{60, 0, 10, 1}));
+}
+
+/// One bool per tile: the reference the bit-parallel Occupancy must match.
+class NaiveGrid {
+ public:
+  NaiveGrid(int width, int height)
+      : width_(width), tiles_(static_cast<std::size_t>(width * height), false) {}
+
+  void set(const Rect& r, bool value) {
+    for (int y = r.y; y < r.y2(); ++y)
+      for (int x = r.x; x < r.x2(); ++x) tiles_[index(x, y)] = value;
+  }
+  [[nodiscard]] bool occupied(int x, int y) const { return tiles_[index(x, y)]; }
+  [[nodiscard]] bool overlaps(const Rect& r) const {
+    for (int y = r.y; y < r.y2(); ++y)
+      for (int x = r.x; x < r.x2(); ++x)
+        if (occupied(x, y)) return true;
+    return false;
+  }
+  [[nodiscard]] int popcount() const {
+    int n = 0;
+    for (const bool t : tiles_) n += t ? 1 : 0;
+    return n;
+  }
+
+ private:
+  [[nodiscard]] std::size_t index(int x, int y) const {
+    return static_cast<std::size_t>(y * width_ + x);
+  }
+  int width_;
+  std::vector<bool> tiles_;
+};
+
+Rect randomRect(Rng& rng, int width, int height) {
+  const int w = static_cast<int>(rng.nextInt(1, width));
+  const int h = static_cast<int>(rng.nextInt(1, height));
+  return Rect{static_cast<int>(rng.nextInt(0, width - w)),
+              static_cast<int>(rng.nextInt(0, height - h)), w, h};
+}
+
+/// Checks orColumns and freeWindows over columns [x, x+w) for window height h
+/// against the naive grid, window by window, and returns the number of free
+/// windows.
+int checkWindows(const Occupancy& occ, const NaiveGrid& naive, int x, int w, int h) {
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(occ.wordsPerColumn()));
+  occ.orColumns(x, w, rows.data());
+  for (int y = 0; y < occ.height(); ++y)
+    EXPECT_EQ(((rows[static_cast<std::size_t>(y / 64)] >> (y % 64)) & 1u) != 0,
+              naive.overlaps(Rect{x, y, w, 1}))
+        << "row " << y << " of columns [" << x << ", " << x + w << ")";
+  occ.freeWindows(rows.data(), h);
+  int count = 0;
+  for (int y = 0; y < 64 * occ.wordsPerColumn(); ++y) {
+    const bool free = y + h <= occ.height() && !naive.overlaps(Rect{x, y, w, h});
+    EXPECT_EQ(Occupancy::windowFree(rows.data(), y), free)
+        << "window y=" << y << " h=" << h << " of columns [" << x << ", " << x + w << ")";
+    count += free ? 1 : 0;
+  }
+  int bits = 0;
+  for (const std::uint64_t word : rows) bits += __builtin_popcountll(word);
+  EXPECT_EQ(bits, count) << "h=" << h;
+  return count;
+}
+
+TEST(Occupancy, MatchesNaiveGridAtEveryHeight) {
+  // Heights on both sides of each 64-row word boundary, so multi-word
+  // columns, windows straddling row 64 and shifts by >= 64 rows all run.
+  for (const int height : {1, 7, 8, 63, 64, 65, 130}) {
+    for (const int width : {1, 44, 100}) {
+      SCOPED_TRACE("height " + std::to_string(height) + " width " + std::to_string(width));
+      Occupancy occ(width, height);
+      NaiveGrid naive(width, height);
+      Rng rng(static_cast<std::uint64_t>(height * 1000 + width));
+      for (int step = 0; step < 300; ++step) {
+        const Rect r = randomRect(rng, width, height);
+        switch (rng.nextBelow(3)) {
+          case 0: occ.fill(r); naive.set(r, true); break;
+          case 1: occ.clear(r); naive.set(r, false); break;
+          default: ASSERT_EQ(occ.overlaps(r), naive.overlaps(r)) << r.toString(); break;
+        }
+        if (step % 15 == 0) {
+          ASSERT_EQ(occ.popcount(), naive.popcount());
+          const int x = static_cast<int>(rng.nextInt(0, width - 1));
+          const int y = static_cast<int>(rng.nextInt(0, height - 1));
+          ASSERT_EQ(occ.occupied(x, y), naive.occupied(x, y));
+          checkWindows(occ, naive, r.x, r.w, static_cast<int>(rng.nextInt(1, height)));
+        }
+      }
+    }
+  }
+}
+
+TEST(Occupancy, FreeWindowsStraddleTheWordBoundary) {
+  Occupancy occ(2, 130);
+  NaiveGrid naive(2, 130);
+  const Rect blocker{1, 70, 1, 1};
+  occ.fill(blocker);
+  naive.set(blocker, true);
+  // On column 0 alone every window is free; with column 1, 8-row windows
+  // at y = 63..70 (rows 63..77) hit row 70, the others survive.
+  EXPECT_EQ(checkWindows(occ, naive, 0, 1, 8), 130 - 8 + 1);
+  EXPECT_EQ(checkWindows(occ, naive, 0, 2, 8), 130 - 8 + 1 - 8);
+  // A window taller than one word: 100 rows fit at y = 0..30, but only
+  // those below or above row 70 — none of them here.
+  EXPECT_EQ(checkWindows(occ, naive, 0, 2, 100), 0);
+  EXPECT_EQ(checkWindows(occ, naive, 0, 2, 59), (70 - 59 + 1) + (130 - 71 - 59 + 1));
+  // 128 rows: the doubling shift-AND takes a whole-word (64-row) step.
+  EXPECT_EQ(checkWindows(occ, naive, 0, 1, 128), 3);
+  EXPECT_EQ(checkWindows(occ, naive, 0, 2, 128), 0);
 }
 
 TEST(Candidates, CoverageAndWasteAreExact) {
@@ -263,6 +378,114 @@ TEST(Solver, NeverReturnsAPlanWorseThanAPublishedIncumbent) {
       EXPECT_LE(got.wire_length, opt.costs.wire_length + 1e-9) << "round " << round;
     }
   }
+}
+
+/// Pinned work of one single-threaded solve: a change to the traversal, not
+/// only to the answer, moves `nodes`. A change that is meant to alter the
+/// search's pruning updates these numbers and says why.
+struct PinnedWork {
+  SearchStatus status;
+  long nodes;
+  long wasted_frames;
+  double wire_length;
+};
+
+void expectWork(const model::FloorplanProblem& p, SearchOptions opt, const PinnedWork& want,
+                const std::string& label) {
+  opt.num_threads = 1;
+  const SearchResult res = ColumnarSearchSolver(opt).solve(p);
+  EXPECT_EQ(res.status, want.status) << label;
+  EXPECT_EQ(res.nodes, want.nodes) << label;
+  EXPECT_EQ(res.costs.wasted_frames, want.wasted_frames) << label;
+  EXPECT_DOUBLE_EQ(res.costs.wire_length, want.wire_length) << label;
+  EXPECT_EQ(model::check(p, res.plan), "") << label;
+}
+
+TEST(Solver, WorkIsUnchanged) {
+  const device::Device fx = device::virtex5FX70T();
+  const PinnedWork sdr[] = {{SearchStatus::kOptimal, 1001048, 90, 2976.0},
+                            {SearchStatus::kOptimal, 1001092, 90, 2976.0},
+                            {SearchStatus::kOptimal, 1000139, 90, 2976.0},
+                            {SearchStatus::kOptimal, 998290, 90, 3744.0}};
+  for (int fc = 0; fc <= 3; ++fc) {
+    model::FloorplanProblem p = model::makeSdrProblem(fx);
+    if (fc > 0) model::addSdrRelocations(p, fc);
+    expectWork(p, {}, sdr[fc], "SDR, " + std::to_string(fc) + " FC areas per region");
+  }
+  {
+    model::FloorplanProblem p = model::makeSdrProblem(fx);
+    model::addSdrRelocations(p, 2);
+    SearchOptions opt;
+    opt.optimize_wirelength = false;
+    expectWork(p, opt, {SearchStatus::kOptimal, 4931, 90, 5280.0}, "SDR2, waste only");
+  }
+  {
+    const device::Device dev = device::columnarFromPattern("w", "CCBCCDCCBCCC", 6);
+    model::FloorplanProblem p(&dev);
+    p.addRegion(model::RegionSpec{"a", {6, 1, 0}});
+    p.addRegion(model::RegionSpec{"b", {4, 0, 1}});
+    p.addRegion(model::RegionSpec{"c", {5, 1, 0}});
+    p.addNet(model::Net{{0, 1}, 2.0, "ab"});
+    p.addNet(model::Net{{1, 2}, 1.0, "bc"});
+    p.addRelocation(model::RelocationRequest{0, 1, false, 2.0});
+    p.addRelocation(model::RelocationRequest{2, 2, false, 1.0});
+    p.setWeights(model::ObjectiveWeights{1, 0.5, 1, 1});
+    SearchOptions opt;
+    opt.mode = ObjectiveMode::kWeighted;
+    expectWork(p, opt, {SearchStatus::kOptimal, 198305, 60, 5.0}, "weighted, soft FC");
+  }
+  {
+    // Later regions can take the last free-compatible area of an earlier
+    // one: the FC check must revisit regions placed before.
+    const device::Device dev = device::uniformDevice(8, 2);
+    model::FloorplanProblem p(&dev);
+    p.addRegion(model::RegionSpec{"a", {4}});
+    p.addRegion(model::RegionSpec{"b", {4}});
+    p.addRegion(model::RegionSpec{"c", {2}});
+    p.addNet(model::Net{{0, 1, 2}, 1.0, "n"});
+    p.addRelocation(model::RelocationRequest{0, 1, true, 1.0});
+    expectWork(p, {}, {SearchStatus::kOptimal, 380, 0, 3.0}, "FC area taken by later regions");
+  }
+  {
+    // Two hard FC areas per region on a small device: FC checks often fail
+    // part-way, and a failed check must not vouch for the region later.
+    const device::Device dev = device::columnarFromPattern("m", "CCBCCDCCBCCCDC", 6);
+    model::FloorplanProblem p(&dev);
+    p.addRegion(model::RegionSpec{"a", {2, 0, 0}});
+    p.addRegion(model::RegionSpec{"b", {4, 0, 1}});
+    p.addRegion(model::RegionSpec{"c", {3, 0, 0}});
+    p.addNet(model::Net{{1, 0}, 5.0, "ba"});
+    p.addNet(model::Net{{1, 0}, 4.0, "ba2"});
+    p.addNet(model::Net{{1, 2}, 2.0, "bc"});
+    for (int n = 0; n < 3; ++n) p.addRelocation(model::RelocationRequest{n, 2, true, 1.0});
+    expectWork(p, {}, {SearchStatus::kOptimal, 26385, 0, 19.5}, "two FC areas per region");
+  }
+  {
+    // 70 rows: two words per column, and the hard block straddles row 64.
+    device::Device dev = device::columnarFromPattern("tall", "CCBCCDCCBCC", 70);
+    dev.addForbidden(Rect{3, 60, 4, 8}, "hard");
+    model::FloorplanProblem p(&dev);
+    p.addRegion(model::RegionSpec{"a", {120, 40, 0}});
+    p.addRegion(model::RegionSpec{"b", {100, 0, 30}});
+    p.addRegion(model::RegionSpec{"c", {80, 20, 0}});
+    p.addNet(model::Net{{0, 1, 2}, 1.0, "bus"});
+    p.addRelocation(model::RelocationRequest{2, 1, true, 1.0});
+    expectWork(p, {}, {SearchStatus::kOptimal, 5319, 184, 33.5}, "70-row device");
+  }
+}
+
+TEST(Solver, StopFlagIsSeenAtTheFirstPoll) {
+  // The deadline, stop flag and incumbent channel are polled once per 256
+  // expanded nodes, starting with the first poll point: a solve whose stop
+  // flag is already set expands only the root task's replayed placement.
+  const device::Device dev = device::virtex5FX70T();
+  const model::FloorplanProblem p = model::makeSdrProblem(dev);
+  std::atomic<bool> stop{true};
+  SearchOptions opt;
+  opt.stop = &stop;
+  const SearchResult res = ColumnarSearchSolver(opt).solve(p);
+  EXPECT_FALSE(res.status == SearchStatus::kOptimal || res.status == SearchStatus::kInfeasible);
+  EXPECT_EQ(res.nodes, 1);
 }
 
 TEST(Solver, SolutionsAlwaysPassTheIndependentChecker) {
