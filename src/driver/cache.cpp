@@ -502,6 +502,7 @@ void ResultCache::finishFlight(const Fingerprint& fp) {
   {
     const sync::MutexLock lock(flight_mu_);
     flights_.erase(flightKey(fp));
+    ++landings_;
   }
   flight_cv_.notify_all();
 }
@@ -582,6 +583,7 @@ SolveResponse solveThroughCache(ResultCache* cache, const model::FloorplanProble
   Fingerprint fp =
       fingerprintProblem(problem, key_request ? *key_request : request, request.backend);
   if (budget_context) fp.budget += std::string(";ctx=") + budget_context;
+  std::uint64_t landed = cache->landings();
   CacheLookup lk = cache->lookup(fp, problem);
   // In-flight duplicate coalescing: a miss or near miss is about to run an
   // engine, so announce the full key first (ResultCache::joinFlight). The
@@ -590,18 +592,30 @@ SolveResponse solveThroughCache(ResultCache* cache, const model::FloorplanProble
   // re-looks-up — the leader's freshly stored answer turns the miss into a
   // hit, so each unique in-flight fingerprint runs its engine exactly once.
   // When the leader's result was refused by the insert policy the re-lookup
-  // still misses and the follower takes over as the new leader.
+  // still misses and the follower takes over as the new leader. A leader
+  // that landed between this caller's lookup and its join leaves no flight
+  // to follow, so a caller that leads after some flight landed re-looks-up
+  // once before solving.
   bool leading = false;
   bool coalesced = false;
   while (lk.outcome != CacheOutcome::kHit) {
     const ResultCache::FlightJoin join = cache->joinFlight(fp, external_stop);
     if (join == ResultCache::FlightJoin::kLeader) {
+      if (cache->landings() != landed) {
+        lk = cache->lookup(fp, problem);
+        if (lk.outcome == CacheOutcome::kHit) {
+          cache->finishFlight(fp);
+          coalesced = true;
+          break;
+        }
+      }
       leading = true;
       break;
     }
     if (join == ResultCache::FlightJoin::kCancelled)
       break;  // stop raised while waiting: solve uncoalesced, engines unwind fast
     coalesced = true;  // kLanded
+    landed = cache->landings();
     lk = cache->lookup(fp, problem);
   }
   if (lk.outcome == CacheOutcome::kHit) {

@@ -141,6 +141,11 @@ class ResultCache {
   enum class FlightJoin { kLeader, kLanded, kCancelled };
   [[nodiscard]] FlightJoin joinFlight(const Fingerprint& fp, std::atomic<bool>* stop);
   void finishFlight(const Fingerprint& fp);
+  /// Flights landed so far (finishFlight calls). A caller reads it before
+  /// its lookup; when it has changed by the time the caller leads a
+  /// flight, a leader may have stored the key in between, so the caller
+  /// re-looks-up before solving.
+  [[nodiscard]] std::uint64_t landings() const noexcept { return landings_.load(); }
   /// Counts one follower served from a leader's result (CacheStats::coalesced).
   void noteCoalesced();
 
@@ -172,6 +177,8 @@ class ResultCache {
   sync::CondVar flight_cv_;
   /// Full keys currently solving.
   std::unordered_set<std::string> flights_ RFP_GUARDED_BY(flight_mu_);
+  /// Incremented with each erase from flights_, under flight_mu_.
+  std::atomic<std::uint64_t> landings_{0};
 };
 
 }  // namespace rfp::driver

@@ -49,7 +49,6 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
   const auto accumulateLpStats = [&result](const milp::MipResult& mip) {
     result.adopted += mip.external_adoptions;
     result.external_prunes += mip.cutoff_prunes;
-    if (mip.lp_solves > 0) result.lp_engine = mip.lp_engine;
     result.lp_solves += mip.lp_solves;
     result.lp_iterations += mip.lp_iterations;
     result.lp_warm_hits += mip.lp_warm_hits;
@@ -150,23 +149,17 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     if (sp && static_cast<int>(sp->s1.size()) == formulation.numAreas())
       formulation.addSequencePairConstraints(sp->s1, sp->s2);
 
-    // Admission gate: bill the memory of the LP engine that would actually
-    // run. The dense tableau estimate ((m+1) x (n+2m) doubles) used to be
-    // applied unconditionally, which declined every SDR2/SDR3-scale
-    // formulation (~25 GiB dense); the sparse revised simplex is billed by
-    // constraint-matrix nonzeros instead and sails through at ~0.1 GiB.
-    // Allocating past the gate would eat the memory before any deadline or
-    // stop flag is ever polled, so oversized formulations still decline.
+    // Admission gate: the LP engine's working set, billed by constraint-
+    // matrix nonzeros. Allocating past the gate would eat the memory before
+    // any deadline or stop flag is ever polled, so oversized formulations
+    // decline up front.
     if (options_.max_lp_gib > 0) {
       const lp::Model& mdl = formulation.model();
-      const lp::LpEngine engine = lp::LpSolver(options_.milp.lp).resolveEngine(mdl);
-      const double est_gib = engine == lp::LpEngine::kSparse
-                                 ? lp::LpSolver::sparseFootprintGib(mdl)
-                                 : lp::LpSolver::denseTableauGib(mdl);
+      const double est_gib = lp::LpSolver::sparseFootprintGib(mdl);
       if (est_gib > options_.max_lp_gib) {
         milp::MipResult declined;
         declined.status = milp::MipStatus::kNoSolution;
-        detail << "declined: " << lp::toString(engine) << " LP ~" << est_gib
+        detail << "declined: LP ~" << est_gib
                << " GiB (vars=" << mdl.numVars() << " constrs=" << mdl.numConstrs()
                << " nnz=" << lp::sparse::countNonzeros(mdl)
                << ") exceeds max_lp_gib=" << options_.max_lp_gib << "; ";

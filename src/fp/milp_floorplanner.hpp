@@ -46,15 +46,11 @@ struct MilpFloorplannerOptions {
   /// budget runs out between stages the best stage result so far is returned
   /// as kFeasible. `milp.stop` cancels all stages cooperatively.
   double time_limit_seconds = 0.0;
-  /// Declines to solve (kNoSolution, with a detail note) when the LP
-  /// substrate's working set for this formulation would exceed this many
-  /// GiB. The estimate matches the engine `milp.lp` would actually run:
-  /// the dense tableau is (m+1) x (n+2m) doubles (~25 GiB on SDR2, which is
-  /// why such formulations used to be declined outright), while the sparse
-  /// revised simplex is billed per constraint-matrix nonzero (~0.1 GiB on
-  /// the same formulation), so paper-scale instances now pass the gate and
-  /// solve on the sparse engine. The gate still protects the dense path
-  /// when the engine selection is pinned to kDense. <= 0: no cap.
+  /// Declines to solve (kNoSolution, with a "declined:" detail note) when
+  /// the LP engine's working set for this formulation would exceed this
+  /// many GiB. The sparse revised simplex is billed per constraint-matrix
+  /// nonzero (lp::LpSolver::sparseFootprintGib, ~0.1 GiB on SDR2), so
+  /// paper-scale instances pass the default cap. <= 0: no cap.
   double max_lp_gib = 1.0;
   /// Incumbent exchange channel (driver portfolios). For O, a published
   /// plan better than the heuristic's is adopted as the warm start (HO
@@ -74,7 +70,6 @@ struct FpResult {
   long nodes = 0;
   std::string detail;  ///< per-stage diagnostics
   // LP substrate telemetry, aggregated over the MILP stages.
-  lp::LpEngine lp_engine = lp::LpEngine::kAuto;  ///< kAuto until a MILP stage ran
   long lp_solves = 0;
   long lp_iterations = 0;
   long lp_warm_hits = 0;

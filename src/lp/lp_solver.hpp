@@ -1,18 +1,11 @@
-// Engine-agnostic LP entry point: dense tableau or sparse revised simplex.
-//
-// Callers (branch & bound, the MILP floorplanner, tests) solve through
-// `LpSolver` and let it pick the substrate:
-//
-//  * kDense  — the two-phase full-tableau simplex (lp/simplex.hpp). Fast and
-//    simple on small models, but its working set is (m+1) x (n+2m) doubles:
-//    an SDR2-scale floorplanning formulation (~40k rows) would need ~25 GiB.
-//  * kSparse — the revised simplex over CSC storage with a Markowitz-
-//    factorized, Forrest–Tomlin-updated basis (lp/sparse/). Memory scales
-//    with the nonzero count (~10 MB for the same SDR2 formulation) and it
-//    accepts basis warm starts, which branch & bound uses to reoptimize
-//    child nodes.
-//  * kAuto   — kDense while the dense tableau stays under
-//    `auto_dense_limit_mib`, kSparse above it.
+// The LP entry point: every production relaxation (branch & bound, the
+// MILP floorplanner) solves through `LpSolver`, which runs the sparse
+// revised simplex over CSC storage with a Markowitz-factorized,
+// Forrest–Tomlin-updated basis (lp/sparse/). Memory scales with the nonzero
+// count (~10 MB for an SDR2 formulation, where a dense tableau would need
+// ~25 GiB) and it accepts basis warm starts, which branch & bound uses to
+// reoptimize child nodes. The dense tableau (lp/simplex.hpp) is only the
+// reference the tests compare against.
 //
 // Warm reoptimization rides a fast path: when a warm basis is supplied (a
 // branch & bound child differing from its parent only in variable bounds)
@@ -22,9 +15,9 @@
 // dual-feasible start exists. Callers can also pass a cached CSC matrix so
 // a tree of solves shares one build.
 //
-// The per-engine memory estimates are also exported so admission gates
-// (MilpFloorplannerOptions::max_lp_gib) can budget against the engine that
-// would actually run instead of always assuming the dense tableau.
+// The engine's memory estimate is also exported so the admission gate
+// (MilpFloorplannerOptions::max_lp_gib) can decline a formulation before
+// allocating it.
 #pragma once
 
 #include <span>
@@ -39,24 +32,19 @@ namespace rfp::lp {
 class LpSolver {
  public:
   struct Options {
-    LpEngine engine = LpEngine::kAuto;
-    /// kAuto switches to the sparse engine when the dense tableau would
-    /// exceed this many MiB.
-    double auto_dense_limit_mib = 64.0;
-    /// Tolerances and limits shared by both engines.
+    /// Tolerances and limits (the struct the dense reference shares).
     SimplexSolver::Options core;
-    /// Sparse-only knobs. Refactorization triggers on Forrest–Tomlin
-    /// stability failures and factor fill growth, plus this hard
-    /// update-count cap (<= 0 disables the cap; warm reoptimizations
-    /// finish far below it, so the B&B hot path is refactorization-free
-    /// either way).
+    /// Refactorization triggers on Forrest–Tomlin stability failures and
+    /// factor fill growth, plus this hard update-count cap (<= 0 disables
+    /// the cap; warm reoptimizations finish far below it, so the B&B hot
+    /// path is refactorization-free either way).
     int refactor_interval = 100;
-    /// Primal pricing rule of the sparse engine.
+    /// Primal pricing rule.
     sparse::Pricing pricing = sparse::Pricing::kSteepestEdge;
-    /// With a warm basis on the sparse engine, reoptimize with the dual
-    /// simplex first and fall back to the primal when no dual-feasible
-    /// start exists. Off forces every solve through the primal engine
-    /// (A/B tests; results are identical either way).
+    /// With a warm basis, reoptimize with the dual simplex first and fall
+    /// back to the primal when no dual-feasible start exists. Off forces
+    /// every solve through the primal engine (A/B tests and the cold-path
+    /// oracle; results are identical either way).
     bool dual_reopt = true;
     sparse::BasisLu::Options lu;
   };
@@ -67,11 +55,10 @@ class LpSolver {
   /// Solves the continuous relaxation of `model` (integrality ignored).
   [[nodiscard]] LpResult solve(const Model& model) const;
 
-  /// Solves with per-variable bound overrides. `warm` (a basis from an
-  /// earlier sparse solve) is honoured by the sparse engines and ignored by
-  /// the dense one; `LpResult::warm_started` reports what happened, and
-  /// `LpResult::dual_reopt` whether the dual fast path produced the result.
-  /// `csc`, when non-null, must be the CSC form of `model`'s constraint
+  /// Solves with per-variable bound overrides. `warm` is a basis from an
+  /// earlier solve; `LpResult::warm_started` reports whether it was
+  /// adopted, and `LpResult::dual_reopt` whether the dual fast path
+  /// produced the result. `csc`, when non-null, must be the CSC form of `model`'s constraint
   /// matrix — branch & bound builds it once per tree and passes it to every
   /// node solve.
   [[nodiscard]] LpResult solve(const Model& model, std::span<const double> lb,
@@ -79,15 +66,8 @@ class LpSolver {
                                const sparse::Basis* warm = nullptr,
                                const sparse::CscMatrix* csc = nullptr) const;
 
-  /// The engine `solve` would use for this model (never kAuto).
-  [[nodiscard]] LpEngine resolveEngine(const Model& model) const;
-
-  /// Working-set estimate of the dense tableau: (m+1) x (n+2m+2) doubles.
-  [[nodiscard]] static double denseTableauGib(const Model& model);
-
-  /// Nonzero-based working-set estimate of the sparse engine: CSC storage
-  /// plus LU fill and update headroom per nonzero, plus the per-variable
-  /// working vectors. Deliberately conservative (real use is lower).
+  /// Nonzero-based working-set estimate: CSC storage plus LU fill and
+  /// update headroom per nonzero, plus the per-variable working vectors. Deliberately conservative (real use is lower).
   [[nodiscard]] static double sparseFootprintGib(const Model& model);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }

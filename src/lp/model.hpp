@@ -1,7 +1,7 @@
 // Mixed-integer linear model container (the Gurobi-like API layer).
 //
 // A Model stores variables (bounds + type), linear constraints and a single
-// linear objective. It performs no solving itself: `SimplexSolver` handles
+// linear objective. It performs no solving itself: `LpSolver` handles
 // the continuous relaxation and `milp::MilpSolver` handles integrality.
 #pragma once
 

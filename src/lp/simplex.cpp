@@ -19,15 +19,6 @@ const char* toString(LpStatus s) noexcept {
   return "?";
 }
 
-const char* toString(LpEngine e) noexcept {
-  switch (e) {
-    case LpEngine::kAuto: return "auto";
-    case LpEngine::kDense: return "dense";
-    case LpEngine::kSparse: return "sparse";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr double kInf = kInfinity;
@@ -264,13 +255,7 @@ class Tableau {
     flipped_[static_cast<std::size_t>(j)] = !flipped_[static_cast<std::size_t>(j)];
   }
 
-  // The dense engine's pivot loop, pinned to a cache-line start like
-  // SimplexSolver::solve. Left to the linker, their 32-byte placement
-  // shifts with the size of unrelated object files, and perfbench
-  // milp-tree throughput moved by 10-15% with it (GCC 12 Release build,
-  // 4-core Xeon).
-  [[gnu::aligned(64)]] LpStatus iterate(bool ban_artificials, long& iters,
-                                        const Deadline& deadline) {
+  LpStatus iterate(bool ban_artificials, long& iters, const Deadline& deadline) {
     std::vector<char> in_basis(static_cast<std::size_t>(ncols_), 0);
     for (int i = 0; i < m_; ++i) in_basis[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] = 1;
 
@@ -379,8 +364,8 @@ LpResult SimplexSolver::solve(const Model& model) const {
   return solve(model, lb, ub);
 }
 
-[[gnu::aligned(64)]] LpResult SimplexSolver::solve(const Model& model, std::span<const double> lb,
-                                                   std::span<const double> ub) const {
+LpResult SimplexSolver::solve(const Model& model, std::span<const double> lb,
+                              std::span<const double> ub) const {
   RFP_CHECK(static_cast<int>(lb.size()) == model.numVars());
   RFP_CHECK(static_cast<int>(ub.size()) == model.numVars());
   Stopwatch watch;

@@ -1,8 +1,10 @@
-// Two-phase primal simplex for LPs with bounded variables.
-//
-// This is the continuous-relaxation engine under the branch-and-bound MILP
-// solver (DESIGN.md §3 substitution 1: the paper relied on a commercial
-// branch-and-cut solver; we implement the substrate from scratch).
+// Two-phase primal simplex for LPs with bounded variables: the dense
+// reference engine. Production solves (branch & bound, the MILP
+// floorplanner) run on the sparse revised simplex behind `LpSolver`
+// (lp/lp_solver.hpp); this tableau is kept as the independent oracle the
+// tests and `bench_lp_sparse` check the sparse engines against. The file
+// also owns the types both engines share: `LpStatus`, `LpResult` and the
+// tolerance struct `SimplexSolver::Options`.
 //
 // Algorithm: full-tableau primal simplex in standard form with
 //  * finite lower bounds shifted to zero,
@@ -12,11 +14,8 @@
 //  * Dantzig pricing with an automatic switch to Bland's rule after a run of
 //    degenerate pivots (anti-cycling).
 //
-// Intended problem scale: up to a few thousand rows/columns — the sizes
-// produced by the floorplanning formulations on unit-test devices. Larger
-// formulations (paper-scale SDR relocation instances) go through the sparse
-// revised simplex in lp/sparse/; `LpSolver` (lp/lp_solver.hpp) picks the
-// engine automatically from the model's memory footprint.
+// Its working set is (m+1) x (n+2m) doubles, so it suits the small models
+// of unit tests, not paper-scale formulations.
 #pragma once
 
 #include <atomic>
@@ -42,19 +41,12 @@ enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit, kTimeLimit 
 
 [[nodiscard]] const char* toString(LpStatus s) noexcept;
 
-/// Which LP substrate solves a model: the dense two-phase tableau below, the
-/// sparse revised simplex (lp/sparse/), or an automatic size-based choice.
-enum class LpEngine { kAuto, kDense, kSparse };
-
-[[nodiscard]] const char* toString(LpEngine e) noexcept;
-
 struct LpResult {
   LpStatus status = LpStatus::kIterLimit;
   double objective = 0.0;          ///< valid when status == kOptimal
   std::vector<double> x;           ///< primal values (model variable order)
   long iterations = 0;
   double seconds = 0.0;
-  LpEngine engine = LpEngine::kDense;  ///< engine that produced this result
   long refactorizations = 0;       ///< sparse engine: basis refactorizations
   bool warm_started = false;       ///< a caller-provided basis was adopted
   // Pivot-class telemetry (sparse engines; the dense tableau leaves zeros).

@@ -33,7 +33,7 @@ struct CscMatrix {
 };
 
 /// Nonzero count of `model`'s constraint matrix without building it; feeds
-/// the nnz-based memory estimates that gate engine selection.
+/// the nnz-based memory estimate of the `max_lp_gib` admission gate.
 [[nodiscard]] long countNonzeros(const Model& model) noexcept;
 
 }  // namespace rfp::lp::sparse

@@ -647,7 +647,6 @@ std::optional<LpResult> DualSimplexSolver::solve(const Model& model,
   Stopwatch watch;
   Deadline deadline(options_.core.time_limit_seconds);
   LpResult result;
-  result.engine = LpEngine::kSparse;
   result.dual_reopt = true;
 
   for (int j = 0; j < model.numVars(); ++j) {
@@ -724,7 +723,6 @@ std::optional<LpResult> DualReoptimizer::reoptimize(std::span<const double> lb,
   Stopwatch watch;
   Deadline deadline(time_limit_seconds);
   LpResult result;
-  result.engine = LpEngine::kSparse;
   result.dual_reopt = true;
 
   for (int j = 0; j < impl_->model.numVars(); ++j) {

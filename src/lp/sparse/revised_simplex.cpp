@@ -438,7 +438,6 @@ LpResult RevisedSimplexSolver::solve(const Model& model, std::span<const double>
   Stopwatch watch;
   Deadline deadline(options_.core.time_limit_seconds);
   LpResult result;
-  result.engine = LpEngine::kSparse;
 
   for (int j = 0; j < model.numVars(); ++j) {
     if (lb[uz(j)] > ub[uz(j)] + 1e-12) {

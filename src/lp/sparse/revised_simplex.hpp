@@ -1,10 +1,10 @@
 // Sparse revised simplex for LPs with bounded variables.
 //
-// The paper-scale engine behind the `Model`/`LpResult` API: where the dense
-// solver (lp/simplex.hpp) materializes an (m+1) x (n+2m) tableau — ~25 GiB
-// on an SDR2 floorplanning formulation — this one keeps the constraint
-// matrix in CSC form and works with a Markowitz-factorized basis
-// (lp/sparse/lu.hpp), so the same formulation fits in tens of MB.
+// The production LP engine behind `LpSolver` (lp/lp_solver.hpp): where the
+// dense reference solver (lp/simplex.hpp) materializes an (m+1) x (n+2m)
+// tableau — ~25 GiB on an SDR2 floorplanning formulation — this one keeps
+// the constraint matrix in CSC form and works with a Markowitz-factorized
+// basis (lp/sparse/lu.hpp), so the same formulation fits in tens of MB.
 //
 // Algorithm notes:
 //  * standard form Ax + s = b with one slack per row; slack bounds encode

@@ -80,7 +80,6 @@ MipResult MilpSolver::solve(const lp::Model& model,
     lp::LpSolver solver(cappedLpOptions(options_, options_.time_limit_seconds));
     lp::LpResult rel = solver.solve(model);
     addLpEffort(res, rel);
-    res.lp_engine = rel.engine;
     res.seconds = rel.seconds;
     switch (rel.status) {
       case lp::LpStatus::kOptimal:
@@ -105,7 +104,6 @@ MipResult MilpSolver::solve(const lp::Model& model,
   Stopwatch root_watch;
   const Deadline cut_deadline(options_.time_limit_seconds);
   lp::Model work = model;
-  res.lp_engine = lp::LpSolver(options_.lp).resolveEngine(work);
   std::vector<double> lb(static_cast<std::size_t>(work.numVars()));
   std::vector<double> ub(static_cast<std::size_t>(work.numVars()));
   for (int j = 0; j < work.numVars(); ++j) {
@@ -130,8 +128,7 @@ MipResult MilpSolver::solve(const lp::Model& model,
   // the previous round's optimal basis grown by the appended cover rows,
   // and the last round's basis warm-starts the tree's root — a round that
   // found no cuts already *is* the root optimum. lp_warm_start=false keeps
-  // every round and the root cold; the dense engine returns no basis, so
-  // it stays cold either way.
+  // every round and the root cold.
   std::shared_ptr<const lp::sparse::Basis> root_basis;
   if (options_.enable_cover_cuts) {
     telemetry::Span cuts_span(options_.telemetry, "milp", "cover_cuts");

@@ -2,12 +2,10 @@
 //
 // This replaces the commercial branch-and-cut solver used by the paper
 // (DESIGN.md §3). Features:
-//  * LP relaxation via lp::LpSolver — the dense bounded-variable simplex on
-//    small models, the sparse revised simplex (lp/sparse/) at scale,
-//  * with the sparse engine, child nodes reoptimize from the parent node's
-//    optimal basis instead of solving each relaxation cold (the tree solves
-//    thousands of near-identical LPs; a warm solve is typically a handful
-//    of pivots),
+//  * LP relaxation via lp::LpSolver, the sparse revised simplex (lp/sparse/),
+//  * child nodes reoptimize from the parent node's optimal basis instead of
+//    solving each relaxation cold (the tree solves thousands of
+//    near-identical LPs; a warm solve is typically a handful of pivots),
 //  * root cover-cut rounds chained warm: each round re-solves from the
 //    previous round's basis, and the last basis warm-starts the root node,
 //  * hybrid node selection: best-bound with depth-first "plunging", in
@@ -64,10 +62,10 @@ struct MipLpEffort {
   long lp_iterations = 0;
   long lp_solves = 0;           ///< relaxations solved (cut rounds + root + nodes)
   long lp_warm_hits = 0;        ///< solves that adopted a caller basis
-  long lp_refactorizations = 0; ///< sparse engine: total basis refactorizations
-  // Pivot-class telemetry (sparse engine): how the LPs were actually
-  // solved — dual fast-path pivots vs primal pivots vs pure bound flips,
-  // and Forrest–Tomlin factor updates vs full refactorizations.
+  long lp_refactorizations = 0; ///< total basis refactorizations
+  // Pivot-class telemetry: how the LPs were actually solved — dual
+  // fast-path pivots vs primal pivots vs pure bound flips, and
+  // Forrest–Tomlin factor updates vs full refactorizations.
   long lp_primal_pivots = 0;    ///< basis changes made by the primal simplex
   long lp_dual_pivots = 0;      ///< basis changes made by the dual simplex
   long lp_bound_flips = 0;      ///< bound-to-bound moves without a basis change
@@ -92,7 +90,6 @@ struct MipResult : MipLpEffort {
   double gap = lp::kInfinity;  ///< |obj - bound| / max(1, |obj|)
   long nodes = 0;
   double seconds = 0.0;
-  lp::LpEngine lp_engine = lp::LpEngine::kDense;  ///< engine the relaxations used
   // Incumbent-exchange telemetry (zero without the callbacks below).
   long external_adoptions = 0;  ///< external incumbents adopted as the cutoff
   long cutoff_prunes = 0;       ///< nodes pruned against an external cutoff
@@ -160,14 +157,13 @@ class MilpSolver {
     /// Called with every improving incumbent the search itself finds
     /// (integral LP optima and rounding-heuristic hits).
     std::function<void(const std::vector<double>&)> incumbent_publish;
-    /// LP substrate: engine selection (auto picks dense or sparse by model
-    /// size), shared tolerances/limits, and sparse-engine knobs.
+    /// LP substrate: tolerances, limits and the sparse engine's knobs.
     lp::LpSolver::Options lp;
-    /// Reoptimize child nodes from the parent's optimal basis (sparse
-    /// engine only; the dense engine always solves cold). Off is only
-    /// useful for A/B tests — results are identical either way. Warm node
-    /// solves go through the dual simplex first (lp.dual_reopt) with the
-    /// primal engine as fallback.
+    /// Chain the root cut rounds and reoptimize child nodes from the
+    /// parent's optimal basis. Off solves every relaxation cold: the
+    /// oracle the tests compare the warm path against (results are
+    /// identical either way). Warm node solves go through the dual simplex
+    /// first (lp.dual_reopt) with the primal engine as fallback.
     bool lp_warm_start = true;
     /// Solve-scoped observability (support/telemetry): presolve/cut/root-LP
     /// spans, sampled dual-reopt vs primal-fallback instants, live node

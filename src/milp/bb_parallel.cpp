@@ -153,7 +153,7 @@ struct SharedTree {
   const MilpSolver::Options& opt;
   bool minimize = true;
   std::vector<double> base_lb, base_ub;
-  std::shared_ptr<const lp::sparse::CscMatrix> csc;  ///< sparse engine only
+  std::shared_ptr<const lp::sparse::CscMatrix> csc;  ///< shared by every node solve
   Deadline deadline;
 
   std::vector<std::unique_ptr<NodePool>> pools;
@@ -314,7 +314,7 @@ class Worker {
   Worker(int id, SharedTree& shared) : id_(id), shared_(shared) {
     stats_.id = id;
     pseudo_costs_.assign(static_cast<std::size_t>(shared.model.numVars()), PseudoCost{});
-    if (shared.csc && shared.opt.lp_warm_start && shared.opt.lp.dual_reopt) {
+    if (shared.opt.lp_warm_start && shared.opt.lp.dual_reopt) {
       lp::sparse::DualSimplexSolver::Options dopt;
       dopt.core = shared.opt.lp.core;
       if (!dopt.core.stop) dopt.core.stop = shared.opt.stop;
@@ -635,11 +635,9 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
     shared.base_lb[static_cast<std::size_t>(j)] = model.var(j).lb;
     shared.base_ub[static_cast<std::size_t>(j)] = model.var(j).ub;
   }
-  res.lp_engine = lp::LpSolver(opt.lp).resolveEngine(model);
   // One CSC build per tree: every node solve differs only in bounds.
-  if (res.lp_engine == lp::LpEngine::kSparse)
-    shared.csc =
-        std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(model));
+  shared.csc =
+      std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(model));
 
   if (warm_start && model.isFeasible(*warm_start, opt.int_tol)) {
     std::vector<double> x = *std::move(warm_start);

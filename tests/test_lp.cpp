@@ -1,9 +1,13 @@
 // Unit and property tests for the LP layer: LinExpr algebra, the Model
-// container and the two-phase bounded simplex.
+// container, the two-phase bounded simplex (the dense reference engine) and
+// model-shape edge cases run through both it and the production `LpSolver`.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <type_traits>
 
+#include "lp/lp_solver.hpp"
 #include "lp/model.hpp"
 #include "support/check.hpp"
 #include "lp/simplex.hpp"
@@ -170,26 +174,66 @@ TEST(Simplex, DegenerateProblemTerminates) {
   EXPECT_NEAR(r.objective, 5.0, 1e-7);
 }
 
-TEST(Simplex, EmptyConstraintSetUsesBounds) {
+// ---- model-shape edge cases, on the dense oracle and on LpSolver ----------
+// LpSolver is the production path for every model, tiny ones included, so
+// the degenerate shapes run through it as well as through the reference.
+
+template <typename Solver>
+class LpShape : public testing::Test {};
+
+class SolverNames {
+ public:
+  template <typename Solver>
+  static std::string GetName(int) {
+    return std::is_same_v<Solver, SimplexSolver> ? "SimplexSolver" : "LpSolver";
+  }
+};
+
+using ShapeSolvers = testing::Types<SimplexSolver, LpSolver>;
+TYPED_TEST_SUITE(LpShape, ShapeSolvers, SolverNames);
+
+TYPED_TEST(LpShape, EmptyConstraintSetUsesBounds) {
   Model m;
   const Var x = m.addContinuous(1, 5, "x");
   m.setObjective(LinExpr(x), ObjSense::kMaximize);
-  const LpResult r = SimplexSolver().solve(m);
+  const LpResult r = TypeParam().solve(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 5.0, 1e-7);
 }
 
-TEST(Simplex, FixedVariablesViaBoundsOverride) {
+TYPED_TEST(LpShape, FixedVariablesViaBoundsOverride) {
   Model m;
   const Var x = m.addContinuous(0, 10, "x");
   const Var y = m.addContinuous(0, 10, "y");
   m.addConstr(LinExpr(x) + y, Sense::kLessEqual, 8);
   m.setObjective(LinExpr(x) + y, ObjSense::kMaximize);
   const std::vector<double> lb{3, 0}, ub{3, 10};
-  const LpResult r = SimplexSolver().solve(m, lb, ub);
+  const LpResult r = TypeParam().solve(m, lb, ub);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 3.0, 1e-7);
   EXPECT_NEAR(r.objective, 8.0, 1e-7);
+}
+
+TYPED_TEST(LpShape, SatisfiedEmptyRowIsFeasible) {
+  // A row with no terms (0 <= 1) constrains nothing.
+  Model m;
+  const Var x = m.addContinuous(0, 4, "x");
+  m.addConstr(LinExpr(), Sense::kLessEqual, 1);
+  m.addConstr(LinExpr(x), Sense::kLessEqual, 3);
+  m.setObjective(LinExpr(x), ObjSense::kMaximize);
+  const LpResult r = TypeParam().solve(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 3.0, 1e-7);
+}
+
+TYPED_TEST(LpShape, ViolatedEmptyRowIsInfeasible) {
+  // A row with no terms (0 >= 1) no point can satisfy.
+  Model m;
+  const Var x = m.addContinuous(0, 4, "x");
+  m.addConstr(LinExpr(), Sense::kGreaterEqual, 1);
+  m.addConstr(LinExpr(x), Sense::kLessEqual, 3);
+  m.setObjective(LinExpr(x), ObjSense::kMaximize);
+  EXPECT_EQ(TypeParam().solve(m).status, LpStatus::kInfeasible);
 }
 
 // Property test: on random small feasible-by-construction LPs, the simplex

@@ -1,7 +1,7 @@
 // Tests for the sparse LP substrate: the Markowitz LU kernel, the revised
-// simplex against the dense solver (unit cases and randomized property
-// tests), basis warm starts, engine auto-selection, and branch & bound
-// running dense-vs-sparse and warm-vs-cold.
+// simplex against the dense reference solver (unit cases and randomized
+// property tests), basis warm starts, the memory estimate, and branch &
+// bound checked against brute-force enumeration and warm-vs-cold.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "lp/sparse/lu.hpp"
 #include "lp/sparse/revised_simplex.hpp"
 #include "milp/bb.hpp"
+#include "milp_oracle.hpp"
 #include "model/generator.hpp"
 #include "partition/columnar.hpp"
 #include "support/rng.hpp"
@@ -409,7 +410,6 @@ TEST(SparseSimplex, TextbookMaximization) {
   m.setObjective(3.0 * x + 5.0 * y, ObjSense::kMaximize);
   const LpResult r = RevisedSimplexSolver().solve(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_EQ(r.engine, LpEngine::kSparse);
   EXPECT_NEAR(r.objective, 36.0, 1e-7);
   EXPECT_NEAR(r.x[0], 2.0, 1e-7);
   EXPECT_NEAR(r.x[1], 6.0, 1e-7);
@@ -831,7 +831,7 @@ TEST(DualReopt, BreakerCoolsDownAndReArmsInsteadOfDisablingForever) {
 
 TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
   // Through the LpSolver entry point: warm solves take the dual fast path
-  // (dual_reopt flag set) and still agree with the dense engine; with
+  // (dual_reopt flag set) and still agree with the dense oracle; with
   // dual_reopt off the same solves run primal.
   Rng rng(8642);
   int dual_hits = 0, exercised = 0;
@@ -841,9 +841,7 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
     LinExpr obj;
     for (int j = 0; j < n; ++j) obj += static_cast<double>(rng.nextInt(1, 9)) * Var{j};
     m.setObjective(obj, ObjSense::kMaximize);
-    LpSolver::Options sopt;
-    sopt.engine = LpEngine::kSparse;
-    const LpResult first = LpSolver(sopt).solve(m);
+    const LpResult first = LpSolver().solve(m);
     ASSERT_EQ(first.status, LpStatus::kOptimal);
     const int j = static_cast<int>(rng.nextBelow(static_cast<std::uint64_t>(n)));
     m.setVarBounds(j, m.var(j).lb, std::max(m.var(j).lb, m.var(j).ub / 2.0));
@@ -852,8 +850,8 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
       lb[static_cast<std::size_t>(k)] = m.var(k).lb;
       ub[static_cast<std::size_t>(k)] = m.var(k).ub;
     }
-    const LpResult warm = LpSolver(sopt).solve(m, lb, ub, first.basis.get());
-    LpSolver::Options primal_only = sopt;
+    const LpResult warm = LpSolver().solve(m, lb, ub, first.basis.get());
+    LpSolver::Options primal_only;
     primal_only.dual_reopt = false;
     const LpResult primal = LpSolver(primal_only).solve(m, lb, ub, first.basis.get());
     const LpResult dense = SimplexSolver().solve(m);
@@ -870,40 +868,19 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
   EXPECT_GE(dual_hits, 25);  // the fast path must actually be the default
 }
 
-// ---- LpSolver dispatch -----------------------------------------------------
-
-TEST(LpSolverDispatch, AutoPicksDenseForSmallAndSparseForLarge) {
-  Model small;
-  small.addContinuous(0, 1, "x");
-  small.addConstr(LinExpr(Var{0}), Sense::kLessEqual, 1);
-  LpSolver auto_solver;
-  EXPECT_EQ(auto_solver.resolveEngine(small), LpEngine::kDense);
-
-  LpSolver::Options tiny_limit;
-  tiny_limit.auto_dense_limit_mib = 1e-9;
-  EXPECT_EQ(LpSolver(tiny_limit).resolveEngine(small), LpEngine::kSparse);
-
-  LpSolver::Options pinned;
-  pinned.engine = LpEngine::kSparse;
-  const LpResult r = LpSolver(pinned).solve(small);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_EQ(r.engine, LpEngine::kSparse);
-}
+// ---- LpSolver memory estimate ---------------------------------------------
 
 TEST(LpSolverDispatch, MemoryEstimatesScaleAsDocumented) {
   Rng rng(12);
   const Model m = randomSparseModel(rng, 40, 120);
-  // Dense: (m+1)(n+2m+2) doubles; sparse: 96 B/nonzero + 160 B/variable
-  // (documented in lp_solver.cpp) — assert the exact formulas so a unit slip
-  // (KiB/GiB confusion would mis-gate max_lp_gib) is caught.
+  // 96 B/nonzero + 160 B/variable (documented in lp_solver.cpp) — assert
+  // the exact formula so a unit slip (KiB/GiB confusion would mis-gate
+  // max_lp_gib) is caught.
   const long nnz = sparse::countNonzeros(m);
   EXPECT_GT(nnz, 0);
   constexpr double kGib = 1024.0 * 1024.0 * 1024.0;
-  EXPECT_NEAR(LpSolver::denseTableauGib(m) * kGib,
-              (120.0 + 1) * (40.0 + 2 * 120 + 2) * 8.0, 1.0);
   EXPECT_NEAR(LpSolver::sparseFootprintGib(m) * kGib,
               96.0 * static_cast<double>(nnz) + 160.0 * (40 + 120), 1.0);
-  EXPECT_LT(LpSolver::sparseFootprintGib(m), LpSolver::denseTableauGib(m));
 }
 
 }  // namespace
@@ -919,6 +896,7 @@ using lp::Model;
 using lp::ObjSense;
 using lp::Sense;
 using lp::Var;
+using testutil::bruteForceBest;
 
 Model randomBinaryProgram(Rng& rng) {
   const int n = 4 + static_cast<int>(rng.nextBelow(8));
@@ -940,29 +918,27 @@ Model randomBinaryProgram(Rng& rng) {
   return m;
 }
 
-TEST(MilpSparseProperty, SparseEngineMatchesDenseEngineOnRandomPrograms) {
+TEST(MilpSparseProperty, MatchesBruteForceOnRandomPrograms) {
   Rng rng(31415);
   int solved = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const Model m = randomBinaryProgram(rng);
-    MilpSolver::Options dense_opt;
-    dense_opt.lp.engine = lp::LpEngine::kDense;
-    MilpSolver::Options sparse_opt;
-    sparse_opt.lp.engine = lp::LpEngine::kSparse;
-    const MipResult rd = MilpSolver(dense_opt).solve(m);
-    const MipResult rs = MilpSolver(sparse_opt).solve(m);
-    ASSERT_EQ(rd.status, rs.status) << "trial " << trial;
-    if (rd.status != MipStatus::kOptimal) continue;
+    const std::optional<double> expected = bruteForceBest(m);
+    const MipResult rs = MilpSolver().solve(m);
+    if (!expected) {
+      EXPECT_EQ(rs.status, MipStatus::kInfeasible) << "trial " << trial;
+      continue;
+    }
+    ASSERT_EQ(rs.status, MipStatus::kOptimal) << "trial " << trial;
     ++solved;
-    EXPECT_EQ(rs.lp_engine, lp::LpEngine::kSparse);
-    EXPECT_NEAR(rs.objective, rd.objective, 1e-6) << "trial " << trial;
+    EXPECT_NEAR(rs.objective, *expected, 1e-6) << "trial " << trial;
     EXPECT_TRUE(m.isFeasible(rs.x, 1e-6)) << "trial " << trial;
   }
   EXPECT_GE(solved, 25);
 }
 
 TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
-  // Same model, sparse engine, warm starts on vs off: identical tree
+  // Same model, warm starts on vs off: identical tree
   // (node-for-node) and optimum, but warm starts must not cost more LP
   // iterations in aggregate — that is the point of reoptimizing children
   // from the parent basis.
@@ -972,7 +948,6 @@ TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
   for (int trial = 0; trial < 25; ++trial) {
     const Model m = randomBinaryProgram(rng);
     MilpSolver::Options base;
-    base.lp.engine = lp::LpEngine::kSparse;
     // Heuristics off so both runs expand the same tree deterministically.
     base.enable_rounding_heuristic = false;
     MilpSolver::Options warm_opt = base;
@@ -999,25 +974,21 @@ TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
 TEST(MilpSparse, ChildNodesReoptimizeThroughDualSimplex) {
   // With warm starts on (the default), child-node reoptimization must go
   // through the dual simplex: every tree that branches reports dual-reopt
-  // solves, and the results still match the dense engine.
+  // solves, and the results still match brute-force enumeration.
   Rng rng(998877);
   int trees = 0, with_dual = 0;
   for (int trial = 0; trial < 120 && trees < 15; ++trial) {
     const Model m = randomBinaryProgram(rng);
-    MilpSolver::Options sparse_opt;
-    sparse_opt.lp.engine = lp::LpEngine::kSparse;
-    const MipResult rs = MilpSolver(sparse_opt).solve(m);
+    const MipResult rs = MilpSolver().solve(m);
     if (rs.status != MipStatus::kOptimal || rs.nodes <= 1) continue;
     ++trees;
     with_dual += rs.lp_dual_reopts > 0 ? 1 : 0;
     if (rs.lp_dual_reopts > 0) {
       EXPECT_GT(rs.lp_dual_pivots + rs.lp_bound_flips, 0);
     }
-    MilpSolver::Options dense_opt;
-    dense_opt.lp.engine = lp::LpEngine::kDense;
-    const MipResult rd = MilpSolver(dense_opt).solve(m);
-    ASSERT_EQ(rd.status, MipStatus::kOptimal) << "trial " << trial;
-    EXPECT_NEAR(rs.objective, rd.objective, 1e-6) << "trial " << trial;
+    const std::optional<double> expected = bruteForceBest(m);
+    ASSERT_TRUE(expected.has_value()) << "trial " << trial;
+    EXPECT_NEAR(rs.objective, *expected, 1e-6) << "trial " << trial;
   }
   EXPECT_GE(trees, 8);
   // A parent-optimal basis is dual feasible under a bound change, so the
@@ -1041,7 +1012,6 @@ TEST(MilpSparse, CscMatrixBuiltExactlyOncePerTree) {
   m.setObjective(obj, ObjSense::kMaximize);
 
   MilpSolver::Options opt;
-  opt.lp.engine = lp::LpEngine::kSparse;
   opt.enable_cover_cuts = false;  // cut rounds re-solve a mutating model
   const long before = lp::sparse::CscMatrix::buildCount();
   const MipResult res = MilpSolver(opt).solve(m);
@@ -1109,9 +1079,7 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
 
   const auto csc =
       std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(m));
-  lp::LpSolver::Options opt;
-  opt.engine = lp::LpEngine::kSparse;
-  const lp::LpResult root = lp::LpSolver(opt).solve(m);
+  const lp::LpResult root = lp::LpSolver().solve(m);
   ASSERT_EQ(root.status, lp::LpStatus::kOptimal);
   ASSERT_NE(root.basis, nullptr);
 

@@ -8,6 +8,7 @@
 #include "device/builders.hpp"
 #include "fp/formulation.hpp"
 #include "milp/bb.hpp"
+#include "milp_oracle.hpp"
 #include "partition/columnar.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry/metrics.hpp"
@@ -21,6 +22,7 @@ using lp::Model;
 using lp::ObjSense;
 using lp::Sense;
 using lp::Var;
+using testutil::bruteForceBest;
 
 TEST(Milp, PureLpPassThrough) {
   Model m;
@@ -132,19 +134,6 @@ TEST(Milp, EqualityConstrainedAssignment) {
 }
 
 // ---- brute-force cross-check property -------------------------------------
-
-std::optional<double> bruteForceBest(const Model& m) {
-  const int n = m.numVars();
-  std::optional<double> best;
-  for (int mask = 0; mask < (1 << n); ++mask) {
-    std::vector<double> x(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) x[static_cast<std::size_t>(j)] = (mask >> j) & 1;
-    if (!m.isFeasible(x, 1e-9)) continue;
-    const double obj = m.evalObjective(x);
-    if (!best || (m.objSense() == ObjSense::kMaximize ? obj > *best : obj < *best)) best = obj;
-  }
-  return best;
-}
 
 TEST(MilpProperty, MatchesBruteForceOnRandomBinaryPrograms) {
   // Every plunge depth must give exact answers: a plunge that stops at
@@ -321,14 +310,6 @@ Model coverHeavyKnapsack() {
   return m;
 }
 
-/// Sparse engine: the dense tableau returns no basis, so only the sparse
-/// engine chains the root.
-MilpSolver::Options sparseOptions() {
-  MilpSolver::Options opt;
-  opt.lp.engine = lp::LpEngine::kSparse;
-  return opt;
-}
-
 /// Root-only solve (no plunge below the first node): lp_solves counts the
 /// cut rounds plus the root.
 MipResult solveRootOnly(const Model& m, MilpSolver::Options opt) {
@@ -352,16 +333,16 @@ void expectSameAnswerAsColdPath(const Model& m, const MilpSolver::Options& warm_
 
 TEST(MilpWarmRoot, CutRoundsAndRootReuseTheChainedBasis) {
   const Model m = coverHeavyKnapsack();
-  const MipResult root = solveRootOnly(m, sparseOptions());
+  const MipResult root = solveRootOnly(m, {});
   const long rounds = root.lp_solves - 1;
   ASSERT_GE(rounds, 2) << "round 1 must separate cuts for a second round to run";
   // Only round 1 is cold: every later round and the root adopt a basis.
   EXPECT_EQ(root.lp_warm_hits, rounds);
-  expectSameAnswerAsColdPath(m, sparseOptions());
+  expectSameAnswerAsColdPath(m, {});
 
   // Round budget spent with cuts just appended: the root starts from the
   // grown basis and repairs the violated cuts itself.
-  MilpSolver::Options one_round = sparseOptions();
+  MilpSolver::Options one_round;
   one_round.cut_rounds = 1;
   const MipResult grown = solveRootOnly(m, one_round);
   EXPECT_EQ(grown.lp_solves, 2);
@@ -373,7 +354,7 @@ TEST(MilpWarmRoot, CutRoundsAndRootReuseTheChainedBasis) {
 TEST(MilpWarmRoot, ParallelDeterministicRootReusesTheChainedBasis) {
   const Model m = coverHeavyKnapsack();
   for (const int threads : {2, 4}) {
-    MilpSolver::Options opt = sparseOptions();
+    MilpSolver::Options opt;
     opt.threads = threads;
     opt.deterministic = true;
     const MipResult root = solveRootOnly(m, opt);
@@ -392,12 +373,12 @@ TEST(MilpWarmRoot, ParallelDeterministicRootReusesTheChainedBasis) {
 TEST(MilpWarmRoot, RegistryTotalsMatchTheResultAcrossCutRounds) {
   // Cut-round LPs must reach the live registry too, not only the result.
   const Model m = coverHeavyKnapsack();
-  ASSERT_GE(solveRootOnly(m, sparseOptions()).lp_solves - 1, 2);  // >= 2 cut rounds
+  ASSERT_GE(solveRootOnly(m, {}).lp_solves - 1, 2);  // >= 2 cut rounds
   for (const int threads : {1, 2}) {
     telemetry::MetricsRegistry reg;
     telemetry::Context ctx;
     ctx.metrics = &reg;
-    MilpSolver::Options opt = sparseOptions();
+    MilpSolver::Options opt;
     opt.threads = threads;
     opt.telemetry = &ctx;
     const MipResult r = MilpSolver(opt).solve(m);
@@ -417,17 +398,17 @@ TEST(MilpWarmRoot, FloorplanRootWithoutCutsSolvesColdOnce) {
   const fp::MilpFormulation formulation(p, *partition::columnarPartition(dev));
   const Model& m = formulation.model();
 
-  const MipResult root = solveRootOnly(m, sparseOptions());
+  const MipResult root = solveRootOnly(m, {});
   ASSERT_EQ(root.lp_solves, 2) << "one cut round that finds no cuts, then the root";
   EXPECT_EQ(root.lp_warm_hits, 1);
-  const MipResult full = MilpSolver(sparseOptions()).solve(m);
+  const MipResult full = MilpSolver().solve(m);
   EXPECT_EQ(full.lp_solves - full.lp_warm_hits, 1) << "exactly one cold LP per solve";
-  expectSameAnswerAsColdPath(m, sparseOptions());
+  expectSameAnswerAsColdPath(m, {});
 }
 
 TEST(MilpWarmRoot, AgreesWithColdPathOnPresolveKnapsacks) {
-  // test_presolve's random-knapsack fixture shape, on the sparse engine:
-  // warm cut rounds plus the warm root reproduce the cold path's answer.
+  // test_presolve's random-knapsack fixture shape: warm cut rounds plus
+  // the warm root reproduce the cold path's answer.
   Rng rng(4242);
   for (int trial = 0; trial < 12; ++trial) {
     Model m;
@@ -440,22 +421,21 @@ TEST(MilpWarmRoot, AgreesWithColdPathOnPresolveKnapsacks) {
     m.addConstr(weight_row, Sense::kLessEqual, 17);
     m.setObjective(value, ObjSense::kMaximize);
     SCOPED_TRACE(trial);
-    EXPECT_GT(MilpSolver(sparseOptions()).solve(m).lp_warm_hits, 0);
-    expectSameAnswerAsColdPath(m, sparseOptions());
+    EXPECT_GT(MilpSolver().solve(m).lp_warm_hits, 0);
+    expectSameAnswerAsColdPath(m, {});
   }
 }
 
-TEST(MilpWarmRoot, PresolveInfeasibleReportsRootTimeAndEngine) {
+TEST(MilpWarmRoot, PresolveInfeasibleReportsRootTime) {
   Model m;
   const Var x = m.addInteger(3, 10, "x");
   const Var y = m.addInteger(3, 10, "y");
   m.addConstr(LinExpr(x) + y, Sense::kLessEqual, 5);
   m.setObjective(LinExpr(x), ObjSense::kMinimize);
-  const MipResult res = MilpSolver(sparseOptions()).solve(m);
+  const MipResult res = MilpSolver().solve(m);
   EXPECT_EQ(res.status, MipStatus::kInfeasible);
   EXPECT_EQ(res.lp_solves, 0);  // presolve proved it: no LP ran
   EXPECT_GT(res.seconds, 0.0);
-  EXPECT_EQ(res.lp_engine, lp::LpEngine::kSparse);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // End-to-end tests for the O and HO MILP floorplanning flows.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "device/builders.hpp"
 #include "fp/milp_floorplanner.hpp"
 #include "search/solver.hpp"
@@ -128,9 +130,29 @@ TEST(MilpFloorplanner, InfeasibleProblemReported) {
   EXPECT_FALSE(res.hasSolution());
 }
 
+TEST(MilpFloorplanner, LpMemoryGateDeclinesOverCapAndZeroDisablesIt) {
+  const device::Device dev = device::columnarFromPattern("t", "CCBCC", 3);
+  const model::FloorplanProblem p = smallProblem(dev);
+  MilpFloorplannerOptions opt;
+  opt.algorithm = Algorithm::kO;
+  opt.max_lp_gib = 1e-6;  // ~1 KiB: below any formulation's estimate
+  const FpResult declined = MilpFloorplanner(opt).solve(p);
+  EXPECT_EQ(declined.status, FpStatus::kNoSolution);
+  EXPECT_NE(declined.detail.find("declined:"), std::string::npos) << declined.detail;
+  EXPECT_EQ(declined.lp_solves, 0);
+
+  opt.max_lp_gib = 0;  // no cap
+  const FpResult admitted = MilpFloorplanner(opt).solve(p);
+  ASSERT_TRUE(admitted.hasSolution()) << admitted.detail;
+  EXPECT_EQ(admitted.detail.find("declined:"), std::string::npos) << admitted.detail;
+  EXPECT_GT(admitted.lp_solves, 0);
+}
+
 TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
-  // Every fixture above, on the sparse engine (the one that chains the cut
-  // rounds into the root): warm and cold LP paths give the same answer.
+  // Every fixture above, under default options: warm and cold LP paths give
+  // the same answer, and the warm path really is warm on these small
+  // models — branching fixtures reoptimize their nodes from the parent
+  // basis through the dual simplex.
   const device::Device dev5 = device::columnarFromPattern("t", "CCBCC", 3);
   const device::Device dev8 = device::columnarFromPattern("t", "CCBCCDCC", 4);
   const device::Device dev5r = device::columnarFromPattern("t", "CCBCC", 4);
@@ -153,18 +175,19 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
   problems.back().addRegion(model::RegionSpec{"r", {4, 0, 0}});
   problems.back().addRelocation(model::RelocationRequest{0, 1, true, 1.0});
 
+  int warm_branching_runs = 0;
   for (std::size_t i = 0; i < problems.size(); ++i) {
     for (const Algorithm algo : {Algorithm::kO, Algorithm::kHO}) {
       MilpFloorplannerOptions warm;
       warm.algorithm = algo;
       warm.lexicographic = i != 3;  // the weighted fixture
-      warm.milp.lp.engine = lp::LpEngine::kSparse;
       MilpFloorplannerOptions cold = warm;
       cold.milp.lp_warm_start = false;
       const FpResult w = MilpFloorplanner(warm).solve(problems[i]);
       const FpResult c = MilpFloorplanner(cold).solve(problems[i]);
       ASSERT_EQ(w.status, c.status) << "fixture " << i;
       EXPECT_EQ(c.lp_warm_hits, 0) << "fixture " << i;
+      if (w.nodes > 1 && w.lp_warm_hits > 0 && w.lp_dual_reopts > 0) ++warm_branching_runs;
       if (!w.hasSolution()) continue;
       EXPECT_EQ(model::check(problems[i], w.plan), "") << "fixture " << i;
       if (warm.lexicographic) {
@@ -175,6 +198,7 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
       }
     }
   }
+  EXPECT_GT(warm_branching_runs, 0);
 }
 
 }  // namespace
