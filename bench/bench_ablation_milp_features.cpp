@@ -55,7 +55,7 @@ int main() {
     Stopwatch watch;
     const milp::MipResult res = milp::MilpSolver(opt).solve(formulation.model());
     std::printf("%-28s %10s %8ld %12ld %9.2f\n", cfg.name, milp::toString(res.status),
-                res.nodes, res.lp_iterations, watch.seconds());
+                res.nodes, res.lp.iterations, watch.seconds());
   }
 
   std::printf(

@@ -111,8 +111,8 @@ RunRecord solveWith(const std::string& name, const lp::Model& m, bool dense,
       dense ? lp::SimplexSolver(opt.core).solve(m) : lp::LpSolver(opt).solve(m);
   rec.status = lp::toString(r.status);
   rec.objective = r.objective;
-  rec.iterations = r.iterations;
-  rec.refactorizations = r.refactorizations;
+  rec.iterations = r.counters.iterations;
+  rec.refactorizations = r.counters.refactorizations;
   rec.seconds = watch.seconds();
   rec.peak_rss_mib = peakRssMib();
   rec.executed = true;
@@ -154,25 +154,16 @@ void writeJson(const std::vector<RunRecord>& records) {
 /// One reoptimization path's aggregate over a node sequence.
 struct ReoptPathStats {
   double total_seconds = 0.0;
-  long iterations = 0;
-  long primal_pivots = 0;
-  long dual_pivots = 0;
-  long bound_flips = 0;
-  long ft_updates = 0;
-  long refactorizations = 0;
-  long dual_reopts = 0;
-  long ftran_sparse = 0, ftran_dense = 0;
-  long btran_sparse = 0, btran_dense = 0;
-  long dse_updates = 0;
+  lp::LpCounters lp;
   long optimal = 0, infeasible = 0, other = 0;
 
-  [[nodiscard]] long sparseSolves() const { return ftran_sparse + btran_sparse; }
+  [[nodiscard]] long sparseSolves() const { return lp.ftran_sparse + lp.btran_sparse; }
 
   [[nodiscard]] double meanSeconds(int nodes) const {
     return nodes > 0 ? total_seconds / nodes : 0.0;
   }
   [[nodiscard]] double pivotsPerSec() const {
-    const long pivots = primal_pivots + dual_pivots + bound_flips;
+    const long pivots = lp.primal_pivots + lp.dual_pivots + lp.bound_flips;
     return total_seconds > 0 ? static_cast<double>(pivots) / total_seconds : 0.0;
   }
   [[nodiscard]] double solvesPerSec(int nodes) const {
@@ -198,18 +189,7 @@ struct ReoptRecord {
 void accumulate(ReoptPathStats& stats, const lp::LpResult& r, double seconds,
                 std::vector<double>& objectives) {
   stats.total_seconds += seconds;
-  stats.iterations += r.iterations;
-  stats.primal_pivots += r.primal_pivots;
-  stats.dual_pivots += r.dual_pivots;
-  stats.bound_flips += r.bound_flips;
-  stats.ft_updates += r.ft_updates;
-  stats.refactorizations += r.refactorizations;
-  stats.dual_reopts += r.dual_reopt ? 1 : 0;
-  stats.ftran_sparse += r.ftran_sparse;
-  stats.ftran_dense += r.ftran_dense;
-  stats.btran_sparse += r.btran_sparse;
-  stats.btran_dense += r.btran_dense;
-  stats.dse_updates += r.dse_updates;
+  stats.lp += r.counters;
   if (r.status == lp::LpStatus::kOptimal) {
     ++stats.optimal;
     objectives.push_back(r.objective);
@@ -251,7 +231,7 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
   Stopwatch root_watch;
   const lp::LpResult root = lp::LpSolver(opt).solve(m, lb0, ub0, nullptr, csc.get());
   rec.root_seconds = root_watch.seconds();
-  rec.root_iterations = root.iterations;
+  rec.root_iterations = root.counters.iterations;
   if (root.status != lp::LpStatus::kOptimal || !root.basis) {
     std::printf("%-10s root relaxation did not solve (%s) — skipping reopt\n",
                 name.c_str(), lp::toString(root.status));
@@ -300,11 +280,7 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
       r = lp::LpSolver(fallback_opt).solve(m, lb, ub, basis.get(), csc.get());
       // The abandoned dual attempt's work belongs to the dual path's bill —
       // the iteration-count regression guard must not compare undercounts.
-      r->iterations += declined.iterations;
-      r->dual_pivots += declined.dual_pivots;
-      r->bound_flips += declined.bound_flips;
-      r->ft_updates += declined.ft_updates;
-      r->refactorizations += declined.refactorizations;
+      r->counters += declined.counters;
     }
     accumulate(rec.dual, *r, watch.seconds(), dual_obj);
     if (r->status != lp::LpStatus::kOptimal) break;  // dive hit a dead end
@@ -343,17 +319,17 @@ void printReopt(const ReoptRecord& r) {
   std::printf("  primal-warm: mean=%.4fs solves/s=%.1f pivots/s=%.0f iters=%ld "
               "(pivots=%ld flips=%ld ft=%ld refac=%ld)\n",
               r.primal.meanSeconds(r.nodes), r.primal.solvesPerSec(r.nodes),
-              r.primal.pivotsPerSec(), r.primal.iterations, r.primal.primal_pivots,
-              r.primal.bound_flips, r.primal.ft_updates, r.primal.refactorizations);
+              r.primal.pivotsPerSec(), r.primal.lp.iterations, r.primal.lp.primal_pivots,
+              r.primal.lp.bound_flips, r.primal.lp.ft_updates, r.primal.lp.refactorizations);
   std::printf("  dual-warm:   mean=%.4fs solves/s=%.1f pivots/s=%.0f iters=%ld "
               "(pivots=%ld flips=%ld ft=%ld refac=%ld dual-reopts=%ld/%d)\n",
               r.dual.meanSeconds(r.nodes), r.dual.solvesPerSec(r.nodes),
-              r.dual.pivotsPerSec(), r.dual.iterations, r.dual.dual_pivots,
-              r.dual.bound_flips, r.dual.ft_updates, r.dual.refactorizations,
-              r.dual.dual_reopts, r.nodes);
+              r.dual.pivotsPerSec(), r.dual.lp.iterations, r.dual.lp.dual_pivots,
+              r.dual.lp.bound_flips, r.dual.lp.ft_updates, r.dual.lp.refactorizations,
+              r.dual.lp.dual_reopts, r.nodes);
   std::printf("  dual kernel: ftran=%ld/%ld btran=%ld/%ld (sparse/dense) dse-updates=%ld\n",
-              r.dual.ftran_sparse, r.dual.ftran_dense, r.dual.btran_sparse,
-              r.dual.btran_dense, r.dual.dse_updates);
+              r.dual.lp.ftran_sparse, r.dual.lp.ftran_dense, r.dual.lp.btran_sparse,
+              r.dual.lp.btran_dense, r.dual.lp.dse_updates);
   std::printf("  speedup (mean node-solve, primal/dual): %.2fx%s\n", r.speedup(),
               r.agree ? "" : "  [MISMATCH]");
 }
@@ -381,18 +357,8 @@ void writeReoptJson(const std::vector<ReoptRecord>& records, const char* path) {
       w.key("total_seconds").value(s.total_seconds);
       w.key("solves_per_sec").value(s.solvesPerSec(r.nodes));
       w.key("pivots_per_sec").value(s.pivotsPerSec());
-      w.key("iterations").value(s.iterations);
-      w.key("primal_pivots").value(s.primal_pivots);
-      w.key("dual_pivots").value(s.dual_pivots);
-      w.key("bound_flips").value(s.bound_flips);
-      w.key("ft_updates").value(s.ft_updates);
-      w.key("refactorizations").value(s.refactorizations);
-      w.key("dual_reopts").value(s.dual_reopts);
-      w.key("ftran_sparse").value(s.ftran_sparse);
-      w.key("ftran_dense").value(s.ftran_dense);
-      w.key("btran_sparse").value(s.btran_sparse);
-      w.key("btran_dense").value(s.btran_dense);
-      w.key("dse_updates").value(s.dse_updates);
+      for (const lp::LpCounterField& f : lp::kLpCounterFields)
+        w.key(f.name).value(s.lp.*f.field);
       w.key("optimal").value(s.optimal);
       w.key("infeasible").value(s.infeasible);
       w.endObject();
@@ -440,10 +406,10 @@ int runReoptMode(bool smoke, const device::Device& dev,
     ok = ok && rec.agree && rec.nodes > 0;
     // Satellite guard: the dual fast path must not need more iterations
     // than the primal warm path on the same node sequence.
-    if (rec.dual.iterations > rec.primal.iterations) {
+    if (rec.dual.lp.iterations > rec.primal.lp.iterations) {
       std::printf("REGRESSION: dual warm reopt used more iterations (%ld) than the "
                   "primal warm path (%ld) on gen-small\n",
-                  rec.dual.iterations, rec.primal.iterations);
+                  rec.dual.lp.iterations, rec.primal.lp.iterations);
       ok = false;
     }
     // Warm reopts perturb ~1 bound, so their triangular solves must go

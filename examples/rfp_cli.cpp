@@ -236,18 +236,13 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
   std::printf("solver=%s status=%s nodes=%ld time=%.2fs\n", driver::toString(res.backend),
               driver::toString(res.status), res.nodes, res.seconds);
   if (res.lp.solves > 0) {
-    std::printf("lp: engine=%s solves=%ld iterations=%ld refactorizations=%ld "
-                "warm-start-hit-rate=%.2f\n",
-                res.lp.engine.c_str(), res.lp.solves, res.lp.iterations,
-                res.lp.refactorizations, res.lp.warmStartHitRate());
-    std::printf("lp: pivots primal=%ld dual=%ld bound-flips=%ld ft-updates=%ld "
-                "dual-reopt-rate=%.2f\n",
-                res.lp.primal_pivots, res.lp.dual_pivots, res.lp.bound_flips,
-                res.lp.ft_updates, res.lp.dualReoptRate());
-    std::printf("lp: kernel ftran=%ld/%ld btran=%ld/%ld (sparse/dense) "
-                "sparse-rate=%.2f dse-updates=%ld\n",
-                res.lp.ftran_sparse, res.lp.ftran_dense, res.lp.btran_sparse,
-                res.lp.btran_dense, res.lp.sparseSolveRate(), res.lp.dse_updates);
+    std::printf("lp:");
+    for (const lp::LpCounterField& f : lp::kLpCounterFields)
+      std::printf(" %s=%ld", f.name, res.lp.*f.field);
+    std::printf("\nlp:");
+    for (const lp::LpRateField& r : lp::kLpRates)
+      std::printf(" %s=%.2f", r.name, (res.lp.*r.rate)());
+    std::printf("\n");
   }
   if (!res.workers.empty()) {
     std::printf("parallel: workers=%zu steals=%ld\n", res.workers.size(), res.steals);

@@ -24,6 +24,16 @@ Rules (each violation prints as ``path:line: [rule] message``):
                  scope of a nested name (``SimplexSolver::Options``, the
                  tolerance struct every engine shares). Production LPs go
                  through ``lp::LpSolver``.
+  counter-relay  The LP kernel-breakdown counters (KERNEL_COUNTER_FIELDS) are
+                 named only under src/lp/, where the engines count them and
+                 ``lp::LpCounters`` declares them once with its name table.
+                 Every other library module (src/<module>/) carries the value
+                 whole (``+=``) and emits it by walking
+                 ``lp::kLpCounterFields``; a field copied by name is a relay
+                 that the next new counter will miss. Programs outside the
+                 module tree (perfbench, whose self-test lints its sources
+                 as top-level ``src/`` files) are consumers and may read
+                 the fields.
 
 Usage:
   scripts/lint_contracts.py [--root DIR]   lint the repository (default: the
@@ -96,6 +106,16 @@ DENSE_ORACLE_FILES = {"src/lp/simplex.hpp", "src/lp/simplex.cpp"}
 # `SimplexSolver` as a type or constructor call, not `SimplexSolver::...`
 # (and not the sparse engines, whose names merely end in it).
 DENSE_USE_RE = re.compile(r"\bSimplexSolver\b(?!\s*::)")
+
+# LP counters that only the kernels produce; outside src/lp/ nothing may name
+# them, also not as part of a relay field such as `lp_dual_pivots`.
+KERNEL_COUNTER_FIELDS = [
+    "primal_pivots", "dual_pivots", "bound_flips", "ft_updates",
+    "ftran_sparse", "ftran_dense", "btran_sparse", "btran_dense",
+    "dse_updates",
+]
+KERNEL_COUNTER_RE = re.compile(
+    r"(?:\b|_)(" + "|".join(KERNEL_COUNTER_FIELDS) + r")\b")
 
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 
@@ -199,12 +219,25 @@ def rule_dense_oracle(rel: str, text: str) -> List[Violation]:
         for m in DENSE_USE_RE.finditer(code)]
 
 
+def rule_counter_relay(rel: str, text: str) -> List[Violation]:
+    parts = rel.split("/")
+    if len(parts) < 3 or parts[0] != "src" or parts[1] == "lp":
+        return []
+    code = strip_comments(text)
+    return [Violation(
+        rel, line_of(code, m.start()), "counter-relay",
+        f"`{m.group(1)}` is an LP kernel counter: carry lp::LpCounters whole "
+        "(+=) and emit it through lp::kLpCounterFields instead of naming it")
+        for m in KERNEL_COUNTER_RE.finditer(code)]
+
+
 RULES: List[Callable[[str, str], List[Violation]]] = [
     rule_raw_sync,
     rule_engine_contract,
     rule_bench_meta,
     rule_nolint_reason,
     rule_dense_oracle,
+    rule_counter_relay,
 ]
 
 

@@ -109,23 +109,7 @@ SolveResponse runMilp(const model::FloorplanProblem& problem, const SolveRequest
   }
   out.seconds = res.seconds;
   out.nodes = res.nodes;
-  if (res.lp_solves > 0) {
-    out.lp.engine = "sparse";
-    out.lp.solves = res.lp_solves;
-    out.lp.iterations = res.lp_iterations;
-    out.lp.warm_start_hits = res.lp_warm_hits;
-    out.lp.refactorizations = res.lp_refactorizations;
-    out.lp.primal_pivots = res.lp_primal_pivots;
-    out.lp.dual_pivots = res.lp_dual_pivots;
-    out.lp.bound_flips = res.lp_bound_flips;
-    out.lp.ft_updates = res.lp_ft_updates;
-    out.lp.dual_reopts = res.lp_dual_reopts;
-    out.lp.ftran_sparse = res.lp_ftran_sparse;
-    out.lp.ftran_dense = res.lp_ftran_dense;
-    out.lp.btran_sparse = res.lp_btran_sparse;
-    out.lp.btran_dense = res.lp_btran_dense;
-    out.lp.dse_updates = res.lp_dse_updates;
-  }
+  if (res.lp.solves > 0) out.lp = LpStats{res.lp, "sparse"};
   out.incumbent_published = res.published;
   out.incumbent_adopted = res.adopted;
   out.cutoff_prunes = res.external_prunes;
@@ -234,8 +218,8 @@ ProgressTicker::ProgressTicker(const telemetry::Context* ctx, double interval_se
       const long steals =
           reg->counter("search.steals").total() + reg->counter("milp.steals").total();
       RFP_LOG_INFO("progress: nodes=" << nodes
-                                      << " lp_solves=" << reg->counter("lp.solves").total()
-                                      << " lp_iterations=" << reg->counter("lp.iterations").total()
+                                      << " lp.solves=" << reg->counter("lp.solves").total()
+                                      << " lp.iterations=" << reg->counter("lp.iterations").total()
                                       << " steals=" << steals << " incumbent_adoptions="
                                       << reg->counter("incumbent.adoptions").total());
     }
@@ -262,23 +246,10 @@ void populateMetrics(SolveResponse* response) {
     m["workers"] = static_cast<double>(response->workers.size());
   }
   if (response->lp.solves > 0) {
-    m["lp.solves"] = static_cast<double>(response->lp.solves);
-    m["lp.iterations"] = static_cast<double>(response->lp.iterations);
-    m["lp.warm_start_hits"] = static_cast<double>(response->lp.warm_start_hits);
-    m["lp.warm_start_hit_rate"] = response->lp.warmStartHitRate();
-    m["lp.refactorizations"] = static_cast<double>(response->lp.refactorizations);
-    m["lp.primal_pivots"] = static_cast<double>(response->lp.primal_pivots);
-    m["lp.dual_pivots"] = static_cast<double>(response->lp.dual_pivots);
-    m["lp.bound_flips"] = static_cast<double>(response->lp.bound_flips);
-    m["lp.ft_updates"] = static_cast<double>(response->lp.ft_updates);
-    m["lp.dual_reopts"] = static_cast<double>(response->lp.dual_reopts);
-    m["lp.dual_reopt_rate"] = response->lp.dualReoptRate();
-    m["lp.ftran_sparse"] = static_cast<double>(response->lp.ftran_sparse);
-    m["lp.ftran_dense"] = static_cast<double>(response->lp.ftran_dense);
-    m["lp.btran_sparse"] = static_cast<double>(response->lp.btran_sparse);
-    m["lp.btran_dense"] = static_cast<double>(response->lp.btran_dense);
-    m["lp.dse_updates"] = static_cast<double>(response->lp.dse_updates);
-    m["lp.sparse_solve_rate"] = response->lp.sparseSolveRate();
+    for (const lp::LpCounterField& f : lp::kLpCounterFields)
+      m[std::string("lp.") + f.name] = static_cast<double>(response->lp.*f.field);
+    for (const lp::LpRateField& r : lp::kLpRates)
+      m[std::string("lp.") + r.name] = (response->lp.*r.rate)();
   }
   if (response->incumbent_published > 0 || response->incumbent_adopted > 0 ||
       response->cutoff_prunes > 0) {

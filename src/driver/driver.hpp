@@ -33,6 +33,7 @@
 
 #include "baseline/annealer.hpp"
 #include "fp/milp_floorplanner.hpp"
+#include "lp/counters.hpp"
 #include "model/floorplan.hpp"
 #include "model/problem.hpp"
 #include "search/solver.hpp"
@@ -137,43 +138,11 @@ struct SolveRequest {
 };
 
 /// LP substrate telemetry of a MILP-backed solve (zero `solves` otherwise):
-/// how hard the simplex worked, and how often branch & bound could
-/// reoptimize a node from its parent's basis.
-struct LpStats {
-  std::string engine;           ///< "sparse" once an LP ran; empty otherwise
-  long solves = 0;              ///< LP relaxations solved
-  long iterations = 0;          ///< total simplex iterations
-  long warm_start_hits = 0;     ///< solves that adopted a parent basis
-  long refactorizations = 0;    ///< sparse engine: basis refactorizations
-  // Pivot-class breakdown (sparse engine): how the node LPs were actually
-  // reoptimized, and how often the factors were patched (Forrest–Tomlin)
-  // instead of rebuilt.
-  long primal_pivots = 0;       ///< basis changes made by the primal simplex
-  long dual_pivots = 0;         ///< basis changes made by the dual simplex
-  long bound_flips = 0;         ///< bound-to-bound moves without a basis change
-  long ft_updates = 0;          ///< Forrest–Tomlin factor updates applied
-  long dual_reopts = 0;         ///< node solves answered by the dual fast path
-  // Hyper-sparse kernel breakdown: which path each triangular solve took
-  // (graph-driven reachability vs dense sweep), and how many exact dual
-  // steepest-edge weight updates ran.
-  long ftran_sparse = 0;        ///< FTRANs through the graph-driven sparse path
-  long ftran_dense = 0;         ///< FTRANs through the dense sweep
-  long btran_sparse = 0;        ///< BTRANs through the graph-driven sparse path
-  long btran_dense = 0;         ///< BTRANs through the dense sweep
-  long dse_updates = 0;         ///< steepest-edge weight recurrence applications
-
-  [[nodiscard]] double sparseSolveRate() const noexcept {
-    const long total = ftran_sparse + ftran_dense + btran_sparse + btran_dense;
-    return total > 0
-               ? static_cast<double>(ftran_sparse + btran_sparse) / static_cast<double>(total)
-               : 0.0;
-  }
-  [[nodiscard]] double warmStartHitRate() const noexcept {
-    return solves > 0 ? static_cast<double>(warm_start_hits) / static_cast<double>(solves) : 0.0;
-  }
-  [[nodiscard]] double dualReoptRate() const noexcept {
-    return solves > 0 ? static_cast<double>(dual_reopts) / static_cast<double>(solves) : 0.0;
-  }
+/// the engines' `lp::LpCounters`, unchanged. `engine` reads "sparse" once an
+/// LP ran; it is kept only for perfbench, which reads it, and goes with the
+/// next perfbench change.
+struct LpStats : lp::LpCounters {
+  std::string engine;
 };
 
 /// Incumbent-exchange telemetry of a portfolio solve (defaults outside

@@ -75,24 +75,9 @@ std::string solveResponseToJson(const model::FloorplanProblem& problem,
   }
   if (response.lp.solves > 0) {
     w.key("lp").beginObject();
-    w.key("engine").value(response.lp.engine);
-    w.key("solves").value(response.lp.solves);
-    w.key("iterations").value(response.lp.iterations);
-    w.key("refactorizations").value(response.lp.refactorizations);
-    w.key("warm_start_hits").value(response.lp.warm_start_hits);
-    w.key("warm_start_hit_rate").value(response.lp.warmStartHitRate());
-    w.key("primal_pivots").value(response.lp.primal_pivots);
-    w.key("dual_pivots").value(response.lp.dual_pivots);
-    w.key("bound_flips").value(response.lp.bound_flips);
-    w.key("ft_updates").value(response.lp.ft_updates);
-    w.key("dual_reopts").value(response.lp.dual_reopts);
-    w.key("dual_reopt_rate").value(response.lp.dualReoptRate());
-    w.key("ftran_sparse").value(response.lp.ftran_sparse);
-    w.key("ftran_dense").value(response.lp.ftran_dense);
-    w.key("btran_sparse").value(response.lp.btran_sparse);
-    w.key("btran_dense").value(response.lp.btran_dense);
-    w.key("dse_updates").value(response.lp.dse_updates);
-    w.key("sparse_solve_rate").value(response.lp.sparseSolveRate());
+    for (const lp::LpCounterField& f : lp::kLpCounterFields)
+      w.key(f.name).value(response.lp.*f.field);
+    for (const lp::LpRateField& r : lp::kLpRates) w.key(r.name).value((response.lp.*r.rate)());
     w.endObject();
   }
   if (!response.metrics.empty()) {

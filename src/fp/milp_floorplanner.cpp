@@ -46,23 +46,10 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
   };
   FpResult result;
   std::ostringstream detail;
-  const auto accumulateLpStats = [&result](const milp::MipResult& mip) {
+  const auto accumulateStage = [&result](const milp::MipResult& mip) {
     result.adopted += mip.external_adoptions;
     result.external_prunes += mip.cutoff_prunes;
-    result.lp_solves += mip.lp_solves;
-    result.lp_iterations += mip.lp_iterations;
-    result.lp_warm_hits += mip.lp_warm_hits;
-    result.lp_refactorizations += mip.lp_refactorizations;
-    result.lp_primal_pivots += mip.lp_primal_pivots;
-    result.lp_dual_pivots += mip.lp_dual_pivots;
-    result.lp_bound_flips += mip.lp_bound_flips;
-    result.lp_ft_updates += mip.lp_ft_updates;
-    result.lp_dual_reopts += mip.lp_dual_reopts;
-    result.lp_ftran_sparse += mip.lp_ftran_sparse;
-    result.lp_ftran_dense += mip.lp_ftran_dense;
-    result.lp_btran_sparse += mip.lp_btran_sparse;
-    result.lp_btran_dense += mip.lp_btran_dense;
-    result.lp_dse_updates += mip.lp_dse_updates;
+    result.lp += mip.lp;
     result.steals += mip.steals;
     for (const milp::MipWorkerStats& w : mip.workers) {
       const auto i = static_cast<std::size_t>(w.id);
@@ -208,7 +195,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
   if (!options_.lexicographic) {
     auto [mip, formulation] = buildAndSolve(ObjectiveKind::kWeighted, std::nullopt, std::nullopt);
     result.nodes = mip.nodes;
-    accumulateLpStats(mip);
+    accumulateStage(mip);
     result.status = fromMip(mip.status);
     detail << "weighted: " << milp::toString(mip.status) << " obj=" << mip.objective;
     if (mip.hasSolution()) {
@@ -220,7 +207,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     auto [mip1, formulation1] =
         buildAndSolve(ObjectiveKind::kWastedFrames, std::nullopt, std::nullopt);
     result.nodes = mip1.nodes;
-    accumulateLpStats(mip1);
+    accumulateStage(mip1);
     detail << "stage1(waste): " << milp::toString(mip1.status);
     if (!mip1.hasSolution()) {
       result.status = fromMip(mip1.status);
@@ -252,7 +239,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
         ObjectiveKind::kWireLength, waste_cap,
         std::optional<std::vector<double>>(formulation1.encode(stage1_plan)));
     result.nodes += mip2.nodes;
-    accumulateLpStats(mip2);
+    accumulateStage(mip2);
     detail << "stage2(wl): " << milp::toString(mip2.status);
     if (mip2.hasSolution()) {
       result.plan = formulation2.extract(mip2.x);

@@ -18,6 +18,7 @@
 
 #include "fp/formulation.hpp"
 #include "fp/heuristic.hpp"
+#include "lp/counters.hpp"
 #include "milp/bb.hpp"
 #include "model/floorplan.hpp"
 #include "model/problem.hpp"
@@ -69,23 +70,7 @@ struct FpResult {
   double seconds = 0.0;
   long nodes = 0;
   std::string detail;  ///< per-stage diagnostics
-  // LP substrate telemetry, aggregated over the MILP stages.
-  long lp_solves = 0;
-  long lp_iterations = 0;
-  long lp_warm_hits = 0;
-  long lp_refactorizations = 0;
-  long lp_primal_pivots = 0;
-  long lp_dual_pivots = 0;
-  long lp_bound_flips = 0;
-  long lp_ft_updates = 0;
-  long lp_dual_reopts = 0;  ///< node solves answered by the dual fast path
-  // Hyper-sparse kernel telemetry: triangular-solve path taken and exact
-  // steepest-edge weight recurrence applications.
-  long lp_ftran_sparse = 0;
-  long lp_ftran_dense = 0;
-  long lp_btran_sparse = 0;
-  long lp_btran_dense = 0;
-  long lp_dse_updates = 0;
+  lp::LpCounters lp;  ///< LP work, summed over the MILP stages
   // In-solve work-stealing telemetry (one entry per MILP worker): per-worker
   // figures summed by worker id across the MILP stages, plus the steal total.
   std::vector<milp::MipWorkerStats> workers;

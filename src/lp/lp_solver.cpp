@@ -59,16 +59,7 @@ LpResult LpSolver::solve(const Model& model, std::span<const double> lb,
   LpResult res = sparse::RevisedSimplexSolver(sopt).solve(model, lb, ub, warm, csc);
   // Fold the declined dual attempt's effort into the report so the
   // telemetry reflects actual solver work, not just the engine that won.
-  res.iterations += declined.iterations;
-  res.dual_pivots += declined.dual_pivots;
-  res.bound_flips += declined.bound_flips;
-  res.ft_updates += declined.ft_updates;
-  res.refactorizations += declined.refactorizations;
-  res.ftran_sparse += declined.ftran_sparse;
-  res.ftran_dense += declined.ftran_dense;
-  res.btran_sparse += declined.btran_sparse;
-  res.btran_dense += declined.btran_dense;
-  res.dse_updates += declined.dse_updates;
+  res.counters += declined.counters;
   return res;
 }
 

@@ -56,9 +56,9 @@ class LpSolver {
   [[nodiscard]] LpResult solve(const Model& model) const;
 
   /// Solves with per-variable bound overrides. `warm` is a basis from an
-  /// earlier solve; `LpResult::warm_started` reports whether it was
-  /// adopted, and `LpResult::dual_reopt` whether the dual fast path
-  /// produced the result. `csc`, when non-null, must be the CSC form of `model`'s constraint
+  /// earlier solve; the result's `warm_start_hits` counter reports whether
+  /// it was adopted, and `dual_reopts` whether the dual fast path produced
+  /// the result. `csc`, when non-null, must be the CSC form of `model`'s constraint
   /// matrix — branch & bound builds it once per tree and passes it to every
   /// node solve.
   [[nodiscard]] LpResult solve(const Model& model, std::span<const double> lb,

@@ -371,6 +371,7 @@ LpResult SimplexSolver::solve(const Model& model, std::span<const double> lb,
   Stopwatch watch;
   Deadline deadline(options_.time_limit_seconds);
   LpResult result;
+  result.counters.solves = 1;
 
   // Infeasible boxes short-circuit (branch & bound produces these).
   for (int j = 0; j < model.numVars(); ++j) {
@@ -382,7 +383,7 @@ LpResult SimplexSolver::solve(const Model& model, std::span<const double> lb,
   }
 
   Tableau tableau(model, lb, ub, options_);
-  result.status = tableau.run(result.x, result.iterations, deadline);
+  result.status = tableau.run(result.x, result.counters.iterations, deadline);
   if (result.status == LpStatus::kOptimal)
     result.objective = model.evalObjective(result.x);
   result.seconds = watch.seconds();

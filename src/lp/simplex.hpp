@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "lp/counters.hpp"
 #include "lp/model.hpp"
 #include "support/timer.hpp"
 
@@ -45,25 +46,11 @@ struct LpResult {
   LpStatus status = LpStatus::kIterLimit;
   double objective = 0.0;          ///< valid when status == kOptimal
   std::vector<double> x;           ///< primal values (model variable order)
-  long iterations = 0;
   double seconds = 0.0;
-  long refactorizations = 0;       ///< sparse engine: basis refactorizations
-  bool warm_started = false;       ///< a caller-provided basis was adopted
-  // Pivot-class telemetry (sparse engines; the dense tableau leaves zeros).
-  long primal_pivots = 0;   ///< basis changes made by the primal simplex
-  long dual_pivots = 0;     ///< basis changes made by the dual simplex
-  long bound_flips = 0;     ///< bound-to-bound moves without a basis change
-  long ft_updates = 0;      ///< Forrest–Tomlin factor updates applied
-  // Hyper-sparse kernel telemetry: which path each triangular solve took,
-  // and how many steepest-edge weight-update passes ran.
-  long ftran_sparse = 0;    ///< FTRANs through the graph-driven sparse path
-  long ftran_dense = 0;     ///< FTRANs through the dense sweep
-  long btran_sparse = 0;    ///< BTRANs through the graph-driven sparse path
-  long btran_dense = 0;     ///< BTRANs through the dense sweep
-  long dse_updates = 0;     ///< steepest-edge weight recurrence applications
-  /// True when the dual simplex produced this result (warm reoptimization
-  /// fast path); false for primal solves and dual-infeasible fallbacks.
-  bool dual_reopt = false;
+  /// The work of this solve (the dense tableau fills only `solves` and
+  /// `iterations`). `warm_start_hits` is 1 when a caller-provided basis was
+  /// adopted, `dual_reopts` 1 when the dual simplex produced the result.
+  LpCounters counters;
   /// Sparse engine, on optimality: the optimal basis, reusable as a warm
   /// start for a nearby solve (branch & bound child nodes). Opaque.
   std::shared_ptr<const sparse::Basis> basis;

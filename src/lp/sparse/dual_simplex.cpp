@@ -27,6 +27,15 @@ struct Candidate {
   int j;
 };
 
+/// Marks `r` as one finished solve of the dual fast path; `warm`: it ran
+/// from the caller's basis (the bound-box short circuit never adopts one).
+/// A declined attempt is never marked, so it reports `solves = 0`.
+void countDualSolve(LpResult& r, bool warm) {
+  r.counters.solves = 1;
+  r.counters.dual_reopts = 1;
+  r.counters.warm_start_hits = warm ? 1 : 0;
+}
+
 class Worker {
  public:
   Worker(const Model& model, std::span<const double> lb, std::span<const double> ub,
@@ -74,14 +83,8 @@ class Worker {
     stalled_ = false;
     // A persistent worker accumulates counters across solves; telemetry
     // reports this call's delta.
-    base_dual_pivots_ = dual_pivots_;
-    base_bound_flips_ = bound_flips_;
-    base_ft_updates_ = ft_updates_;
-    base_refactorizations_ = bs_.refactorizations;
-    base_dse_updates_ = dse_updates_;
-    base_solve_stats_ = bs_.lu.solveStats();
+    base_ = bs_.withFactorCounters(counters_);
     if (hot) {
-      out.warm_started = true;
       // Bounds changed under the live basis: re-anchor the nonbasic
       // statuses and recompute the basics; factors, reduced costs — and
       // under steepest edge the exact row weights — are already current.
@@ -89,7 +92,6 @@ class Worker {
       bs_.computeXb(f_);
     } else {
       if (!bs_.adoptWarmBasis(f_, &warm)) return std::nullopt;
-      out.warm_started = true;
       refactorizeTracked();
       bs_.computeXb(f_);
       computeDuals();
@@ -167,17 +169,9 @@ class Worker {
 
  private:
   void telemetry(LpResult& out, long iters) const {
-    out.iterations = iters;
-    out.refactorizations = bs_.refactorizations - base_refactorizations_;
-    out.dual_pivots = dual_pivots_ - base_dual_pivots_;
-    out.bound_flips = bound_flips_ - base_bound_flips_;
-    out.ft_updates = ft_updates_ - base_ft_updates_;
-    const BasisLu::SolveStats& ss = bs_.lu.solveStats();
-    out.ftran_sparse = ss.ftran_sparse - base_solve_stats_.ftran_sparse;
-    out.ftran_dense = ss.ftran_dense - base_solve_stats_.ftran_dense;
-    out.btran_sparse = ss.btran_sparse - base_solve_stats_.btran_sparse;
-    out.btran_dense = ss.btran_dense - base_solve_stats_.btran_dense;
-    out.dse_updates = dse_updates_ - base_dse_updates_;
+    out.counters = bs_.withFactorCounters(counters_);
+    out.counters -= base_;
+    out.counters.iterations = iters;
   }
 
   /// Refactorizes and, when the singular-repair path swapped slacks in, the
@@ -282,7 +276,7 @@ class Worker {
           if (dj < -ctol) {
             if (!finiteUp(f_.up[uz(j)])) return false;
             bs_.status[uz(j)] = VarStatus::kAtUpper;
-            ++bound_flips_;
+            ++counters_.bound_flips;
             flipped = true;
           }
           break;
@@ -290,7 +284,7 @@ class Worker {
           if (dj > ctol) {
             if (!finiteLo(f_.lo[uz(j)])) return false;
             bs_.status[uz(j)] = VarStatus::kAtLower;
-            ++bound_flips_;
+            ++counters_.bound_flips;
             flipped = true;
           }
           break;
@@ -481,7 +475,7 @@ class Worker {
         for (const int i : flip_col_.idx) rowmark_[uz(i)] = 0;
         bs_.lu.ftranSparse(flip_col_);
         for (const int p : flip_col_.idx) bs_.xb[uz(p)] -= flip_col_.val[uz(p)];
-        bound_flips_ += static_cast<long>(flips.size());
+        counters_.bound_flips += static_cast<long>(flips.size());
       }
 
       // ---- pivot: leaving variable exits at its violated bound ----
@@ -493,8 +487,9 @@ class Worker {
       bs_.basic[uz(p_row)] = e;
       bs_.status[uz(e)] = VarStatus::kBasic;
       bs_.xb[uz(p_row)] = enter_val;
-      ++dual_pivots_;
-      if (telemetry::sampleHit(opt_.core.telemetry, static_cast<std::uint64_t>(dual_pivots_)))
+      ++counters_.dual_pivots;
+      if (telemetry::sampleHit(opt_.core.telemetry,
+                               static_cast<std::uint64_t>(counters_.dual_pivots)))
         opt_.core.telemetry->trace->instant("lp", "pivot", "ratio", cand.ratio, "kind", "dual");
       degenerate_streak = cand.ratio < 1e-10 ? degenerate_streak + 1 : 0;
       if (degenerate_streak > std::max(200, f_.m / 4)) {
@@ -504,7 +499,7 @@ class Worker {
         stalled_ = true;
         return LpStatus::kIterLimit;
       }
-      if (dual_pivots_ - base_dual_pivots_ > effortLimit()) {
+      if (counters_.dual_pivots - base_.dual_pivots > effortLimit()) {
         // A warm reoptimization is supposed to take a handful of pivots; a
         // solve that wanders past this budget (hyper-degenerate instances
         // where dual Devex row pricing loses its way) is cheaper to redo
@@ -552,7 +547,7 @@ class Worker {
           w_[uz(p)] = std::max({upd, cs * cs / wr, kDseWeightFloor});
         }
         w_[uz(p_row)] = std::max(wr / are2, kDseWeightFloor);
-        ++dse_updates_;
+        ++counters_.dse_updates;
       } else {
         // Dual Devex reference-framework approximation.
         for (const int p : alpha_.idx) {
@@ -572,7 +567,7 @@ class Worker {
         bs_.computeXb(f_);
         computeDuals();
       } else {
-        ++ft_updates_;
+        ++counters_.ft_updates;
         if ((opt_.refactor_interval > 0 &&
              bs_.lu.updateCount() >= opt_.refactor_interval) ||
             bs_.lu.shouldRefactorize()) {
@@ -608,16 +603,8 @@ class Worker {
   DualSimplexSolver::Options opt_;
   StandardForm f_;
   BasisState bs_;
-  long dual_pivots_ = 0;
-  long bound_flips_ = 0;
-  long ft_updates_ = 0;
-  long dse_updates_ = 0;
-  long base_dual_pivots_ = 0;
-  long base_bound_flips_ = 0;
-  long base_ft_updates_ = 0;
-  long base_refactorizations_ = 0;
-  long base_dse_updates_ = 0;
-  BasisLu::SolveStats base_solve_stats_;
+  LpCounters counters_;  ///< pivot-class counters (the factor side is in bs_)
+  LpCounters base_;      ///< cumulative counters at the current solve's start
 
   std::vector<double> d_;     ///< reduced costs (nonbasic; basics hold 0)
   std::vector<double> pert_;  ///< applied cost perturbation per variable
@@ -647,10 +634,10 @@ std::optional<LpResult> DualSimplexSolver::solve(const Model& model,
   Stopwatch watch;
   Deadline deadline(options_.core.time_limit_seconds);
   LpResult result;
-  result.dual_reopt = true;
 
   for (int j = 0; j < model.numVars(); ++j) {
     if (lb[uz(j)] > ub[uz(j)] + 1e-12) {
+      countDualSolve(result, /*warm=*/false);
       result.status = LpStatus::kInfeasible;
       result.seconds = watch.seconds();
       return result;
@@ -665,6 +652,7 @@ std::optional<LpResult> DualSimplexSolver::solve(const Model& model,
     if (declined_attempt) *declined_attempt = std::move(result);
     return std::nullopt;
   }
+  countDualSolve(result, /*warm=*/true);
   result.status = *status;
   if (result.status == LpStatus::kOptimal) result.objective = model.evalObjective(result.x);
   result.seconds = watch.seconds();
@@ -723,10 +711,10 @@ std::optional<LpResult> DualReoptimizer::reoptimize(std::span<const double> lb,
   Stopwatch watch;
   Deadline deadline(time_limit_seconds);
   LpResult result;
-  result.dual_reopt = true;
 
   for (int j = 0; j < impl_->model.numVars(); ++j) {
     if (lb[uz(j)] > ub[uz(j)] + 1e-12) {
+      countDualSolve(result, /*warm=*/false);
       result.status = LpStatus::kInfeasible;
       result.seconds = watch.seconds();
       return result;
@@ -755,6 +743,7 @@ std::optional<LpResult> DualReoptimizer::reoptimize(std::span<const double> lb,
   // Any completed solve — the claim is verified through refactorized
   // factors before being reported — re-arms the warm path entirely.
   impl_->strikes = 0;
+  countDualSolve(result, /*warm=*/true);
   result.status = *status;
   if (result.status == LpStatus::kOptimal) {
     result.objective = impl_->model.evalObjective(result.x);

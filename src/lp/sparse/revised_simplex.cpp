@@ -35,7 +35,6 @@ class Worker {
 
   LpStatus run(const Basis* warm, LpResult& out, const Deadline& deadline) {
     if (!bs_.adoptWarmBasis(f_, warm)) bs_.slackBasis(f_);
-    out.warm_started = bs_.warm_started;
     bs_.refactorize(f_);
     bs_.computeXb(f_);
 
@@ -66,17 +65,10 @@ class Worker {
     // failing, degrade to a truncation status so callers (branch & bound)
     // drop the result instead of pruning against a bogus bound.
     if (status == LpStatus::kOptimal && !verified) status = LpStatus::kIterLimit;
-    out.iterations = iters;
-    out.refactorizations = bs_.refactorizations;
-    out.primal_pivots = primal_pivots_;
-    out.bound_flips = bound_flips_;
-    out.ft_updates = ft_updates_;
-    const BasisLu::SolveStats& ss = bs_.lu.solveStats();
-    out.ftran_sparse = ss.ftran_sparse;
-    out.ftran_dense = ss.ftran_dense;
-    out.btran_sparse = ss.btran_sparse;
-    out.btran_dense = ss.btran_dense;
-    out.dse_updates = dse_updates_;
+    out.counters = bs_.withFactorCounters(counters_);
+    out.counters.solves = 1;
+    out.counters.iterations = iters;
+    out.counters.warm_start_hits = bs_.warm_started ? 1 : 0;
     if (status != LpStatus::kOptimal) return status;
 
     // Extract the primal point (structural variables only).
@@ -278,7 +270,7 @@ class Worker {
         bs_.status[uz(enter)] = bs_.status[uz(enter)] == VarStatus::kAtUpper
                                     ? VarStatus::kAtLower
                                     : VarStatus::kAtUpper;
-        ++bound_flips_;
+        ++counters_.bound_flips;
         degenerate_streak = 0;
         consecutive_recoveries = 0;
         continue;
@@ -320,8 +312,9 @@ class Worker {
       bs_.basic[uz(block)] = enter;
       bs_.status[uz(enter)] = VarStatus::kBasic;
       bs_.xb[uz(block)] = enter_val;
-      ++primal_pivots_;
-      if (telemetry::sampleHit(opt_.core.telemetry, static_cast<std::uint64_t>(primal_pivots_)))
+      ++counters_.primal_pivots;
+      if (telemetry::sampleHit(opt_.core.telemetry,
+                               static_cast<std::uint64_t>(counters_.primal_pivots)))
         opt_.core.telemetry->trace->instant("lp", "pivot", "phase", phase1 ? 1.0 : 2.0, "kind",
                                             "primal");
 
@@ -371,7 +364,7 @@ class Worker {
           }
         }
         weights_[uz(leaving)] = std::max(wq / arq2, 1.0);
-        ++dse_updates_;
+        ++counters_.dse_updates;
         if (weights_[uz(leaving)] > 1e12) std::fill(weights_.begin(), weights_.end(), 1.0);
       }
 
@@ -382,7 +375,7 @@ class Worker {
         bs_.refactorize(f_);
         bs_.computeXb(f_);
       } else {
-        ++ft_updates_;
+        ++counters_.ft_updates;
         if ((opt_.refactor_interval > 0 &&
              bs_.lu.updateCount() >= opt_.refactor_interval) ||
             bs_.lu.shouldRefactorize()) {
@@ -402,10 +395,7 @@ class Worker {
   RevisedSimplexSolver::Options opt_;
   StandardForm f_;
   BasisState bs_;
-  long primal_pivots_ = 0;
-  long bound_flips_ = 0;
-  long ft_updates_ = 0;
-  long dse_updates_ = 0;
+  LpCounters counters_;  ///< pivot-class counters (the factor side is in bs_)
 
   std::vector<double> weights_;  ///< pricing reference weights (Devex or PSE)
   IndexedVector alpha_, rho_, tau_;  ///< hyper-sparse solve vectors
@@ -438,6 +428,7 @@ LpResult RevisedSimplexSolver::solve(const Model& model, std::span<const double>
   Stopwatch watch;
   Deadline deadline(options_.core.time_limit_seconds);
   LpResult result;
+  result.counters.solves = 1;
 
   for (int j = 0; j < model.numVars(); ++j) {
     if (lb[uz(j)] > ub[uz(j)] + 1e-12) {

@@ -128,6 +128,16 @@ void BasisState::refactorize(const StandardForm& f) {
   ++refactorizations;
 }
 
+LpCounters BasisState::withFactorCounters(LpCounters engine) const {
+  const BasisLu::SolveStats& ss = lu.solveStats();
+  engine.refactorizations += refactorizations;
+  engine.ftran_sparse += ss.ftran_sparse;
+  engine.ftran_dense += ss.ftran_dense;
+  engine.btran_sparse += ss.btran_sparse;
+  engine.btran_dense += ss.btran_dense;
+  return engine;
+}
+
 void BasisState::computeXb(const StandardForm& f) {
   xb = f.rhs;
   for (int j = 0; j < f.nn; ++j) {

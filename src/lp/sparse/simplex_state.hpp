@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 
+#include "lp/counters.hpp"
 #include "lp/model.hpp"
 #include "lp/sparse/basis.hpp"
 #include "lp/sparse/csc.hpp"
@@ -164,6 +165,10 @@ struct BasisState {
   }
 
   [[nodiscard]] std::shared_ptr<Basis> snapshot(const StandardForm& f) const;
+
+  /// `engine` (an engine's pivot-class counters) plus this state's factor
+  /// counters: refactorizations and the path each triangular solve took.
+  [[nodiscard]] LpCounters withFactorCounters(LpCounters engine) const;
 };
 
 }  // namespace rfp::lp::sparse

@@ -23,7 +23,6 @@ const char* toString(MipStatus s) noexcept {
 
 namespace {
 
-using detail::addLpEffort;
 using detail::cappedLpOptions;
 using detail::clampedRemaining;
 
@@ -53,33 +52,16 @@ std::shared_ptr<const lp::sparse::Basis> withBasicSlacks(const lp::sparse::Basis
 
 }  // namespace
 
-MipLpEffort& MipLpEffort::operator+=(const MipLpEffort& o) noexcept {
-  lp_iterations += o.lp_iterations;
-  lp_solves += o.lp_solves;
-  lp_warm_hits += o.lp_warm_hits;
-  lp_refactorizations += o.lp_refactorizations;
-  lp_primal_pivots += o.lp_primal_pivots;
-  lp_dual_pivots += o.lp_dual_pivots;
-  lp_bound_flips += o.lp_bound_flips;
-  lp_ft_updates += o.lp_ft_updates;
-  lp_dual_reopts += o.lp_dual_reopts;
-  lp_ftran_sparse += o.lp_ftran_sparse;
-  lp_ftran_dense += o.lp_ftran_dense;
-  lp_btran_sparse += o.lp_btran_sparse;
-  lp_btran_dense += o.lp_btran_dense;
-  lp_dse_updates += o.lp_dse_updates;
-  return *this;
-}
-
 MipResult MilpSolver::solve(const lp::Model& model,
                             std::optional<std::vector<double>> warm_start) const {
   MipResult res;
+  const detail::LpFold fold(options_.telemetry);
   if (!model.hasIntegerVars()) {
     // Pure LP: solve the relaxation directly (with the MILP-level budget and
     // stop flag threaded into the pivot loop).
     lp::LpSolver solver(cappedLpOptions(options_, options_.time_limit_seconds));
     lp::LpResult rel = solver.solve(model);
-    addLpEffort(res, rel);
+    fold.add(res.lp, rel);
     res.seconds = rel.seconds;
     switch (rel.status) {
       case lp::LpStatus::kOptimal:
@@ -132,19 +114,13 @@ MipResult MilpSolver::solve(const lp::Model& model,
   std::shared_ptr<const lp::sparse::Basis> root_basis;
   if (options_.enable_cover_cuts) {
     telemetry::Span cuts_span(options_.telemetry, "milp", "cover_cuts");
-    telemetry::MetricsRegistry* reg =
-        options_.telemetry != nullptr ? options_.telemetry->metrics : nullptr;
     for (int round = 0; round < options_.cut_rounds; ++round) {
       if (cut_deadline.expired() ||
           (options_.stop && options_.stop->load(std::memory_order_relaxed)))
         break;
       const lp::LpSolver solver(cappedLpOptions(options_, clampedRemaining(cut_deadline)));
       const lp::LpResult rel = solver.solve(work, lb, ub, root_basis.get());
-      addLpEffort(res, rel);
-      if (reg != nullptr) {
-        reg->counter("lp.solves").increment();
-        reg->counter("lp.iterations").add(rel.iterations);
-      }
+      fold.add(res.lp, rel);
       root_basis = options_.lp_warm_start ? rel.basis : nullptr;
       if (rel.status != lp::LpStatus::kOptimal) break;
       const std::vector<CoverCut> cuts = separateCoverCuts(work, rel.x);

@@ -1,16 +1,19 @@
 // Internal helpers of the branch & bound: the root phase (bb.cpp) and the
-// tree search (bb_parallel.cpp) share LP option derivation and LP effort
-// accounting; the tree search's workers share branching variable
+// tree search (bb_parallel.cpp) share LP option derivation and the LP
+// counter fold; the tree search's workers share branching variable
 // selection, pseudo-cost bookkeeping and integer rounding.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "milp/bb.hpp"
+#include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
 
 namespace rfp::milp::detail {
@@ -49,27 +52,29 @@ inline lp::LpSolver::Options cappedLpOptions(const MilpSolver::Options& opt,
   return deadline.limit() > 0 ? std::max(0.01, deadline.remaining()) : 0.0;
 }
 
-/// Folds one LP's effort into `into` — the single accumulation point for
-/// cut rounds, the root and the tree's nodes. A declined dual attempt
-/// (`solve` false) adds its pivots and factorizations but is no solve of
-/// its own: the fallback that replaces it is.
-inline void addLpEffort(MipLpEffort& into, const lp::LpResult& lp, bool solve = true) {
-  into.lp_iterations += lp.iterations;
-  into.lp_refactorizations += lp.refactorizations;
-  into.lp_primal_pivots += lp.primal_pivots;
-  into.lp_dual_pivots += lp.dual_pivots;
-  into.lp_bound_flips += lp.bound_flips;
-  into.lp_ft_updates += lp.ft_updates;
-  into.lp_ftran_sparse += lp.ftran_sparse;
-  into.lp_ftran_dense += lp.ftran_dense;
-  into.lp_btran_sparse += lp.btran_sparse;
-  into.lp_btran_dense += lp.btran_dense;
-  into.lp_dse_updates += lp.dse_updates;
-  if (!solve) return;
-  ++into.lp_solves;
-  into.lp_warm_hits += lp.warm_started ? 1 : 0;
-  into.lp_dual_reopts += lp.dual_reopt ? 1 : 0;
-}
+/// The single fold point of a MILP solve's LP work. The pure-LP path, cut
+/// rounds, node LPs and declined dual attempts all add their counters
+/// through `add`, which feeds both the result and the live registry's
+/// `lp.<name>` counters (resolved once from the name table).
+class LpFold {
+ public:
+  explicit LpFold(const telemetry::Context* ctx) {
+    if (ctx == nullptr || ctx->metrics == nullptr) return;
+    for (std::size_t i = 0; i < registry_.size(); ++i)
+      registry_[i] = &ctx->metrics->counter(std::string("lp.") + lp::kLpCounterFields[i].name);
+  }
+
+  void add(lp::LpCounters& into, const lp::LpResult& rel) const {
+    into += rel.counters;
+    if (registry_[0] == nullptr) return;
+    for (std::size_t i = 0; i < registry_.size(); ++i)
+      if (const long v = rel.counters.*lp::kLpCounterFields[i].field; v != 0)
+        registry_[i]->add(v);
+  }
+
+ private:
+  std::array<telemetry::Counter*, lp::kLpCounterFields.size()> registry_{};
+};
 
 /// Most-fractional selection (binaries first), the pseudo-cost fallback.
 inline int mostFractional(const lp::Model& model, const MilpSolver::Options& opt,
@@ -160,7 +165,7 @@ inline void roundIntegers(const lp::Model& model, std::vector<double>& x) {
 /// the result carries a replay hash over the node order and steal schedule.
 /// `root_basis` (null: cold root) is the cut loop's final basis, which
 /// worker 0 warm-starts the root from; `res` carries the root phase's LP
-/// effort, to which the tree's is added.
+/// counters, to which the tree's are added.
 [[nodiscard]] MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
                                   std::optional<std::vector<double>> warm_start,
                                   std::shared_ptr<const lp::sparse::Basis> root_basis,

@@ -311,7 +311,7 @@ enum class Step { kWorked, kIdle, kDone };
 
 class Worker {
  public:
-  Worker(int id, SharedTree& shared) : id_(id), shared_(shared) {
+  Worker(int id, SharedTree& shared) : id_(id), shared_(shared), fold_(shared.opt.telemetry) {
     stats_.id = id;
     pseudo_costs_.assign(static_cast<std::size_t>(shared.model.numVars()), PseudoCost{});
     if (shared.opt.lp_warm_start && shared.opt.lp.dual_reopt) {
@@ -329,8 +329,6 @@ class Worker {
         telemetry::MetricsRegistry& reg = *shared.opt.telemetry->metrics;
         nodes_ctr_ = &reg.counter("milp.nodes");
         steals_ctr_ = &reg.counter("milp.steals");
-        lp_solves_ctr_ = &reg.counter("lp.solves");
-        lp_iter_ctr_ = &reg.counter("lp.iterations");
         node_iter_hist_ = &reg.histogram("lp.node_iterations");
       }
     }
@@ -374,13 +372,13 @@ class Worker {
 
   [[nodiscard]] MipWorkerStats stats() const {
     MipWorkerStats s = stats_;
-    s.lp_solves = lp_effort.lp_solves;
-    s.lp_warm_hits = lp_effort.lp_warm_hits;
+    s.lp_solves = counters.solves;
+    s.lp_warm_hits = counters.warm_start_hits;
     return s;
   }
 
-  /// Per-worker LP effort, merged into MipResult by runSearch.
-  MipLpEffort lp_effort;
+  /// Per-worker LP counters, merged into MipResult by runSearch.
+  lp::LpCounters counters;
 
  private:
   NodePool& pool() { return *shared_.pools[static_cast<std::size_t>(id_)]; }
@@ -496,10 +494,9 @@ class Worker {
         solved = true;
       } else {
         // A dual attempt that gave up still burned pivots and possibly a
-        // refactorization; fold its effort into the telemetry so the
+        // refactorization; fold its counters (no solve of its own) so the
         // pivot-class counters reflect actual solver work.
-        addLpEffort(lp_effort, declined, /*solve=*/false);
-        if (lp_iter_ctr_ != nullptr) lp_iter_ctr_->add(declined.iterations);
+        fold_.add(counters, declined);
       }
     }
     if (!solved) {
@@ -510,22 +507,18 @@ class Worker {
                                      shared_.csc.get());
     }
     node.start_basis.reset();
-    addLpEffort(lp_effort, rel);
-    if (lp_solves_ctr_ != nullptr) {
-      lp_solves_ctr_->increment();
-      lp_iter_ctr_->add(rel.iterations);
-      node_iter_hist_->record(static_cast<double>(rel.iterations));
-    }
+    fold_.add(counters, rel);
+    if (node_iter_hist_ != nullptr)
+      node_iter_hist_->record(static_cast<double>(rel.counters.iterations));
     // Warm nodes either rode the dual fast path or fell back to the primal
     // engine; sample the distinction into the trace (every LP when the
     // sampling knob is 1). Refactorizations are rare enough to always emit.
-    const auto solves = static_cast<std::uint64_t>(lp_effort.lp_solves);
-    if (telemetry::sampleHit(shared_.opt.telemetry, solves))
-      trace_->instant("lp", rel.dual_reopt ? "dual_reopt" : "primal_fallback", "iterations",
-                      static_cast<double>(rel.iterations));
-    if (rel.refactorizations > 0)
+    if (telemetry::sampleHit(shared_.opt.telemetry, static_cast<std::uint64_t>(counters.solves)))
+      trace_->instant("lp", rel.counters.dual_reopts > 0 ? "dual_reopt" : "primal_fallback",
+                      "iterations", static_cast<double>(rel.counters.iterations));
+    if (rel.counters.refactorizations > 0)
       telemetry::instant(shared_.opt.telemetry, "lp", "refactorize", "count",
-                         static_cast<double>(rel.refactorizations));
+                         static_cast<double>(rel.counters.refactorizations));
 
     if (rel.status != lp::LpStatus::kOptimal) {
       if (rel.status == lp::LpStatus::kUnbounded) {
@@ -609,12 +602,11 @@ class Worker {
   /// Private warm-reopt state (live factors + give-up breaker); see the
   /// concurrency contract in dual_simplex.hpp.
   std::optional<lp::sparse::DualReoptimizer> reopt_;
+  const LpFold fold_;
   // Observability (null without a telemetry context).
   telemetry::TraceRecorder* trace_ = nullptr;
   telemetry::Counter* nodes_ctr_ = nullptr;
   telemetry::Counter* steals_ctr_ = nullptr;
-  telemetry::Counter* lp_solves_ctr_ = nullptr;
-  telemetry::Counter* lp_iter_ctr_ = nullptr;
   telemetry::Histogram* node_iter_hist_ = nullptr;
 };
 
@@ -694,7 +686,7 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
   for (const std::unique_ptr<Worker>& w : workers) {
     res.workers.push_back(w->stats());
     res.steals += w->stats().steals;
-    res += w->lp_effort;
+    res.lp += w->counters;
   }
   res.external_adoptions = shared.external_adoptions.load(std::memory_order_relaxed);
   res.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);

@@ -6,17 +6,26 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "device/builders.hpp"
 #include "driver/backend_runner.hpp"
 #include "driver/cache.hpp"
 #include "driver/driver.hpp"
 #include "driver/incumbent.hpp"
+#include "driver/response_json.hpp"
 #include "model/floorplan.hpp"
 #include "model/generator.hpp"
 #include "model/problem.hpp"
 #include "search/solver.hpp"
+#include "support/telemetry/metrics.hpp"
+#include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
 
 namespace rfp::driver {
@@ -1213,6 +1222,145 @@ TEST(DriverCache, ConcurrentMixedSolvesStressTheStoreAndFlightTable) {
   EXPECT_EQ(cs.hits, 6 * 6 - 3);
   EXPECT_GE(cs.misses, 3);
   EXPECT_EQ(cs.rejected, 0);
+}
+
+/// twoRegionProblem plus a third region and net on the same 8-column
+/// device: every backend finds a plan, and MILP branches.
+model::FloorplanProblem threeRegionChain(const device::Device& dev) {
+  model::FloorplanProblem p = twoRegionProblem(dev);
+  model::RegionSpec c;
+  c.name = "c";
+  c.tiles = {3, 0, 0};
+  p.addRegion(c);
+  p.addNet(model::Net{{1, 2}, 2.0, "m"});
+  return p;
+}
+
+TEST(DriverTelemetry, RegistryTotalsMatchTheResponseForEveryBackend) {
+  // The live registry and the response come from one fold point per
+  // engine, so their totals agree exactly for every backend and thread
+  // count: the node counter of the backend that ran, and every lp.* counter.
+  const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  const model::FloorplanProblem chain = threeRegionChain(dev);
+  // SDR's MILP-O tree declines dual attempts within its first ten nodes,
+  // so the declined-attempt fold is covered too.
+  const device::Device v5 = device::virtex5FX70T();
+  const model::FloorplanProblem sdr = model::makeSdrProblem(v5);
+  struct Case {
+    const model::FloorplanProblem* problem;
+    Backend backend;
+    const char* node_counter;  ///< null: the backend counts no nodes
+    long milp_node_limit;
+  };
+  const Case cases[] = {
+      {&chain, Backend::kSearch, "search.nodes", 0},
+      {&chain, Backend::kMilpO, "milp.nodes", 200},  // truncated trees agree too
+      {&chain, Backend::kMilpHO, "milp.nodes", 200},
+      {&chain, Backend::kAnnealer, "annealer.iterations", 0},
+      {&chain, Backend::kHeuristic, nullptr, 0},
+      {&sdr, Backend::kMilpO, "milp.nodes", 10},
+  };
+  const Driver drv;
+  for (const Case& c : cases) {
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(toString(c.backend)) + " on " +
+                   std::to_string(c.problem->numRegions()) + " regions at " +
+                   std::to_string(threads) + " threads");
+      telemetry::MetricsRegistry reg;
+      telemetry::Context ctx;
+      ctx.metrics = &reg;
+      SolveRequest req;
+      req.backend = c.backend;
+      req.num_threads = threads;
+      req.use_cache = false;
+      req.telemetry = &ctx;
+      req.deadline_seconds = 60.0;
+      req.milp.milp.node_limit = c.milp_node_limit;
+      req.annealer.iterations = 20000;
+      const SolveResponse res = drv.solve(*c.problem, req);
+      ASSERT_TRUE(res.hasSolution()) << res.detail;
+      for (const char* name : {"search.nodes", "milp.nodes", "annealer.iterations"}) {
+        const bool ran = c.node_counter != nullptr && std::string(name) == c.node_counter;
+        EXPECT_EQ(reg.counter(name).total(), ran ? res.nodes : 0) << name;
+      }
+      if (c.node_counter == nullptr) {
+        EXPECT_EQ(res.nodes, 0);
+      }
+      const bool milp = c.backend == Backend::kMilpO || c.backend == Backend::kMilpHO;
+      EXPECT_EQ(res.lp.solves > 0, milp);
+      for (const lp::LpCounterField& f : lp::kLpCounterFields)
+        EXPECT_EQ(reg.counter(std::string("lp.") + f.name).total(), res.lp.*f.field) << f.name;
+    }
+  }
+}
+
+/// The `lp` object of a response's JSON document, as key -> value.
+std::map<std::string, double> jsonLpObject(const std::string& json) {
+  std::map<std::string, double> out;
+  const std::string open = "\"lp\":{";
+  const std::size_t begin = json.find(open);
+  if (begin == std::string::npos) return out;
+  const std::size_t end = json.find('}', begin);
+  std::istringstream fields(json.substr(begin + open.size(), end - begin - open.size()));
+  for (std::string field; std::getline(fields, field, ',');) {
+    const std::size_t colon = field.find(':');
+    const std::string value = field.substr(colon + 1);
+    out[field.substr(1, colon - 2)] = value.front() == '"' ? 0.0 : std::stod(value);
+  }
+  return out;
+}
+
+TEST(DriverOutput, LpKeysAreTheNameTableAndTheValuesTheResponses) {
+  // The lp.* surface as it was before one name table emitted it: the
+  // metrics map's keys (under "lp.") and the JSON "lp" object's keys, which
+  // also carried the engine name. Only "engine" may leave the JSON.
+  const std::set<std::string> metric_keys = {
+      "solves",        "iterations",   "warm_start_hits", "warm_start_hit_rate",
+      "refactorizations", "primal_pivots", "dual_pivots", "bound_flips",
+      "ft_updates",    "dual_reopts",  "dual_reopt_rate", "ftran_sparse",
+      "ftran_dense",   "btran_sparse", "btran_dense",     "dse_updates",
+      "sparse_solve_rate"};
+  const std::set<std::string> parent_json_keys = {
+      "engine",        "solves",       "iterations",      "refactorizations",
+      "warm_start_hits", "warm_start_hit_rate", "primal_pivots", "dual_pivots",
+      "bound_flips",   "ft_updates",   "dual_reopts",     "dual_reopt_rate",
+      "ftran_sparse",  "ftran_dense",  "btran_sparse",    "btran_dense",
+      "dse_updates",   "sparse_solve_rate"};
+  std::set<std::string> json_keys = parent_json_keys;
+  json_keys.erase("engine");
+  std::set<std::string> table;
+  for (const lp::LpCounterField& f : lp::kLpCounterFields) table.insert(f.name);
+  for (const lp::LpRateField& r : lp::kLpRates) table.insert(r.name);
+  EXPECT_EQ(table, metric_keys);
+
+  const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  const model::FloorplanProblem p = threeRegionChain(dev);
+  SolveRequest req;
+  req.backend = Backend::kMilpO;
+  req.deadline_seconds = 60.0;
+  req.milp.milp.node_limit = 200;
+  const SolveResponse res = Driver().solve(p, req);
+  ASSERT_TRUE(res.hasSolution()) << res.detail;
+  ASSERT_GT(res.lp.solves, 0);
+  std::map<std::string, double> expected;
+  for (const lp::LpCounterField& f : lp::kLpCounterFields)
+    expected[f.name] = static_cast<double>(res.lp.*f.field);
+  for (const lp::LpRateField& r : lp::kLpRates) expected[r.name] = (res.lp.*r.rate)();
+
+  std::map<std::string, double> metrics;
+  for (const auto& [name, value] : res.metrics)
+    if (name.rfind("lp.", 0) == 0) metrics[name.substr(3)] = value;
+  std::map<std::string, double> json = jsonLpObject(solveResponseToJson(p, res));
+  std::set<std::string> got_metric_keys, got_json_keys;
+  for (const auto& kv : metrics) got_metric_keys.insert(kv.first);
+  for (const auto& kv : json) got_json_keys.insert(kv.first);
+  EXPECT_EQ(got_metric_keys, metric_keys);
+  EXPECT_EQ(got_json_keys, json_keys);
+  for (const auto& [name, value] : expected) {
+    EXPECT_DOUBLE_EQ(metrics[name], value) << name;
+    // The JSON writer prints six significant digits.
+    EXPECT_NEAR(json[name], value, 1e-5 * std::max(1.0, std::abs(value))) << name;
+  }
 }
 
 }  // namespace

@@ -567,7 +567,7 @@ TEST(SparseSimplex, WarmStartReoptimizesInFewerIterations) {
     const LpResult first = RevisedSimplexSolver().solve(m);
     ASSERT_EQ(first.status, LpStatus::kOptimal) << "trial " << trial;
     ASSERT_NE(first.basis, nullptr);
-    EXPECT_FALSE(first.warm_started);
+    EXPECT_EQ(first.counters.warm_start_hits, 0);
 
     // Tighten one variable's upper bound (a branch & bound style change).
     const int j = static_cast<int>(rng.nextBelow(static_cast<std::uint64_t>(n)));
@@ -581,10 +581,10 @@ TEST(SparseSimplex, WarmStartReoptimizesInFewerIterations) {
     const LpResult warm = RevisedSimplexSolver().solve(m, lb, ub, first.basis.get());
     ASSERT_EQ(cold.status, warm.status) << "trial " << trial;
     if (cold.status != LpStatus::kOptimal) continue;
-    EXPECT_TRUE(warm.warm_started) << "trial " << trial;
+    EXPECT_EQ(warm.counters.warm_start_hits, 1) << "trial " << trial;
     EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1 + std::abs(cold.objective)))
         << "trial " << trial;
-    EXPECT_LE(warm.iterations, cold.iterations) << "trial " << trial;
+    EXPECT_LE(warm.counters.iterations, cold.counters.iterations) << "trial " << trial;
     ++exercised;
   }
   EXPECT_GE(exercised, 20);
@@ -601,7 +601,7 @@ TEST(SparseSimplex, StaleBasisShapeFallsBackToColdStart) {
   const std::vector<double> lb{0.0}, ub{1.0};
   const LpResult r = RevisedSimplexSolver().solve(m, lb, ub, &stale);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_FALSE(r.warm_started);
+  EXPECT_EQ(r.counters.warm_start_hits, 0);
   EXPECT_NEAR(r.objective, 1.0, 1e-9);
 }
 
@@ -669,8 +669,8 @@ TEST(DualSimplexProperty, AgreesWithDenseAndPrimalAfterBoundTightening) {
     ASSERT_EQ(dense.status, cold.status) << "trial " << trial;
     if (!dual) continue;  // dual-infeasible warm basis: primal fallback territory
     ++dual_ran;
-    EXPECT_TRUE(dual->dual_reopt);
-    EXPECT_TRUE(dual->warm_started);
+    EXPECT_EQ(dual->counters.dual_reopts, 1);
+    EXPECT_EQ(dual->counters.warm_start_hits, 1);
     ASSERT_EQ(dual->status, dense.status) << "trial " << trial;
     if (dense.status == LpStatus::kOptimal) {
       ++optimal;
@@ -714,8 +714,8 @@ TEST(DualSimplex, ReoptimizesWithFewPivotsAfterSingleTightening) {
     if (dual->status != LpStatus::kOptimal) continue;
     const LpResult cold = RevisedSimplexSolver().solve(m);
     ASSERT_EQ(cold.status, LpStatus::kOptimal);
-    dual_iters += dual->iterations;
-    cold_iters += cold.iterations;
+    dual_iters += dual->counters.iterations;
+    cold_iters += cold.counters.iterations;
     ++exercised;
   }
   EXPECT_GE(exercised, 15);
@@ -857,8 +857,8 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
     const LpResult dense = SimplexSolver().solve(m);
     ASSERT_EQ(warm.status, dense.status) << "trial " << trial;
     ASSERT_EQ(primal.status, dense.status) << "trial " << trial;
-    EXPECT_FALSE(primal.dual_reopt);
-    dual_hits += warm.dual_reopt ? 1 : 0;
+    EXPECT_EQ(primal.counters.dual_reopts, 0);
+    dual_hits += warm.counters.dual_reopts;
     if (dense.status != LpStatus::kOptimal) continue;
     EXPECT_NEAR(warm.objective, dense.objective, 1e-6 * (1 + std::abs(dense.objective)));
     EXPECT_NEAR(primal.objective, dense.objective, 1e-6 * (1 + std::abs(dense.objective)));
@@ -959,11 +959,11 @@ TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     if (warm.status != MipStatus::kOptimal) continue;
     EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
-    EXPECT_EQ(cold.lp_warm_hits, 0);
-    warm_total += warm.lp_iterations;
-    cold_total += cold.lp_iterations;
+    EXPECT_EQ(cold.lp.warm_start_hits, 0);
+    warm_total += warm.lp.iterations;
+    cold_total += cold.lp.iterations;
     if (warm.nodes > 1) {
-      EXPECT_GT(warm.lp_warm_hits, 0) << "trial " << trial;
+      EXPECT_GT(warm.lp.warm_start_hits, 0) << "trial " << trial;
       ++compared;
     }
   }
@@ -982,9 +982,9 @@ TEST(MilpSparse, ChildNodesReoptimizeThroughDualSimplex) {
     const MipResult rs = MilpSolver().solve(m);
     if (rs.status != MipStatus::kOptimal || rs.nodes <= 1) continue;
     ++trees;
-    with_dual += rs.lp_dual_reopts > 0 ? 1 : 0;
-    if (rs.lp_dual_reopts > 0) {
-      EXPECT_GT(rs.lp_dual_pivots + rs.lp_bound_flips, 0);
+    with_dual += rs.lp.dual_reopts > 0 ? 1 : 0;
+    if (rs.lp.dual_reopts > 0) {
+      EXPECT_GT(rs.lp.dual_pivots + rs.lp.bound_flips, 0);
     }
     const std::optional<double> expected = bruteForceBest(m);
     ASSERT_TRUE(expected.has_value()) << "trial " << trial;
@@ -1113,10 +1113,10 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
     ASSERT_TRUE(r.has_value()) << "node " << nodes
                                << ": dual fast path declined a parent-optimal warm start";
     ++nodes;
-    dse_updates += r->dse_updates;
-    dual_pivots += r->dual_pivots;
+    dse_updates += r->counters.dse_updates;
+    dual_pivots += r->counters.dual_pivots;
     if (r->status != lp::LpStatus::kOptimal) break;  // infeasible leaf ends the dive
-    EXPECT_TRUE(r->dual_reopt);
+    EXPECT_EQ(r->counters.dual_reopts, 1);
     basis = r->basis;
     x = r->x;
   }

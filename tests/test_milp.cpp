@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "device/builders.hpp"
 #include "fp/formulation.hpp"
@@ -310,7 +311,7 @@ Model coverHeavyKnapsack() {
   return m;
 }
 
-/// Root-only solve (no plunge below the first node): lp_solves counts the
+/// Root-only solve (no plunge below the first node): lp.solves counts the
 /// cut rounds plus the root.
 MipResult solveRootOnly(const Model& m, MilpSolver::Options opt) {
   opt.node_limit = 1;
@@ -323,7 +324,7 @@ void expectSameAnswerAsColdPath(const Model& m, const MilpSolver::Options& warm_
   cold_opt.lp_warm_start = false;
   const MipResult warm = MilpSolver(warm_opt).solve(m);
   const MipResult cold = MilpSolver(cold_opt).solve(m);
-  EXPECT_EQ(cold.lp_warm_hits, 0);
+  EXPECT_EQ(cold.lp.warm_start_hits, 0);
   ASSERT_EQ(warm.status, cold.status);
   if (warm.hasSolution()) {
     EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
@@ -334,10 +335,10 @@ void expectSameAnswerAsColdPath(const Model& m, const MilpSolver::Options& warm_
 TEST(MilpWarmRoot, CutRoundsAndRootReuseTheChainedBasis) {
   const Model m = coverHeavyKnapsack();
   const MipResult root = solveRootOnly(m, {});
-  const long rounds = root.lp_solves - 1;
+  const long rounds = root.lp.solves - 1;
   ASSERT_GE(rounds, 2) << "round 1 must separate cuts for a second round to run";
   // Only round 1 is cold: every later round and the root adopt a basis.
-  EXPECT_EQ(root.lp_warm_hits, rounds);
+  EXPECT_EQ(root.lp.warm_start_hits, rounds);
   expectSameAnswerAsColdPath(m, {});
 
   // Round budget spent with cuts just appended: the root starts from the
@@ -345,9 +346,9 @@ TEST(MilpWarmRoot, CutRoundsAndRootReuseTheChainedBasis) {
   MilpSolver::Options one_round;
   one_round.cut_rounds = 1;
   const MipResult grown = solveRootOnly(m, one_round);
-  EXPECT_EQ(grown.lp_solves, 2);
-  EXPECT_EQ(grown.lp_warm_hits, 1);
-  EXPECT_GT(grown.lp_dual_pivots, 0);
+  EXPECT_EQ(grown.lp.solves, 2);
+  EXPECT_EQ(grown.lp.warm_start_hits, 1);
+  EXPECT_GT(grown.lp.dual_pivots, 0);
   expectSameAnswerAsColdPath(m, one_round);
 }
 
@@ -358,9 +359,9 @@ TEST(MilpWarmRoot, ParallelDeterministicRootReusesTheChainedBasis) {
     opt.threads = threads;
     opt.deterministic = true;
     const MipResult root = solveRootOnly(m, opt);
-    const long rounds = root.lp_solves - 1;
+    const long rounds = root.lp.solves - 1;
     ASSERT_GE(rounds, 2) << threads << " threads";
-    EXPECT_EQ(root.lp_warm_hits, rounds) << threads << " threads";
+    EXPECT_EQ(root.lp.warm_start_hits, rounds) << threads << " threads";
     EXPECT_EQ(root.workers.at(0).lp_warm_hits, 1) << threads << " threads";
     expectSameAnswerAsColdPath(m, opt);
     const MipResult a = MilpSolver(opt).solve(m);
@@ -370,22 +371,39 @@ TEST(MilpWarmRoot, ParallelDeterministicRootReusesTheChainedBasis) {
   }
 }
 
+/// A model without integer variables: MilpSolver solves it as one LP.
+Model pureLp() {
+  Model m;
+  const Var x = m.addContinuous(0, 3, "x");
+  const Var y = m.addContinuous(0, 5, "y");
+  m.addConstr(LinExpr(x) + y, Sense::kLessEqual, 4);
+  m.addConstr(LinExpr(x) + 3.0 * y, Sense::kLessEqual, 6);
+  m.setObjective(3.0 * x + 2.0 * y, ObjSense::kMaximize);
+  return m;
+}
+
 TEST(MilpWarmRoot, RegistryTotalsMatchTheResultAcrossCutRounds) {
-  // Cut-round LPs must reach the live registry too, not only the result.
-  const Model m = coverHeavyKnapsack();
-  ASSERT_GE(solveRootOnly(m, {}).lp_solves - 1, 2);  // >= 2 cut rounds
-  for (const int threads : {1, 2}) {
-    telemetry::MetricsRegistry reg;
-    telemetry::Context ctx;
-    ctx.metrics = &reg;
-    MilpSolver::Options opt;
-    opt.threads = threads;
-    opt.telemetry = &ctx;
-    const MipResult r = MilpSolver(opt).solve(m);
-    ASSERT_EQ(r.status, MipStatus::kOptimal);
-    EXPECT_EQ(reg.counter("lp.solves").total(), r.lp_solves) << threads << " threads";
-    EXPECT_EQ(reg.counter("lp.iterations").total(), r.lp_iterations) << threads << " threads";
-    EXPECT_EQ(reg.counter("milp.nodes").total(), r.nodes) << threads << " threads";
+  // Every LP — cut rounds, nodes, declined dual attempts and the pure-LP
+  // path — must reach the live registry too, not only the result.
+  const Model knapsack = coverHeavyKnapsack();
+  ASSERT_GE(solveRootOnly(knapsack, {}).lp.solves - 1, 2);  // >= 2 cut rounds
+  for (const Model& m : {knapsack, pureLp()}) {
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE(std::to_string(m.numVars()) + " vars, " + std::to_string(threads) +
+                   " threads");
+      telemetry::MetricsRegistry reg;
+      telemetry::Context ctx;
+      ctx.metrics = &reg;
+      MilpSolver::Options opt;
+      opt.threads = threads;
+      opt.telemetry = &ctx;
+      const MipResult r = MilpSolver(opt).solve(m);
+      ASSERT_EQ(r.status, MipStatus::kOptimal);
+      ASSERT_GT(r.lp.solves, 0);
+      for (const lp::LpCounterField& f : lp::kLpCounterFields)
+        EXPECT_EQ(reg.counter(std::string("lp.") + f.name).total(), r.lp.*f.field) << f.name;
+      EXPECT_EQ(reg.counter("milp.nodes").total(), r.nodes);
+    }
   }
 }
 
@@ -399,10 +417,10 @@ TEST(MilpWarmRoot, FloorplanRootWithoutCutsSolvesColdOnce) {
   const Model& m = formulation.model();
 
   const MipResult root = solveRootOnly(m, {});
-  ASSERT_EQ(root.lp_solves, 2) << "one cut round that finds no cuts, then the root";
-  EXPECT_EQ(root.lp_warm_hits, 1);
+  ASSERT_EQ(root.lp.solves, 2) << "one cut round that finds no cuts, then the root";
+  EXPECT_EQ(root.lp.warm_start_hits, 1);
   const MipResult full = MilpSolver().solve(m);
-  EXPECT_EQ(full.lp_solves - full.lp_warm_hits, 1) << "exactly one cold LP per solve";
+  EXPECT_EQ(full.lp.solves - full.lp.warm_start_hits, 1) << "exactly one cold LP per solve";
   expectSameAnswerAsColdPath(m, {});
 }
 
@@ -421,7 +439,7 @@ TEST(MilpWarmRoot, AgreesWithColdPathOnPresolveKnapsacks) {
     m.addConstr(weight_row, Sense::kLessEqual, 17);
     m.setObjective(value, ObjSense::kMaximize);
     SCOPED_TRACE(trial);
-    EXPECT_GT(MilpSolver().solve(m).lp_warm_hits, 0);
+    EXPECT_GT(MilpSolver().solve(m).lp.warm_start_hits, 0);
     expectSameAnswerAsColdPath(m, {});
   }
 }
@@ -434,7 +452,7 @@ TEST(MilpWarmRoot, PresolveInfeasibleReportsRootTime) {
   m.setObjective(LinExpr(x), ObjSense::kMinimize);
   const MipResult res = MilpSolver().solve(m);
   EXPECT_EQ(res.status, MipStatus::kInfeasible);
-  EXPECT_EQ(res.lp_solves, 0);  // presolve proved it: no LP ran
+  EXPECT_EQ(res.lp.solves, 0);  // presolve proved it: no LP ran
   EXPECT_GT(res.seconds, 0.0);
 }
 

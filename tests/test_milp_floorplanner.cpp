@@ -139,13 +139,13 @@ TEST(MilpFloorplanner, LpMemoryGateDeclinesOverCapAndZeroDisablesIt) {
   const FpResult declined = MilpFloorplanner(opt).solve(p);
   EXPECT_EQ(declined.status, FpStatus::kNoSolution);
   EXPECT_NE(declined.detail.find("declined:"), std::string::npos) << declined.detail;
-  EXPECT_EQ(declined.lp_solves, 0);
+  EXPECT_EQ(declined.lp.solves, 0);
 
   opt.max_lp_gib = 0;  // no cap
   const FpResult admitted = MilpFloorplanner(opt).solve(p);
   ASSERT_TRUE(admitted.hasSolution()) << admitted.detail;
   EXPECT_EQ(admitted.detail.find("declined:"), std::string::npos) << admitted.detail;
-  EXPECT_GT(admitted.lp_solves, 0);
+  EXPECT_GT(admitted.lp.solves, 0);
 }
 
 TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
@@ -186,8 +186,8 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
       const FpResult w = MilpFloorplanner(warm).solve(problems[i]);
       const FpResult c = MilpFloorplanner(cold).solve(problems[i]);
       ASSERT_EQ(w.status, c.status) << "fixture " << i;
-      EXPECT_EQ(c.lp_warm_hits, 0) << "fixture " << i;
-      if (w.nodes > 1 && w.lp_warm_hits > 0 && w.lp_dual_reopts > 0) ++warm_branching_runs;
+      EXPECT_EQ(c.lp.warm_start_hits, 0) << "fixture " << i;
+      if (w.nodes > 1 && w.lp.warm_start_hits > 0 && w.lp.dual_reopts > 0) ++warm_branching_runs;
       if (!w.hasSolution()) continue;
       EXPECT_EQ(model::check(problems[i], w.plan), "") << "fixture " << i;
       if (warm.lexicographic) {
