@@ -12,17 +12,19 @@
 // Output: human-readable table plus one JSON document on stdout (between
 // BEGIN-JSON / END-JSON markers) for downstream tooling.
 //
-// Usage: bench_lp_sparse [--smoke] [--reopt]
-//   --smoke  only the small generated formulation (for CI: seconds, not
-//            minutes, and still fails loudly if the sparse engine stops
-//            agreeing with the dense oracle).
+// A manual program (minutes): its timing bars have no ctest or perfbench
+// home yet. The deterministic properties it also checks — sparse/dense
+// agreement, dual <= primal warm iterations, the hyper-sparse path taken —
+// are asserted by tests/test_lp_sparse.cpp.
+//
+// Usage: bench_lp_sparse [--reopt]
+//   default  SDR2/SDR3 root relaxations; fails above 2 GiB resident.
 //   --reopt  warm node-reoptimization throughput instead of cold solves:
 //            the branch & bound pattern (solve the root, then reoptimize a
 //            sequence of single-bound-change child nodes from the root
 //            basis) timed over the dual fast path vs the primal warm path.
-//            Writes BENCH_lp_reopt.json into the current directory for the
-//            perf trajectory, and fails if the dual path needs more
-//            iterations than the primal path on the same node sequence.
+//            Writes BENCH_lp_reopt.json into the current directory, and
+//            fails below a 3.2x (SDR2) / 2x (SDR3) mean node-solve speedup.
 #include <sys/resource.h>
 
 #include <cmath>
@@ -334,8 +336,6 @@ void printReopt(const ReoptRecord& r) {
               r.agree ? "" : "  [MISMATCH]");
 }
 
-/// `path == nullptr` prints the JSON to stdout only (smoke runs must not
-/// overwrite the tracked full-run snapshot at the repo root).
 void writeReoptJson(const std::vector<ReoptRecord>& records, const char* path) {
   io::JsonWriter w;
   w.beginObject();
@@ -371,20 +371,18 @@ void writeReoptJson(const std::vector<ReoptRecord>& records, const char* path) {
   }
   w.endArray();
   w.endObject();
-  if (path) {
-    if (std::FILE* f = std::fopen(path, "w")) {
-      std::fputs(w.str().c_str(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-      std::printf("wrote %s\n", path);
-    } else {
-      std::printf("WARNING: could not write %s\n", path);
-    }
+  if (std::FILE* f = std::fopen(path, "w")) {
+    std::fputs(w.str().c_str(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+    std::printf("wrote %s\n", path);
+  } else {
+    std::printf("WARNING: could not write %s\n", path);
   }
   std::printf("BEGIN-JSON\n%s\nEND-JSON\n", w.str().c_str());
 }
 
-int runReoptMode(bool smoke, const device::Device& dev,
+int runReoptMode(const device::Device& dev,
                  const partition::ColumnarPartition& part) {
   std::vector<ReoptRecord> records;
   bool ok = true;
@@ -423,38 +421,33 @@ int runReoptMode(bool smoke, const device::Device& dev,
     records.push_back(rec);
   }
 
-  if (!smoke) {
-    for (const int reloc : {2, 3}) {
-      model::FloorplanProblem sdr = model::makeSdrProblem(dev);
-      model::addSdrRelocations(sdr, reloc);
-      fp::MilpFormulation form(sdr, part, {});
-      const ReoptRecord rec =
-          runReoptBench("SDR" + std::to_string(reloc), form.model(), 24);
-      printReopt(rec);
-      ok = ok && rec.agree && rec.nodes > 0;
-      // At paper scale wall time is the verdict (dual pivots are far
-      // cheaper than primal ones — no per-node refactorizations — so raw
-      // iteration counts are not comparable). SDR2 carries the headline
-      // hyper-sparse bar (3.2x mean node-solve improvement); SDR3's
-      // hyper-degenerate nodes used to defeat dual Devex row pricing and
-      // fall back to the primal engine — exact dual steepest edge keeps
-      // them on the fast path, so SDR3 now holds the 2x acceptance bar.
-      const double bar = reloc == 2 ? 3.2 : 2.0;
-      if (rec.speedup() < bar) {
-        std::printf("REGRESSION: dual warm reopt speedup %.2fx < %.1fx on %s\n",
-                    rec.speedup(), bar, rec.name.c_str());
-        ok = false;
-      }
-      if (rec.dual.sparseSolves() == 0) {
-        std::printf("REGRESSION: hyper-sparse solve path never taken on %s\n",
-                    rec.name.c_str());
-        ok = false;
-      }
-      records.push_back(rec);
+  for (const int reloc : {2, 3}) {
+    model::FloorplanProblem sdr = model::makeSdrProblem(dev);
+    model::addSdrRelocations(sdr, reloc);
+    fp::MilpFormulation form(sdr, part, {});
+    const ReoptRecord rec = runReoptBench("SDR" + std::to_string(reloc), form.model(), 24);
+    printReopt(rec);
+    ok = ok && rec.agree && rec.nodes > 0;
+    // At paper scale wall time is the verdict (dual pivots are far
+    // cheaper than primal ones — no per-node refactorizations — so raw
+    // iteration counts are not comparable). SDR2 carries the headline
+    // hyper-sparse bar (3.2x mean node-solve improvement), SDR3's
+    // hyper-degenerate nodes the 2x acceptance bar.
+    const double bar = reloc == 2 ? 3.2 : 2.0;
+    if (rec.speedup() < bar) {
+      std::printf("REGRESSION: dual warm reopt speedup %.2fx < %.1fx on %s\n", rec.speedup(),
+                  bar, rec.name.c_str());
+      ok = false;
     }
+    if (rec.dual.sparseSolves() == 0) {
+      std::printf("REGRESSION: hyper-sparse solve path never taken on %s\n",
+                  rec.name.c_str());
+      ok = false;
+    }
+    records.push_back(rec);
   }
 
-  writeReoptJson(records, smoke ? nullptr : "BENCH_lp_reopt.json");
+  writeReoptJson(records, "BENCH_lp_reopt.json");
   std::printf("%s\n", ok ? "BENCH OK" : "BENCH FAILED");
   return ok ? 0 : 1;
 }
@@ -462,19 +455,16 @@ int runReoptMode(bool smoke, const device::Device& dev,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
   bool reopt = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--reopt") == 0) reopt = true;
-  }
   const device::Device dev = device::virtex5FX70T();
   const auto part = partition::columnarPartition(dev);
   if (!part) {
     std::fprintf(stderr, "device not partitionable\n");
     return 1;
   }
-  if (reopt) return runReoptMode(smoke, dev, *part);
+  if (reopt) return runReoptMode(dev, *part);
   std::vector<RunRecord> records;
   bool ok = true;
 
@@ -507,25 +497,23 @@ int main(int argc, char** argv) {
   }
 
   // ---- paper scale: sparse solves, dense is reported as an estimate ----
-  if (!smoke) {
-    for (const int reloc : {2, 3}) {
-      model::FloorplanProblem sdr = model::makeSdrProblem(dev);
-      model::addSdrRelocations(sdr, reloc);
-      fp::MilpFormulation form(sdr, *part, {});
-      const std::string name = "SDR" + std::to_string(reloc);
-      const RunRecord dense_est = describe(name, form.model(), /*dense=*/true);
-      printRecord(dense_est);
-      records.push_back(dense_est);
-      const RunRecord sparse_run = solveWith(name, form.model(), /*dense=*/false, 1200);
-      printRecord(sparse_run);
-      records.push_back(sparse_run);
-      ok = ok && sparse_run.status == "optimal";
-      // The headline claim: paper-scale root relaxations in < 2 GiB resident.
-      if (sparse_run.peak_rss_mib > 2048) {
-        std::printf("REGRESSION: %s sparse root relaxation exceeded 2 GiB resident\n",
-                    name.c_str());
-        ok = false;
-      }
+  for (const int reloc : {2, 3}) {
+    model::FloorplanProblem sdr = model::makeSdrProblem(dev);
+    model::addSdrRelocations(sdr, reloc);
+    fp::MilpFormulation form(sdr, *part, {});
+    const std::string name = "SDR" + std::to_string(reloc);
+    const RunRecord dense_est = describe(name, form.model(), /*dense=*/true);
+    printRecord(dense_est);
+    records.push_back(dense_est);
+    const RunRecord sparse_run = solveWith(name, form.model(), /*dense=*/false, 1200);
+    printRecord(sparse_run);
+    records.push_back(sparse_run);
+    ok = ok && sparse_run.status == "optimal";
+    // The headline claim: paper-scale root relaxations in < 2 GiB resident.
+    if (sparse_run.peak_rss_mib > 2048) {
+      std::printf("REGRESSION: %s sparse root relaxation exceeded 2 GiB resident\n",
+                  name.c_str());
+      ok = false;
     }
   }
 

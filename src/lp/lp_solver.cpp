@@ -54,7 +54,6 @@ LpResult LpSolver::solve(const Model& model, std::span<const double> lb,
   sparse::RevisedSimplexSolver::Options sopt;
   sopt.core = options_.core;
   sopt.refactor_interval = options_.refactor_interval;
-  sopt.pricing = options_.pricing;
   sopt.lu = options_.lu;
   LpResult res = sparse::RevisedSimplexSolver(sopt).solve(model, lb, ub, warm, csc);
   // Fold the declined dual attempt's effort into the report so the

@@ -39,8 +39,6 @@ class LpSolver {
     /// the cap; warm reoptimizations finish far below it, so the B&B hot
     /// path is refactorization-free either way).
     int refactor_interval = 100;
-    /// Primal pricing rule.
-    sparse::Pricing pricing = sparse::Pricing::kSteepestEdge;
     /// With a warm basis, reoptimize with the dual simplex first and fall
     /// back to the primal when no dual-feasible start exists. Off forces
     /// every solve through the primal engine (A/B tests and the cold-path

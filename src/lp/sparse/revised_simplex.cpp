@@ -86,11 +86,10 @@ class Worker {
  private:
   // ---- the simplex loop ----------------------------------------------------
   //
-  // Pricing weights start at all ones for both rules: Devex's reference
-  // framework and *projected* steepest edge both take the starting basis as
-  // the reference. (Seeding steepest edge with exact column norms instead
-  // was measured slower on the big-M floorplanning formulations — huge
-  // norms starve exactly the columns worth entering.)
+  // Pricing weights start at all ones: *projected* steepest edge takes the
+  // starting basis as the reference. (Seeding steepest edge with exact
+  // column norms instead was measured slower on the big-M floorplanning
+  // formulations — huge norms starve exactly the columns worth entering.)
 
   /// True when basic position p currently violates a bound beyond feas_tol.
   enum class Feas { kOk, kBelow, kAbove };
@@ -105,10 +104,7 @@ class Worker {
   LpStatus iterate(bool phase1, long& iters, const Deadline& deadline) {
     int degenerate_streak = 0;
     int consecutive_recoveries = 0;
-    // Devex restarts its reference framework per phase; steepest-edge
-    // weights describe basis geometry, which phases share.
-    if (opt_.pricing == Pricing::kDevex)
-      std::fill(weights_.begin(), weights_.end(), 1.0);
+    // Steepest-edge weights describe basis geometry, which phases share.
     while (true) {
       if (++iters > opt_.core.max_iterations) return LpStatus::kIterLimit;
       if ((iters & 7) == 0 &&
@@ -298,8 +294,7 @@ class Worker {
       degenerate_streak = (t_best < 1e-10) ? degenerate_streak + 1 : 0;
 
       // Steepest edge needs tau = B^-T (B^-1 a_q) through the old factors.
-      const bool pse = !bland && opt_.pricing == Pricing::kSteepestEdge;
-      if (pse) {
+      if (!bland) {
         tau_.copyFrom(alpha_);
         bs_.lu.btranSparse(tau_);
       }
@@ -353,15 +348,11 @@ class Worker {
           const double ar = arow_[uz(j)];
           if (ar == 0.0) continue;
           const double r = ar / arq;
-          if (pse) {
-            // Forrest–Goldfarb: gamma_j' = gamma_j - 2 r (a_j . tau) + r^2
-            // gamma_q, floored at the exact lower bound 1 + r^2.
-            const double g =
-                weights_[uz(j)] - 2.0 * r * f_.columnDot(tau_.val, j) + r * r * wq;
-            weights_[uz(j)] = std::max(g, 1.0 + r * r);
-          } else {
-            weights_[uz(j)] = std::max(weights_[uz(j)], r * r * wq);
-          }
+          // Forrest–Goldfarb: gamma_j' = gamma_j - 2 r (a_j . tau) + r^2
+          // gamma_q, floored at the exact lower bound 1 + r^2.
+          const double g =
+              weights_[uz(j)] - 2.0 * r * f_.columnDot(tau_.val, j) + r * r * wq;
+          weights_[uz(j)] = std::max(g, 1.0 + r * r);
         }
         weights_[uz(leaving)] = std::max(wq / arq2, 1.0);
         ++counters_.dse_updates;
@@ -397,7 +388,7 @@ class Worker {
   BasisState bs_;
   LpCounters counters_;  ///< pivot-class counters (the factor side is in bs_)
 
-  std::vector<double> weights_;  ///< pricing reference weights (Devex or PSE)
+  std::vector<double> weights_;  ///< projected steepest-edge reference weights
   IndexedVector alpha_, rho_, tau_;  ///< hyper-sparse solve vectors
   std::vector<double> cb_, dual_;    ///< basic cost row and dual sweep (dense)
   std::vector<double> arow_;         ///< pivot-row scatter over columns (size nn)

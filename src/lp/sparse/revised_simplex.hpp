@@ -15,9 +15,8 @@
 //  * phase 1 minimizes the total bound violation of the basic variables
 //    (no artificial columns — the slack basis is always available);
 //  * projected steepest-edge pricing (Forrest–Goldfarb reference weights
-//    updated each pivot through the same FTRAN/BTRAN machinery), with Devex
-//    available as an option and Bland's rule after a run of degenerate
-//    pivots (anti-cycling);
+//    updated each pivot through the same FTRAN/BTRAN machinery), with
+//    Bland's rule after a run of degenerate pivots (anti-cycling);
 //  * FTRAN/BTRAN through the LU factors with Forrest–Tomlin updates per
 //    basis change; refactorization is stability- and fill-triggered (plus a
 //    recovery refactorization whenever the entering column's pivot
@@ -38,13 +37,6 @@
 
 namespace rfp::lp::sparse {
 
-/// Primal pricing rule of the sparse engine.
-enum class Pricing {
-  kDevex,         ///< reference-framework Devex (no extra BTRAN per pivot)
-  kSteepestEdge,  ///< projected steepest edge (one extra BTRAN per pivot,
-                  ///< usually far fewer pivots)
-};
-
 class RevisedSimplexSolver {
  public:
   struct Options {
@@ -59,7 +51,6 @@ class RevisedSimplexSolver {
     /// periodic refresh measurably beats unbounded update chains, whose
     /// accumulated drift degrades pricing quality.
     int refactor_interval = 100;
-    Pricing pricing = Pricing::kSteepestEdge;
     BasisLu::Options lu;
   };
 

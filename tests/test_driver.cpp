@@ -871,14 +871,19 @@ TEST(DriverBatch, DuplicateProblemsHitTheCacheOnTheRerun) {
     EXPECT_EQ(model::check(*ptrs[i], cold[i].plan), "") << i;
   }
 
+  // The rerun is served from the store: no hit runs an engine, so nothing
+  // new is inserted.
+  const long insertions = drv.cacheStats().insertions;
   const std::vector<SolveResponse> warm = drv.solveBatch(ptrs, req, 2);
   for (std::size_t i = 0; i < warm.size(); ++i) {
     EXPECT_TRUE(warm[i].cache_hit) << i << ": " << warm[i].detail;
+    EXPECT_EQ(warm[i].served_by, "cache") << i;
     EXPECT_EQ(warm[i].status, cold[i].status) << i;
     EXPECT_EQ(warm[i].costs.wasted_frames, cold[i].costs.wasted_frames) << i;
     EXPECT_EQ(model::check(*ptrs[i], warm[i].plan), "") << i;
   }
   EXPECT_GE(drv.cacheStats().hits, static_cast<long>(ptrs.size()));
+  EXPECT_EQ(drv.cacheStats().insertions, insertions);
 }
 
 TEST(DriverCache, RequestStopTruncatedRunsAreNeverCached) {

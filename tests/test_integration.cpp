@@ -111,6 +111,9 @@ TEST(Integration, TableTwoOrdering) {
   EXPECT_GE(r3.costs.wasted_frames, r2.costs.wasted_frames);
   EXPECT_EQ(r2.plan.placedFcCount(), 6);
   EXPECT_EQ(r3.plan.placedFcCount(), 9);
+  // Figs. 4 and 5: the SDR2 and SDR3 floorplans pass the independent checker.
+  EXPECT_EQ(model::check(sdr2, r2.plan), "");
+  EXPECT_EQ(model::check(sdr3, r3.plan), "");
 }
 
 TEST(Integration, ColumnarPartitionFeedsFormulationOnV7Style) {

@@ -1046,7 +1046,7 @@ TEST(SparseFormulation, RootRelaxationAgreesWithDenseOnGeneratedInstances) {
     const lp::Model& m = formulation.model();
 
     const lp::LpResult dense = lp::SimplexSolver().solve(m);
-    const lp::LpResult sparse = lp::sparse::RevisedSimplexSolver().solve(m);
+    const lp::LpResult sparse = lp::LpSolver().solve(m);
     ASSERT_EQ(dense.status, sparse.status) << "seed " << seed;
     if (dense.status != lp::LpStatus::kOptimal) continue;
     EXPECT_NEAR(sparse.objective, dense.objective, 1e-5 * (1 + std::abs(dense.objective)))
@@ -1061,8 +1061,11 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
   // hyper-degenerate, and dual Devex row pricing used to wander past the
   // effort budget on their node reoptimizations — tripping the give-up
   // circuit breaker and dumping the dive onto the primal fallback. With
-  // exact steepest-edge pricing (the default) a branch & bound style dive
-  // must stay on the dual fast path: every node answered, no declines.
+  // exact steepest-edge pricing a branch & bound style dive must stay on
+  // the dual fast path: every node answered, no declines. Warm reopts
+  // perturb ~1 bound, so their triangular solves must take the hyper-sparse
+  // kernel path, and the dual path must need no more iterations than the
+  // primal warm path replaying the same nodes from the same parent bases.
   Rng rng(64);
   const device::Device dev = device::virtex5FX70T();
   model::GeneratorOptions gopt;
@@ -1092,10 +1095,15 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
   }
   std::shared_ptr<const lp::sparse::Basis> basis = root.basis;
   std::vector<double> x = root.x;
-  int nodes = 0;
-  long dse_updates = 0;
-  long dual_pivots = 0;
-  while (nodes < 10) {
+  struct Node {
+    std::vector<double> lb, ub;
+    std::shared_ptr<const lp::sparse::Basis> parent;
+    lp::LpStatus status = lp::LpStatus::kIterLimit;
+    double objective = 0.0;
+  };
+  std::vector<Node> dive;
+  lp::LpCounters dual;
+  while (dive.size() < 10) {
     int frac_var = -1;
     for (int j = 0; j < m.numVars() && frac_var < 0; ++j) {
       if (m.var(j).type == lp::VarType::kContinuous) continue;
@@ -1110,21 +1118,40 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
     else
       lb[static_cast<std::size_t>(frac_var)] = std::floor(v) + 1.0;
     const std::optional<lp::LpResult> r = reopt.reoptimize(lb, ub, basis, 30);
-    ASSERT_TRUE(r.has_value()) << "node " << nodes
+    ASSERT_TRUE(r.has_value()) << "node " << dive.size()
                                << ": dual fast path declined a parent-optimal warm start";
-    ++nodes;
-    dse_updates += r->counters.dse_updates;
-    dual_pivots += r->counters.dual_pivots;
+    dive.push_back({lb, ub, basis, r->status, r->objective});
+    dual += r->counters;
     if (r->status != lp::LpStatus::kOptimal) break;  // infeasible leaf ends the dive
     EXPECT_EQ(r->counters.dual_reopts, 1);
     basis = r->basis;
     x = r->x;
   }
-  EXPECT_GE(nodes, 3) << "instance did not branch enough to exercise the dive";
+  EXPECT_GE(dive.size(), 3u) << "instance did not branch enough to exercise the dive";
   // Steepest-edge pricing must actually be running its recurrence: every
   // dual pivot applies one weight update.
-  EXPECT_EQ(dse_updates, dual_pivots);
-  EXPECT_GT(dual_pivots, 0);
+  EXPECT_EQ(dual.dse_updates, dual.dual_pivots);
+  EXPECT_GT(dual.dual_pivots, 0);
+  EXPECT_GT(dual.ftran_sparse + dual.btran_sparse, 0)
+      << "warm reopts never took the hyper-sparse FTRAN/BTRAN path";
+
+  lp::LpSolver::Options primal_opt;
+  primal_opt.dual_reopt = false;
+  const lp::LpSolver primal_warm(primal_opt);
+  lp::LpCounters primal;
+  for (std::size_t i = 0; i < dive.size(); ++i) {
+    const Node& node = dive[i];
+    const lp::LpResult r = primal_warm.solve(m, node.lb, node.ub, node.parent.get(), csc.get());
+    ASSERT_EQ(r.status, node.status) << "node " << i;
+    if (r.status == lp::LpStatus::kOptimal) {
+      EXPECT_NEAR(r.objective, node.objective, 1e-5 * (1 + std::abs(node.objective)))
+          << "node " << i;
+    }
+    primal += r.counters;
+  }
+  EXPECT_EQ(primal.dual_reopts, 0);
+  EXPECT_LE(dual.iterations, primal.iterations)
+      << "dual warm reopt needed more iterations than the primal warm path";
 }
 
 }  // namespace

@@ -33,6 +33,16 @@ TEST(Problem, SdrMatchesTableOne) {
   long total = 0;
   for (int n = 0; n < 5; ++n) total += sdr.minFrames(n);
   EXPECT_EQ(total, 4202);
+  // Per-type tile totals (Table I): 104 CLB, 5 BRAM, 11 DSP.
+  const auto tiles = [&](const char* type) {
+    const int t = dev.tileTypeId(type);
+    int sum = 0;
+    for (int n = 0; n < sdr.numRegions(); ++n) sum += sdr.region(n).required(t);
+    return sum;
+  };
+  EXPECT_EQ(tiles("CLB"), 104);
+  EXPECT_EQ(tiles("BRAM"), 5);
+  EXPECT_EQ(tiles("DSP"), 11);
   EXPECT_EQ(sdr.nets().size(), 4u);  // sequential 64-bit bus
   EXPECT_EQ(sdr.validate(), "");
 }

@@ -7,13 +7,17 @@
 #include <string>
 #include <vector>
 
+#include "baseline/annealer.hpp"
 #include "device/builders.hpp"
 #include "driver/incumbent.hpp"
 #include "model/floorplan.hpp"
+#include "model/generator.hpp"
 #include "search/candidates.hpp"
 #include "search/occupancy.hpp"
 #include "search/solver.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/metrics.hpp"
+#include "support/telemetry/trace.hpp"
 
 namespace rfp::search {
 namespace {
@@ -295,6 +299,21 @@ TEST(Solver, ParallelMatchesSerial) {
   ASSERT_EQ(b.status, SearchStatus::kOptimal);
   EXPECT_EQ(a.costs.wasted_frames, b.costs.wasted_frames);
   EXPECT_NEAR(a.costs.wire_length, b.costs.wire_length, 1e-9);
+  EXPECT_EQ(model::check(sdr2, a.plan), "");
+  EXPECT_EQ(model::check(sdr2, b.plan), "");
+
+  // Observability never changes the answer: the same 8-worker solve with
+  // tracing and metrics attached returns the same status and costs.
+  telemetry::MetricsRegistry metrics;
+  telemetry::TraceRecorder trace;
+  telemetry::Context ctx;
+  ctx.metrics = &metrics;
+  ctx.trace = &trace;
+  parallel.telemetry = &ctx;
+  const SearchResult traced = ColumnarSearchSolver(parallel).solve(sdr2);
+  EXPECT_EQ(traced.status, b.status);
+  EXPECT_EQ(traced.costs.wasted_frames, b.costs.wasted_frames);
+  EXPECT_NEAR(traced.costs.wire_length, b.costs.wire_length, 1e-9);
 }
 
 TEST(Solver, WorkStealingTelemetryIsConsistent) {
@@ -378,6 +397,45 @@ TEST(Solver, NeverReturnsAPlanWorseThanAPublishedIncumbent) {
       EXPECT_LE(got.wire_length, opt.costs.wire_length + 1e-9) << "round " << round;
     }
   }
+}
+
+TEST(Solver, SeededSearchExpandsASubsetOfTheBlindTree) {
+  // A single-threaded search seeded with an annealer incumbent starts its
+  // cutoff at that cost instead of +inf, so it can only prune more of the
+  // same deterministic tree: never more nodes than the blind search, and
+  // fewer where the incumbent is good enough to cut anything.
+  const device::Device dev = device::columnarFromPattern("gen", "CCBCCDCCCCBC", 6);
+  model::GeneratorOptions gopt;
+  gopt.num_regions = 4;
+  gopt.max_region_width = 4;
+  gopt.max_region_height = 3;
+  gopt.num_nets = 3;
+  gopt.fc_per_region = 1;
+  int instances = 0;
+  int fewer = 0;
+  for (gopt.seed = 1; instances < 3 && gopt.seed < 40; ++gopt.seed) {
+    const auto p = model::generateProblem(dev, gopt);
+    if (!p) continue;
+    baseline::AnnealerOptions aopt;
+    aopt.seed = 7;
+    aopt.iterations = 20000;
+    const auto incumbent = baseline::annealFloorplan(*p, aopt);
+    if (!incumbent) continue;
+    ++instances;
+    SearchOptions opt;
+    opt.num_threads = 1;
+    const SearchResult blind = ColumnarSearchSolver(opt).solve(*p);
+    driver::SharedIncumbent channel(*p);
+    ASSERT_TRUE(channel.publish(incumbent->plan, incumbent->costs, "annealer"));
+    opt.incumbent = &channel;
+    const SearchResult seeded = ColumnarSearchSolver(opt).solve(*p);
+    ASSERT_EQ(blind.status, SearchStatus::kOptimal) << "seed " << gopt.seed;
+    EXPECT_EQ(seeded.status, blind.status) << "seed " << gopt.seed;
+    EXPECT_LE(seeded.nodes, blind.nodes) << "seed " << gopt.seed;
+    fewer += seeded.nodes < blind.nodes ? 1 : 0;
+  }
+  ASSERT_EQ(instances, 3);
+  EXPECT_GE(fewer, 1) << "the incumbent never pruned anything";
 }
 
 /// Pinned work of one single-threaded solve: a change to the traversal, not
