@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 
 #include "support/check.hpp"
 
 namespace rfp::lp::sparse {
 
 namespace {
-
-struct Entry {
-  int row;
-  double val;
-};
 
 [[nodiscard]] std::size_t zu(int v) noexcept { return static_cast<std::size_t>(v); }
 
@@ -41,90 +37,136 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
   upd_val_.assign(zu(m), 0.0);
   upd_mark_.assign(zu(m), 0);
 
-  // Transient U rows in basis-position column references; remapped to slots
-  // and scattered into the dynamic row/column structures at the end.
-  std::vector<int> tu_start, tu_pos;
-  std::vector<double> tu_val;
+  FactorWorkspace& w = fw_;
+  w.col_beg.resize(zu(m));
+  w.col_len.assign(zu(m), 0);
+  w.col_cap.resize(zu(m));
+  w.row_beg.resize(zu(m));
+  w.row_len.assign(zu(m), 0);
+  w.row_cap.resize(zu(m));
+  w.bucket.resize(zu(m) + 1);
+  for (std::vector<int>& b : w.bucket) b.clear();
+  w.live.resize(zu(m));
+  w.rcount.assign(zu(m), 0);
+  w.visit.assign(zu(m), -1);
+  w.row_done.assign(zu(m), 0);
+  w.col_done.assign(zu(m), 0);
+  w.pristine.assign(zu(m), 1);
+  w.tiny.assign(zu(m), 0);
+  w.wval.assign(zu(m), 0.0);
+  w.wstamp.assign(zu(m), -1);
+  w.tu_start.clear();
+  w.tu_pos.clear();
+  w.tu_val.clear();
 
-  // ---- working copy of the basis matrix, column-wise -----------------------
-  // Columns are kept exact (only active rows); row patterns may carry stale
-  // position entries which are skipped lazily via col_done / membership.
-  std::vector<std::vector<Entry>> cols(zu(m));
-  std::vector<std::vector<int>> rowpat(zu(m));
-  std::vector<int> rcount(zu(m), 0);
-  for (int p = 0; p < m; ++p) {
+  // ---- working copy of the basis matrix ------------------------------------
+  // One pass sizes the column and row-pattern segments, a second fills them.
+  const auto forEachEntry = [&](int p, auto&& fn) {
     const int b = basic[zu(p)];
     if (b >= a.cols) {
-      const int r = b - a.cols;
-      RFP_CHECK_MSG(r >= 0 && r < m, "basis references slack of unknown row " << r);
-      cols[zu(p)].push_back(Entry{r, 1.0});
+      fn(b - a.cols, 1.0);
     } else {
-      RFP_CHECK_MSG(b >= 0, "basis position " << p << " is unset");
-      for (int k = a.ptr[zu(b)]; k < a.ptr[zu(b) + 1]; ++k)
-        cols[zu(p)].push_back(Entry{a.idx[zu(k)], a.val[zu(k)]});
+      for (int k = a.ptr[zu(b)]; k < a.ptr[zu(b) + 1]; ++k) fn(a.idx[zu(k)], a.val[zu(k)]);
     }
-    for (const Entry& e : cols[zu(p)]) {
-      rowpat[zu(e.row)].push_back(p);
-      ++rcount[zu(e.row)];
-    }
+  };
+  int col_total = 0;
+  for (int p = 0; p < m; ++p) {
+    const int b = basic[zu(p)];
+    RFP_CHECK_MSG(b >= 0, "basis position " << p << " is unset");
+    RFP_CHECK_MSG(b < a.cols + m, "basis references slack of unknown row " << b - a.cols);
+    w.col_beg[zu(p)] = col_total;
+    forEachEntry(p, [&](int r, double) {
+      ++w.rcount[zu(r)];
+      ++col_total;
+    });
+    w.col_cap[zu(p)] = col_total - w.col_beg[zu(p)];
+  }
+  int row_total = 0;
+  for (int r = 0; r < m; ++r) {
+    w.row_beg[zu(r)] = row_total;
+    w.row_cap[zu(r)] = w.rcount[zu(r)];
+    row_total += w.rcount[zu(r)];
+  }
+  w.col_pool.resize(zu(col_total));
+  w.row_pool.resize(zu(row_total));
+  for (int p = 0; p < m; ++p) {
+    forEachEntry(p, [&](int r, double v) {
+      w.row_pool[zu(w.row_beg[zu(r)] + w.row_len[zu(r)]++)] = PatternEntry{p, w.col_len[zu(p)]};
+      w.col_pool[zu(w.col_beg[zu(p)] + w.col_len[zu(p)]++)] = ActiveEntry{r, v};
+      if (!(std::abs(v) > opt_.drop_tol)) w.tiny[zu(p)] = 1;
+    });
+    w.live[zu(p)] = w.col_len[zu(p)];
+    w.bucket[zu(w.live[zu(p)])].push_back(p);
   }
 
-  std::vector<char> row_done(zu(m), 0);
-  std::vector<char> col_done(zu(m), 0);
-
-  // Bucket queue of candidate columns by current length; entries go stale
-  // when a column's length changes (it is re-pushed at the new length) and
-  // are skipped on pop.
-  std::vector<std::vector<int>> bucket(zu(m) + 1);
-  for (int p = 0; p < m; ++p) bucket[cols[zu(p)].size()].push_back(p);
-
-  // Scatter workspace for column updates.
-  std::vector<double> wval(zu(m), 0.0);
-  std::vector<int> wstamp(zu(m), -1);
-  std::vector<int> touched;
-  int epoch = 0;
-
-  const auto columnLen = [&](int p) { return cols[zu(p)].size(); };
+  // A column's entries, dead ones included; invalidated by pool growth.
+  const auto column = [&](int p) {
+    return std::span<ActiveEntry>(w.col_pool.data() + w.col_beg[zu(p)], zu(w.col_len[zu(p)]));
+  };
+  const auto liveLen = [&](int p) { return zu(w.live[zu(p)]); };
+  // Drops a column's dead entries, keeping the live ones in order.
+  const auto compact = [&](int p) {
+    if (w.col_len[zu(p)] == w.live[zu(p)]) return;
+    const std::span<ActiveEntry> col = column(p);
+    const auto kept = std::remove_if(col.begin(), col.end(), [&](const ActiveEntry& e) {
+      return w.row_done[zu(e.row)] != 0;
+    });
+    w.col_len[zu(p)] = static_cast<int>(kept - col.begin());
+    w.pristine[zu(p)] = 0;
+  };
+  // Appends to row r's pattern; a full segment moves to the pool's end.
+  const auto pushPattern = [&](int r, PatternEntry e) {
+    if (w.row_len[zu(r)] == w.row_cap[zu(r)]) {
+      const int beg = static_cast<int>(w.row_pool.size());
+      w.row_cap[zu(r)] = std::max(4, 2 * w.row_cap[zu(r)]);
+      w.row_pool.resize(w.row_pool.size() + zu(w.row_cap[zu(r)]));
+      std::copy_n(w.row_pool.begin() + w.row_beg[zu(r)], w.row_len[zu(r)],
+                  w.row_pool.begin() + beg);
+      w.row_beg[zu(r)] = beg;
+    }
+    w.row_pool[zu(w.row_beg[zu(r)] + w.row_len[zu(r)]++)] = e;
+  };
 
   int steps = 0;
-  std::vector<int> popped;  // candidates taken off the buckets this step
+  int epoch = 0;
   while (steps < m) {
     // ---- Markowitz pivot selection ---------------------------------------
     int best_row = -1, best_pos = -1;
     double best_val = 0.0;
     long best_cost = -1;
-    popped.clear();
+    w.popped.clear();
     int examined = 0;
     bool relaxed = false;  // second pass with the relative threshold dropped
     for (std::size_t c = 0; c <= zu(m);) {
-      if (bucket[c].empty()) {
+      if (w.bucket[c].empty()) {
         ++c;
-        if (c > zu(m) && best_pos < 0 && !relaxed && !popped.empty()) {
+        if (c > zu(m) && best_pos < 0 && !relaxed && !w.popped.empty()) {
           // Nothing met the stability threshold; retry the popped candidates
           // accepting any pivot above the absolute floor.
           relaxed = true;
           c = 0;
-          for (const int p : popped) bucket[columnLen(p)].push_back(p);
-          popped.clear();
+          for (const int p : w.popped) w.bucket[liveLen(p)].push_back(p);
+          w.popped.clear();
         }
         continue;
       }
-      const int p = bucket[c].back();
-      bucket[c].pop_back();
-      if (col_done[zu(p)] || columnLen(p) != c) continue;  // stale
+      const int p = w.bucket[c].back();
+      w.bucket[c].pop_back();
+      if (w.col_done[zu(p)] || liveLen(p) != c) continue;  // stale
       if (c == 0) continue;  // structurally empty: left for the deficiency report
-      popped.push_back(p);
+      w.popped.push_back(p);
+      compact(p);
       double colmax = 0.0;
-      for (const Entry& e : cols[zu(p)]) colmax = std::max(colmax, std::abs(e.val));
+      for (const ActiveEntry& e : column(p)) colmax = std::max(colmax, std::abs(e.val));
       const double floor =
           std::max(opt_.abs_pivot_tol, relaxed ? 0.0 : opt_.rel_pivot_tol * colmax);
       int cand_row = -1;
       double cand_val = 0.0;
       long cand_cost = -1;
-      for (const Entry& e : cols[zu(p)]) {
+      for (const ActiveEntry& e : column(p)) {
         if (std::abs(e.val) < floor) continue;
         const long cost =
-            (static_cast<long>(c) - 1) * (static_cast<long>(rcount[zu(e.row)]) - 1);
+            (static_cast<long>(c) - 1) * (static_cast<long>(w.rcount[zu(e.row)]) - 1);
         if (cand_row < 0 || cost < cand_cost ||
             (cost == cand_cost && std::abs(e.val) > std::abs(cand_val))) {
           cand_row = e.row;
@@ -145,92 +187,111 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
       }
     }
     // Unchosen candidates return to the queue for later steps.
-    for (const int p : popped)
-      if (p != best_pos) bucket[columnLen(p)].push_back(p);
+    for (const int p : w.popped)
+      if (p != best_pos) w.bucket[liveLen(p)].push_back(p);
     if (best_pos < 0) break;  // remaining submatrix is (numerically) singular
 
     // ---- elimination step -------------------------------------------------
     const int pi = best_row, pj = best_pos;
     const double pivval = best_val;
-    row_done[zu(pi)] = 1;
-    col_done[zu(pj)] = 1;
+    w.row_done[zu(pi)] = 1;  // every entry of row pi is dead from here on
+    w.col_done[zu(pj)] = 1;
     pivot_row_.push_back(pi);
     pivot_pos_.push_back(pj);
     diag_.push_back(pivval);
 
-    // L multipliers from the pivot column.
+    // L multipliers from the pivot column's live entries.
     const int l_first = static_cast<int>(l_row_.size());
     l_start_.push_back(l_first);
-    for (const Entry& e : cols[zu(pj)]) {
-      if (e.row == pi) continue;
+    for (const ActiveEntry& e : column(pj)) {
+      if (w.row_done[zu(e.row)]) continue;
       l_row_.push_back(e.row);
       l_val_.push_back(e.val / pivval);
-      --rcount[zu(e.row)];
+      --w.rcount[zu(e.row)];
     }
     const int l_last = static_cast<int>(l_row_.size());
-    cols[zu(pj)].clear();
 
-    // U row: remaining entries of the pivot row, with column updates.
-    tu_start.push_back(static_cast<int>(tu_pos.size()));
-    for (const int jp : rowpat[zu(pi)]) {
-      if (jp == pj || col_done[zu(jp)]) continue;
-      std::vector<Entry>& col = cols[zu(jp)];
-      double upv = 0.0;
-      bool found = false;
-      for (const Entry& e : col)
-        if (e.row == pi) {
-          upv = e.val;
-          found = true;
-          break;
-        }
-      if (!found) continue;   // stale pattern entry (cancelled earlier)
-      tu_pos.push_back(jp);   // stores positions; remapped to slots below
-      tu_val.push_back(upv);
+    // U row: the pivot row's entries in the other active columns. Without L
+    // multipliers a column only loses its now-dead pivot-row entry; with
+    // them it is rewritten as col - upv * L.
+    w.tu_start.push_back(static_cast<int>(w.tu_pos.size()));
+    const int pat_end = w.row_beg[zu(pi)] + w.row_len[zu(pi)];
+    for (int t = w.row_beg[zu(pi)]; t < pat_end; ++t) {
+      const PatternEntry pe = w.row_pool[zu(t)];
+      const int jp = pe.pos;
+      if (jp == pj || w.col_done[zu(jp)] || w.visit[zu(jp)] == steps) continue;
+      w.visit[zu(jp)] = steps;  // a refilled entry lists its column twice
+      const std::span<ActiveEntry> col = column(jp);
+      int at = pe.at;
+      if (!w.pristine[zu(jp)]) {
+        at = -1;
+        for (std::size_t k = 0; k < col.size() && at < 0; ++k)
+          if (col[k].row == pi) at = static_cast<int>(k);
+        if (at < 0) continue;  // cancelled by an earlier elimination
+      }
+      const double upv = col[zu(at)].val;
+      w.tu_pos.push_back(jp);  // stores positions; remapped to slots below
+      w.tu_val.push_back(upv);
 
-      // col := col - upv * (L multipliers), dropping the pivot row entry.
-      ++epoch;
-      touched.clear();
-      for (const Entry& e : col) {
-        if (e.row == pi) continue;
-        wval[zu(e.row)] = e.val;
-        wstamp[zu(e.row)] = epoch;
-        touched.push_back(e.row);
-      }
-      for (int t = l_first; t < l_last; ++t) {
-        const int r = l_row_[zu(t)];
-        const double delta = l_val_[zu(t)] * upv;
-        if (wstamp[zu(r)] == epoch) {
-          wval[zu(r)] -= delta;
-        } else {
-          wstamp[zu(r)] = epoch;
-          wval[zu(r)] = -delta;
-          touched.push_back(r);
-          rowpat[zu(r)].push_back(jp);
-          ++rcount[zu(r)];
+      if (l_first == l_last && !w.tiny[zu(jp)]) {
+        --w.live[zu(jp)];
+      } else {
+        // col := col - upv * (L multipliers), over the live entries.
+        ++epoch;
+        w.touched.clear();
+        for (const ActiveEntry& e : col) {
+          if (w.row_done[zu(e.row)]) continue;
+          w.wval[zu(e.row)] = e.val;
+          w.wstamp[zu(e.row)] = epoch;
+          w.touched.push_back(e.row);
         }
+        for (int l = l_first; l < l_last; ++l) {
+          const int r = l_row_[zu(l)];
+          const double delta = l_val_[zu(l)] * upv;
+          if (w.wstamp[zu(r)] == epoch) {
+            w.wval[zu(r)] -= delta;
+          } else {
+            w.wstamp[zu(r)] = epoch;
+            w.wval[zu(r)] = -delta;
+            w.touched.push_back(r);
+            pushPattern(r, PatternEntry{jp, -1});
+            ++w.rcount[zu(r)];
+          }
+        }
+        if (w.touched.size() > zu(w.col_cap[zu(jp)])) {
+          // Outgrows its segment: move to the pool's end.
+          w.col_beg[zu(jp)] = static_cast<int>(w.col_pool.size());
+          w.col_cap[zu(jp)] = static_cast<int>(w.touched.size());
+          w.col_pool.resize(w.col_pool.size() + w.touched.size());
+        }
+        ActiveEntry* out = w.col_pool.data() + w.col_beg[zu(jp)];
+        int len = 0;
+        for (const int r : w.touched) {
+          const double v = w.wval[zu(r)];
+          if (std::abs(v) > opt_.drop_tol)
+            out[len++] = ActiveEntry{r, v};
+          else
+            --w.rcount[zu(r)];  // cancelled out
+        }
+        w.col_len[zu(jp)] = len;
+        w.live[zu(jp)] = len;
+        w.pristine[zu(jp)] = 0;
+        w.tiny[zu(jp)] = 0;
       }
-      col.clear();
-      for (const int r : touched) {
-        const double v = wval[zu(r)];
-        if (std::abs(v) > opt_.drop_tol)
-          col.push_back(Entry{r, v});
-        else
-          --rcount[zu(r)];  // cancelled out
-      }
-      bucket[col.size()].push_back(jp);
+      w.bucket[liveLen(jp)].push_back(jp);
     }
     ++steps;
   }
 
   if (steps < m) {
     for (int p = 0; p < m; ++p)
-      if (!col_done[zu(p)]) deficient_pos_.push_back(p);
+      if (!w.col_done[zu(p)]) deficient_pos_.push_back(p);
     for (int r = 0; r < m; ++r)
-      if (!row_done[zu(r)]) unpivoted_rows_.push_back(r);
+      if (!w.row_done[zu(r)]) unpivoted_rows_.push_back(r);
     return false;
   }
   l_start_.push_back(static_cast<int>(l_row_.size()));
-  tu_start.push_back(static_cast<int>(tu_pos.size()));
+  w.tu_start.push_back(static_cast<int>(w.tu_pos.size()));
 
   // ---- freeze the factorization into slot structures -----------------------
   // Slot k = elimination step k; the initial order is the identity.
@@ -242,13 +303,16 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
     order_pos_[zu(k)] = k;
     pos_to_slot_[zu(pivot_pos_[zu(k)])] = k;
   }
-  u_rows_.assign(zu(m), {});
-  u_cols_.assign(zu(m), {});
-  u_nnz_ = static_cast<long>(tu_pos.size());
+  u_rows_.resize(zu(m));
+  u_cols_.resize(zu(m));
+  for (std::vector<UEntry>& row : u_rows_) row.clear();
+  for (std::vector<UEntry>& col : u_cols_) col.clear();
+  u_nnz_ = static_cast<long>(w.tu_pos.size());
   for (int k = 0; k < m; ++k) {
-    for (int t = tu_start[zu(k)]; t < tu_start[zu(k) + 1]; ++t) {
-      const int cslot = pos_to_slot_[zu(tu_pos[zu(t)])];
-      const double v = tu_val[zu(t)];
+    u_rows_[zu(k)].reserve(zu(w.tu_start[zu(k) + 1] - w.tu_start[zu(k)]));
+    for (int t = w.tu_start[zu(k)]; t < w.tu_start[zu(k) + 1]; ++t) {
+      const int cslot = pos_to_slot_[zu(w.tu_pos[zu(t)])];
+      const double v = w.tu_val[zu(t)];
       u_rows_[zu(k)].push_back(UEntry{cslot, v});
       u_cols_[zu(cslot)].push_back(UEntry{k, v});
     }

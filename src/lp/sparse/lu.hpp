@@ -8,6 +8,20 @@
 // which Markowitz eliminates first with zero fill, so the factor stays near
 // the size of the basic structural columns.
 //
+// Cost model: factorize takes time proportional to B's nonzeros plus the
+// arithmetic of its genuine eliminations. A pivot whose column has no other
+// active entry (every slack pivot) computes nothing, so it rewrites no
+// other column; the pivot row's entries just die in place. A done row marks
+// its entries dead, a per-column live count drives the buckets and the
+// Markowitz cost, and candidate scans, L multipliers and real eliminations
+// skip dead entries in the order they always had (a candidate scan
+// compacts them away). The pivot row's value in a column no elimination
+// has rewritten yet is found in O(1) through the index stored with its
+// row-pattern entry. Pivot choices and arithmetic are those of eager
+// elimination, so L and U are bit-identical to it. Columns and row
+// patterns live in two pooled arrays of a member workspace, so the active
+// submatrix costs a few allocations, and refactorizations reuse them.
+//
 // Between refactorizations the basis changes one column at a time.
 // `updateColumn` applies the Forrest–Tomlin update: the spiked column
 // (captured during the entering column's FTRAN, after the L and row-eta
@@ -195,6 +209,51 @@ class BasisLu {
   int update_count_ = 0;
 
   std::vector<int> deficient_pos_, unpivoted_rows_;
+
+  // Active submatrix while `factorize` runs; kept between calls so that
+  // refactorizations reuse its allocations.
+  struct ActiveEntry {
+    int row;
+    double val;
+  };
+  struct PatternEntry {
+    int pos;  ///< basis position (column) holding an entry in this row
+    int at;   ///< the entry's index in that column while it is pristine
+  };
+  struct FactorWorkspace {
+    /// Per position: entries in order, in segments of one pool. Entries of
+    /// done rows are dead and linger until a rewrite or a candidate scan
+    /// compacts the column; a rewrite that outgrows its segment moves the
+    /// column to the pool's end.
+    std::vector<ActiveEntry> col_pool;
+    std::vector<int> col_beg, col_len, col_cap;
+    /// Per row: columns that held an entry there, in arrival order, in
+    /// segments of one pool (a full segment moves to the pool's end). May
+    /// list a column whose entry was cancelled, or list it twice when that
+    /// entry was later refilled.
+    std::vector<PatternEntry> row_pool;
+    std::vector<int> row_beg, row_len, row_cap;
+    /// Candidate columns by live count; entries go stale when the count
+    /// changes (the column is re-pushed at the new count) and are skipped.
+    std::vector<std::vector<int>> bucket;
+    std::vector<int> live;    ///< per position: entries in active rows
+    std::vector<int> rcount;  ///< per row: entries in active columns
+    std::vector<int> visit;   ///< per position: last step that visited it
+    std::vector<char> row_done, col_done;
+    /// Per position: no elimination has rewritten or compacted the column,
+    /// so PatternEntry::at still indexes it.
+    std::vector<char> pristine;
+    /// Per position: holds an entry at or below drop_tol, which the first
+    /// rewrite drops, so even a no-arithmetic pivot must rewrite it.
+    std::vector<char> tiny;
+    std::vector<double> wval;  ///< scatter values for a column rewrite
+    std::vector<int> wstamp, touched, popped;
+    /// U rows in basis-position column references, remapped to slots once
+    /// the elimination finishes.
+    std::vector<int> tu_start, tu_pos;
+    std::vector<double> tu_val;
+  };
+  FactorWorkspace fw_;
 
   // Hyper-sparse reachability structures, static between refactorizations.
   std::vector<int> row_to_slot_;         ///< matrix row -> slot pivoting it

@@ -4,7 +4,9 @@
 // bound checked against brute-force enumeration and warm-vs-cold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "device/builders.hpp"
 #include "fp/formulation.hpp"
@@ -46,6 +48,24 @@ std::vector<double> multiplyBasis(const CscMatrix& a, const std::vector<int>& ba
     }
   }
   return y;
+}
+
+/// Dense B^T y: entry p is column p of B (per `basic`) dotted with `y`.
+std::vector<double> multiplyBasisTransposed(const CscMatrix& a, const std::vector<int>& basic,
+                                            const std::vector<double>& y) {
+  std::vector<double> out(static_cast<std::size_t>(a.rows), 0.0);
+  for (int p = 0; p < a.rows; ++p) {
+    const int b = basic[static_cast<std::size_t>(p)];
+    double& dot = out[static_cast<std::size_t>(p)];
+    if (b >= a.cols) {
+      dot = y[static_cast<std::size_t>(b - a.cols)];
+    } else {
+      for (int k = a.ptr[static_cast<std::size_t>(b)]; k < a.ptr[static_cast<std::size_t>(b) + 1]; ++k)
+        dot += a.val[static_cast<std::size_t>(k)] *
+               y[static_cast<std::size_t>(a.idx[static_cast<std::size_t>(k)])];
+    }
+  }
+  return out;
 }
 
 Model randomSparseModel(Rng& rng, int n, int rows) {
@@ -105,17 +125,10 @@ TEST(SparseLu, FtranBtranSolveRandomBases) {
     for (double& v : c) v = static_cast<double>(rng.nextInt(-9, 9));
     std::vector<double> y = c;
     lu.btran(y);
-    for (int p = 0; p < rows; ++p) {
-      const int col = basic[static_cast<std::size_t>(p)];
-      double dot = 0.0;
-      if (col >= a.cols) {
-        dot = y[static_cast<std::size_t>(col - a.cols)];
-      } else {
-        for (int k = a.ptr[static_cast<std::size_t>(col)]; k < a.ptr[static_cast<std::size_t>(col) + 1]; ++k)
-          dot += a.val[static_cast<std::size_t>(k)] * y[static_cast<std::size_t>(a.idx[static_cast<std::size_t>(k)])];
-      }
-      EXPECT_NEAR(dot, c[static_cast<std::size_t>(p)], 1e-7) << "trial " << trial << " pos " << p;
-    }
+    const std::vector<double> bty = multiplyBasisTransposed(a, basic, y);
+    for (int p = 0; p < rows; ++p)
+      EXPECT_NEAR(bty[static_cast<std::size_t>(p)], c[static_cast<std::size_t>(p)], 1e-7)
+          << "trial " << trial << " pos " << p;
   }
 }
 
@@ -308,6 +321,149 @@ TEST(SparseLu, HyperSparseSolvesMatchDenseAcrossFtUpdates) {
   const BasisLu::SolveStats& ss = lu.solveStats();
   EXPECT_GT(ss.ftran_sparse, 0);
   EXPECT_GT(ss.btran_sparse, 0);
+}
+
+/// FNV-1a over the bit patterns of solve outputs: pins results exactly.
+struct BitHash {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const std::vector<double>& v) {
+    for (const double d : v) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &d, sizeof bits);
+      add(bits);
+    }
+  }
+};
+
+struct BasisCase {
+  CscMatrix a;
+  std::vector<int> basic;
+};
+
+/// A basis shaped like the floorplanning ones: every position outside a
+/// random `nucleus`-row set holds its row's slack, the nucleus positions
+/// hold structural columns. Each structural column is long — `spread`
+/// random rows outside the nucleus with big-M style values, all retired by
+/// slack pivots — plus `density_pct`% of the nucleus rows with integers in
+/// [-vmax, vmax], whose exact arithmetic lets fill cancel to 0.0 and be
+/// refilled by a later pivot. `tiny` adds entries below the LU drop
+/// tolerance, which the factorization keeps until it rewrites their column.
+BasisCase slackHeavyBasis(Rng& rng, int m, int nucleus, int spread, int density_pct, int vmax,
+                          bool tiny) {
+  std::vector<int> rows(static_cast<std::size_t>(m));
+  for (int r = 0; r < m; ++r) rows[static_cast<std::size_t>(r)] = r;
+  for (int r = m - 1; r > 0; --r)
+    std::swap(rows[static_cast<std::size_t>(r)],
+              rows[rng.nextBelow(static_cast<std::uint64_t>(r) + 1)]);
+  std::vector<char> in_nucleus(static_cast<std::size_t>(m), 0);
+  for (int k = 0; k < nucleus; ++k) in_nucleus[static_cast<std::size_t>(rows[static_cast<std::size_t>(k)])] = 1;
+
+  BasisCase c;
+  c.a.rows = m;
+  c.a.cols = nucleus;
+  c.a.ptr.push_back(0);
+  for (int j = 0; j < nucleus; ++j) {
+    std::vector<double> col(static_cast<std::size_t>(m), 0.0);
+    for (int k = 0; k < nucleus; ++k)
+      if (static_cast<int>(rng.nextBelow(100)) < density_pct || k == j)
+        col[static_cast<std::size_t>(rows[static_cast<std::size_t>(k)])] =
+            static_cast<double>(rng.nextBool(0.5) ? rng.nextInt(1, vmax) : -rng.nextInt(1, vmax));
+    for (int t = 0; t < spread; ++t) {
+      const int r = rows[static_cast<std::size_t>(nucleus) +
+                         rng.nextBelow(static_cast<std::uint64_t>(m - nucleus))];
+      col[static_cast<std::size_t>(r)] =
+          rng.nextBool(0.5) ? 1000.0 * static_cast<double>(rng.nextInt(1, 9)) : -1.0;
+    }
+    if (tiny && j % 3 == 0) {
+      col[static_cast<std::size_t>(rows[static_cast<std::size_t>(nucleus) + static_cast<std::size_t>(j)])] = 1e-14;
+      const int k = static_cast<int>(rng.nextBelow(static_cast<std::uint64_t>(nucleus)));
+      if (col[static_cast<std::size_t>(rows[static_cast<std::size_t>(k)])] == 0.0)
+        col[static_cast<std::size_t>(rows[static_cast<std::size_t>(k)])] = -1e-14;
+    }
+    for (int r = 0; r < m; ++r) {
+      if (col[static_cast<std::size_t>(r)] == 0.0) continue;
+      c.a.idx.push_back(r);
+      c.a.val.push_back(col[static_cast<std::size_t>(r)]);
+    }
+    c.a.ptr.push_back(static_cast<int>(c.a.idx.size()));
+  }
+  c.basic.resize(static_cast<std::size_t>(m));
+  for (int p = 0; p < m; ++p) c.basic[static_cast<std::size_t>(p)] = nucleus + p;
+  for (int j = 0; j < nucleus; ++j) c.basic[static_cast<std::size_t>(rows[static_cast<std::size_t>(j)])] = j;
+  return c;
+}
+
+TEST(SparseLu, FactorsMatchPinnedBitPatterns) {
+  // The factorization's pivot sequence and arithmetic are pinned: FTRAN and
+  // BTRAN of fixed vectors must reproduce these bit patterns exactly, and
+  // the factors these nonzero counts. Any change to the Markowitz choices,
+  // the elimination order or the drop rule moves the hash, so a faster
+  // factorize must leave every downstream simplex pivot unchanged.
+  Rng rng(1990);
+  BitHash hash;
+  long nonzeros = 0;
+  int singular = 0;
+  const auto pin = [&](BasisCase c) {
+    const int m = c.a.rows;
+    BasisLu lu;
+    if (!lu.factorize(c.a, c.basic)) {
+      ++singular;
+      ASSERT_EQ(lu.deficientPositions().size(), lu.unpivotedRows().size());
+      for (std::size_t i = 0; i < lu.deficientPositions().size(); ++i) {
+        hash.add(static_cast<std::uint64_t>(lu.deficientPositions()[i]));
+        hash.add(static_cast<std::uint64_t>(lu.unpivotedRows()[i]));
+        c.basic[static_cast<std::size_t>(lu.deficientPositions()[i])] =
+            c.a.cols + lu.unpivotedRows()[i];
+      }
+      ASSERT_TRUE(lu.factorize(c.a, c.basic));
+    }
+    nonzeros += lu.factorNonzeros();
+    for (const int unit : {0, m / 2, m - 1}) {
+      std::vector<double> e(static_cast<std::size_t>(m), 0.0);
+      e[static_cast<std::size_t>(unit)] = 1.0;
+      std::vector<double> f = e, b = e;
+      lu.ftran(f);
+      lu.btran(b);
+      hash.add(f);
+      hash.add(b);
+    }
+    std::vector<double> d(static_cast<std::size_t>(m));
+    for (int i = 0; i < m; ++i) d[static_cast<std::size_t>(i)] = (i % 7) - 3 + 0.25 * (i % 3);
+    std::vector<double> f = d, b = d;
+    lu.ftran(f);
+    lu.btran(b);
+    hash.add(f);
+    hash.add(b);
+    const std::vector<double> back = multiplyBasis(c.a, c.basic, f);
+    for (int i = 0; i < m; ++i)
+      EXPECT_NEAR(back[static_cast<std::size_t>(i)], d[static_cast<std::size_t>(i)], 1e-6);
+  };
+  for (int s = 0; s < 6; ++s) pin(slackHeavyBasis(rng, 400, 24, 150, 20, 3, s % 2 == 0));
+  for (int s = 0; s < 40; ++s) {
+    BasisCase c = slackHeavyBasis(rng, 60, 20, 10, 45, 3, s % 4 == 0);
+    if (s % 5 == 1) {
+      // A repeated structural column: singular, pins the deficiency report.
+      const auto first = std::find_if(c.basic.begin(), c.basic.end(),
+                                      [&](int b) { return b < c.a.cols; });
+      const auto second = std::find_if(first + 1, c.basic.end(),
+                                       [&](int b) { return b < c.a.cols; });
+      *second = *first;
+    }
+    pin(std::move(c));
+  }
+  // +-1 nuclei: cancellations also empty columns down to singletons, so a
+  // pivot without arithmetic can meet a row that lists a refilled column
+  // twice.
+  for (int s = 0; s < 300; ++s) pin(slackHeavyBasis(rng, 42, 16, 10, 28, 1, false));
+  EXPECT_EQ(hash.h, 0x274a994b8591c8bfULL);
+  EXPECT_EQ(nonzeros, 118345L);
+  EXPECT_EQ(singular, 13);
 }
 
 TEST(SparseLu, SteepestEdgeRecurrenceMatchesFromScratchRowNorms) {
@@ -1152,6 +1308,77 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
   EXPECT_EQ(primal.dual_reopts, 0);
   EXPECT_LE(dual.iterations, primal.iterations)
       << "dual warm reopt needed more iterations than the primal warm path";
+}
+
+TEST(SparseFormulation, Sdr2BasesFactorizeWithSmallResiduals) {
+  // Paper scale for the LU kernel: bases of the SDR2 MILP-O formulation
+  // (~40k rows, big-M structural columns hundreds of entries long). The
+  // cold root's optimal basis, then seeded mixes of the longest structural
+  // columns into the slack basis, each at one of its own rows; singular
+  // mixes are repaired as the simplex would. FTRAN and BTRAN must solve
+  // B x = b and B^T y = c to small residuals.
+  const device::Device dev = device::virtex5FX70T();
+  const auto part = partition::columnarPartition(dev);
+  ASSERT_TRUE(part.has_value());
+  model::FloorplanProblem sdr = model::makeSdrProblem(dev);
+  model::addSdrRelocations(sdr, 2);
+  const fp::MilpFormulation form(sdr, *part, {});
+  const lp::Model& m = form.model();
+  const lp::sparse::CscMatrix a = lp::sparse::CscMatrix::fromModel(m);
+  const int rows = a.rows;
+
+  Rng rng(2);
+  const auto residuals = [&](std::vector<int> basic, const std::string& what) {
+    lp::sparse::BasisLu lu;
+    if (!lu.factorize(a, basic)) {
+      ASSERT_EQ(lu.deficientPositions().size(), lu.unpivotedRows().size()) << what;
+      for (std::size_t i = 0; i < lu.deficientPositions().size(); ++i)
+        basic[static_cast<std::size_t>(lu.deficientPositions()[i])] =
+            a.cols + lu.unpivotedRows()[i];
+      ASSERT_TRUE(lu.factorize(a, basic)) << what;
+    }
+    std::vector<double> b(static_cast<std::size_t>(rows)), c(b.size());
+    for (double& v : b) v = static_cast<double>(rng.nextInt(-9, 9));
+    for (double& v : c) v = static_cast<double>(rng.nextInt(-9, 9));
+    std::vector<double> x = b, y = c;
+    lu.ftran(x);
+    lu.btran(y);
+    const std::vector<double> bx = lp::multiplyBasis(a, basic, x);
+    const std::vector<double> bty = lp::multiplyBasisTransposed(a, basic, y);
+    double worst_ftran = 0.0, worst_btran = 0.0;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      worst_ftran = std::max(worst_ftran, std::abs(bx[i] - b[i]));
+      worst_btran = std::max(worst_btran, std::abs(bty[i] - c[i]));
+    }
+    EXPECT_LE(worst_ftran, 1e-6) << what << ": ||Bx - b||_inf";
+    EXPECT_LE(worst_btran, 1e-6) << what << ": ||B^T y - c||_inf";
+  };
+
+  const lp::LpResult root = lp::LpSolver().solve(m);
+  ASSERT_EQ(root.status, lp::LpStatus::kOptimal);
+  ASSERT_NE(root.basis, nullptr);
+  residuals(root.basis->basic, "cold root basis");
+
+  // The longest structural columns: the big-M rows of the formulation.
+  std::vector<int> by_length(static_cast<std::size_t>(a.cols));
+  for (int j = 0; j < a.cols; ++j) by_length[static_cast<std::size_t>(j)] = j;
+  const auto length = [&](int j) {
+    return a.ptr[static_cast<std::size_t>(j) + 1] - a.ptr[static_cast<std::size_t>(j)];
+  };
+  std::stable_sort(by_length.begin(), by_length.end(),
+                   [&](int i, int j) { return length(i) > length(j); });
+  by_length.resize(by_length.size() / 4);
+  for (const int mix : {64, 256, 512}) {
+    std::vector<int> basic(static_cast<std::size_t>(rows));
+    for (int p = 0; p < rows; ++p) basic[static_cast<std::size_t>(p)] = a.cols + p;
+    for (int t = 0; t < mix; ++t) {
+      const int j = by_length[rng.nextBelow(by_length.size())];
+      const int k = a.ptr[static_cast<std::size_t>(j)] +
+                    static_cast<int>(rng.nextBelow(static_cast<std::uint64_t>(length(j))));
+      basic[static_cast<std::size_t>(a.idx[static_cast<std::size_t>(k)])] = j;
+    }
+    residuals(basic, "mix of " + std::to_string(mix) + " big-M columns");
+  }
 }
 
 }  // namespace
