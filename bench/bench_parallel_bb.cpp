@@ -77,23 +77,19 @@ RunFigures runSearch(const model::FloorplanProblem& problem, int threads,
   const search::SearchResult res = search::ColumnarSearchSolver(opt).solve(problem);
   RunFigures f;
   f.threads = threads;
-  f.status = search::toString(res.status);
+  f.status = model::toString(res.status);
   f.seconds = watch.seconds();
   f.nodes = res.nodes;
-  f.steals = res.steals;
+  f.steals = totalSteals(res.workers);
   f.nodes_per_sec = f.seconds > 0 ? static_cast<double>(res.nodes) / f.seconds : 0.0;
   if (res.hasSolution()) {
     f.cost_primary = res.costs.wasted_frames;
     f.cost_secondary = res.costs.wire_length;
     f.checker_ok = model::check(problem, res.plan).empty();
   }
-  long wnodes = 0, wsteals = 0;
-  for (const search::SearchWorkerStats& w : res.workers) {
-    wnodes += w.nodes;
-    wsteals += w.steals;
-  }
-  f.telemetry_ok = static_cast<int>(res.workers.size()) == threads && wnodes == res.nodes &&
-                   wsteals == res.steals;
+  long wnodes = 0;
+  for (const WorkerStats& w : res.workers) wnodes += w.nodes;
+  f.telemetry_ok = static_cast<int>(res.workers.size()) == threads && wnodes == res.nodes;
   return f;
 }
 
@@ -133,17 +129,13 @@ RunFigures runMilp(const std::vector<lp::Model>& models, int threads,
     opt.threads = threads;
     const milp::MipResult res = milp::MilpSolver(opt).solve(m);
     f.nodes += res.nodes;
-    f.steals += res.steals;
+    f.steals += totalSteals(res.workers);
     if (statuses) statuses->push_back(milp::toString(res.status));
     if (objectives) objectives->push_back(res.status == milp::MipStatus::kOptimal ? res.objective : 0.0);
     if (res.status == milp::MipStatus::kOptimal) f.cost_secondary += res.objective;
-    long wnodes = 0, wsteals = 0;
-    for (const milp::MipWorkerStats& w : res.workers) {
-      wnodes += w.nodes;
-      wsteals += w.steals;
-    }
-    if (static_cast<int>(res.workers.size()) != threads || wnodes != res.nodes ||
-        wsteals != res.steals)
+    long wnodes = 0;
+    for (const WorkerStats& w : res.workers) wnodes += w.nodes;
+    if (static_cast<int>(res.workers.size()) != threads || wnodes != res.nodes)
       f.telemetry_ok = false;
   }
   f.seconds = watch.seconds();

@@ -43,13 +43,13 @@ forbidden 8 4 2 2 hardblock
   options.num_threads = 4;
   const search::SearchResult result = search::ColumnarSearchSolver(options).solve(problem);
   if (!result.hasSolution()) {
-    std::printf("no feasible floorplan: %s\n", search::toString(result.status));
+    std::printf("no feasible floorplan: %s\n", model::toString(result.status));
     return 1;
   }
 
   // 4. Inspect and independently verify the result.
   std::printf("status=%s wasted_frames=%ld wire_length=%.1f (%.3fs, %ld nodes)\n\n",
-              search::toString(result.status), result.costs.wasted_frames,
+              model::toString(result.status), result.costs.wasted_frames,
               result.costs.wire_length, result.seconds, result.nodes);
   std::printf("%s\n", render::ascii(problem, result.plan).c_str());
   const std::string check_error = model::check(problem, result.plan);

@@ -35,7 +35,7 @@ int main() {
     opt.waste_budget = 1500;
     const search::SearchResult res = search::ColumnarSearchSolver(opt).solve(p);
     if (!res.hasSolution()) {
-      std::printf("%6.2f | (no solution: %s)\n", q4, search::toString(res.status));
+      std::printf("%6.2f | (no solution: %s)\n", q4, model::toString(res.status));
       continue;
     }
     std::printf("%6.2f | %4d /15 | %12ld | %10.2f\n", q4, res.plan.placedFcCount(),

@@ -230,11 +230,11 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
       std::printf("  %-28s %.6g\n", name.c_str(), value);
   }
   if (!res.hasSolution()) {
-    std::printf("no solution: %s (%s)\n", driver::toString(res.status), res.detail.c_str());
+    std::printf("no solution: %s (%s)\n", model::toString(res.status), res.detail.c_str());
     return 1;
   }
   std::printf("solver=%s status=%s nodes=%ld time=%.2fs\n", driver::toString(res.backend),
-              driver::toString(res.status), res.nodes, res.seconds);
+              model::toString(res.status), res.nodes, res.seconds);
   if (res.lp.solves > 0) {
     std::printf("lp:");
     for (const lp::LpCounterField& f : lp::kLpCounterFields)
@@ -245,8 +245,9 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
     std::printf("\n");
   }
   if (!res.workers.empty()) {
-    std::printf("parallel: workers=%zu steals=%ld\n", res.workers.size(), res.steals);
-    for (const driver::SolveWorkerStats& s : res.workers)
+    std::printf("parallel: workers=%zu steals=%ld\n", res.workers.size(),
+                totalSteals(res.workers));
+    for (const WorkerStats& s : res.workers)
       std::printf("  worker %2d: nodes=%ld steals=%ld stolen=%ld idle=%.2fs\n", s.id, s.nodes,
                   s.steals, s.stolen, s.idle_seconds);
   }
@@ -271,8 +272,8 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
   for (const driver::PortfolioMemberStats& m : res.members)
     std::printf("member: %-9s stage=%d status=%-11s nodes=%ld time=%.2fs published=%ld "
                 "adopted=%ld cutoff-prunes=%ld\n",
-                driver::toString(m.backend), m.stage, driver::toString(m.status), m.nodes,
-                m.seconds, m.published, m.adopted, m.cutoff_prunes);
+                driver::toString(m.backend), m.stage, model::toString(m.status), m.nodes,
+                m.seconds, m.exchange.published, m.exchange.adopted, m.exchange.cutoff_prunes);
   std::printf("wasted_frames=%ld wire_length=%.1f fc_areas=%d/%d\n\n", res.costs.wasted_frames,
               res.costs.wire_length, res.plan.placedFcCount(), problem.totalFcAreas());
   std::printf("%s", render::ascii(problem, res.plan).c_str());

@@ -31,7 +31,7 @@ int main() {
   sopt.num_threads = 8;
   const search::SearchResult sol = search::ColumnarSearchSolver(sopt).solve(sdr2);
   if (!sol.hasSolution()) {
-    std::printf("floorplanning failed: %s\n", search::toString(sol.status));
+    std::printf("floorplanning failed: %s\n", model::toString(sol.status));
     return 1;
   }
   std::printf("SDR2 floorplan: %d free-compatible areas, %ld wasted frames\n\n",

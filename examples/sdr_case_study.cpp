@@ -40,7 +40,7 @@ int main() {
     if (fc_per_region > 0) model::addSdrRelocations(p, fc_per_region);
     const search::SearchResult res = solver.solve(p);
     std::printf("%-5s status=%-9s wasted_frames=%4ld wire_length=%7.1f fc_areas=%d\n", name,
-                search::toString(res.status), res.costs.wasted_frames, res.costs.wire_length,
+                model::toString(res.status), res.costs.wasted_frames, res.costs.wire_length,
                 res.hasSolution() ? res.plan.placedFcCount() : 0);
     return res;
   };

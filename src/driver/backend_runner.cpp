@@ -14,26 +14,6 @@ namespace rfp::driver::detail {
 
 namespace {
 
-SolveStatus fromSearch(search::SearchStatus s) noexcept {
-  switch (s) {
-    case search::SearchStatus::kOptimal: return SolveStatus::kOptimal;
-    case search::SearchStatus::kFeasible: return SolveStatus::kFeasible;
-    case search::SearchStatus::kInfeasible: return SolveStatus::kInfeasible;
-    case search::SearchStatus::kNoSolution: return SolveStatus::kNoSolution;
-  }
-  return SolveStatus::kNoSolution;
-}
-
-SolveStatus fromFp(fp::FpStatus s) noexcept {
-  switch (s) {
-    case fp::FpStatus::kOptimal: return SolveStatus::kOptimal;
-    case fp::FpStatus::kFeasible: return SolveStatus::kFeasible;
-    case fp::FpStatus::kInfeasible: return SolveStatus::kInfeasible;
-    case fp::FpStatus::kNoSolution: return SolveStatus::kNoSolution;
-  }
-  return SolveStatus::kNoSolution;
-}
-
 SolveResponse runSearch(const model::FloorplanProblem& problem, const SolveRequest& request,
                         std::atomic<bool>* external_stop, SharedIncumbent* channel) {
   search::SearchOptions opt = request.search;
@@ -45,35 +25,14 @@ SolveResponse runSearch(const model::FloorplanProblem& problem, const SolveReque
   if (channel) opt.incumbent = channel;
   if (!opt.telemetry) opt.telemetry = request.telemetry;
 
-  const search::SearchResult res = search::ColumnarSearchSolver(opt).solve(problem);
   SolveResponse out;
-  out.status = fromSearch(res.status);
-  out.plan = res.plan;
-  out.costs = res.costs;
-  out.seconds = res.seconds;
-  out.nodes = res.nodes;
-  out.incumbent_published = res.published;
-  out.incumbent_adopted = res.adopted;
-  out.cutoff_prunes = res.external_prunes;
-  out.steals = res.steals;
-  if (res.workers.size() > 1) {
-    out.workers.reserve(res.workers.size());
-    for (const search::SearchWorkerStats& w : res.workers) {
-      SolveWorkerStats s;
-      s.id = w.id;
-      s.nodes = w.nodes;
-      s.steals = w.steals;
-      s.stolen = w.stolen_tasks;
-      s.idle_seconds = w.idle_seconds;
-      out.workers.push_back(s);
-    }
-  }
+  static_cast<model::SolveOutcome&>(out) = search::ColumnarSearchSolver(opt).solve(problem);
   std::ostringstream d;
-  d << "search: " << search::toString(res.status) << " nodes=" << res.nodes;
-  if (res.adopted > 0 || res.external_prunes > 0)
-    d << " adopted=" << res.adopted << " cutoff-prunes=" << res.external_prunes;
-  if (res.workers.size() > 1)
-    d << " workers=" << res.workers.size() << " steals=" << res.steals;
+  d << "search: " << toString(out.status) << " nodes=" << out.nodes;
+  if (out.exchange.adopted > 0 || out.exchange.cutoff_prunes > 0)
+    d << " adopted=" << out.exchange.adopted << " cutoff-prunes=" << out.exchange.cutoff_prunes;
+  if (out.workers.size() > 1)
+    d << " workers=" << out.workers.size() << " steals=" << totalSteals(out.workers);
   out.detail = d.str();
   return out;
 }
@@ -97,37 +56,13 @@ SolveResponse runMilp(const model::FloorplanProblem& problem, const SolveRequest
 
   const fp::FpResult res = fp::MilpFloorplanner(opt).solve(problem);
   SolveResponse out;
-  out.status = fromFp(res.status);
+  static_cast<model::SolveOutcome&>(out) = res;
   // HO's MILP runs with sequence-pair constraints extracted from one
   // heuristic solution; an infeasible verdict there only covers the
   // restricted space, so it is no proof for the full problem.
-  if (backend == Backend::kMilpHO && out.status == SolveStatus::kInfeasible)
-    out.status = SolveStatus::kNoSolution;
-  if (res.hasSolution()) {
-    out.plan = res.plan;
-    out.costs = res.costs;
-  }
-  out.seconds = res.seconds;
-  out.nodes = res.nodes;
+  if (backend == Backend::kMilpHO && out.status == model::SolveStatus::kInfeasible)
+    out.status = model::SolveStatus::kNoSolution;
   if (res.lp.solves > 0) out.lp = LpStats{res.lp, "sparse"};
-  out.incumbent_published = res.published;
-  out.incumbent_adopted = res.adopted;
-  out.cutoff_prunes = res.external_prunes;
-  out.steals = res.steals;
-  if (res.workers.size() > 1) {
-    out.workers.reserve(res.workers.size());
-    for (const milp::MipWorkerStats& w : res.workers) {
-      SolveWorkerStats s;
-      s.id = w.id;
-      s.nodes = w.nodes;
-      s.steals = w.steals;
-      s.stolen = w.stolen_nodes;
-      s.lp_solves = w.lp_solves;
-      s.lp_warm_hits = w.lp_warm_hits;
-      s.idle_seconds = w.idle_seconds;
-      out.workers.push_back(s);
-    }
-  }
   out.detail = std::string(toString(backend)) + ": " + res.detail;
   return out;
 }
@@ -143,10 +78,10 @@ SolveResponse runHeuristic(const model::FloorplanProblem& problem, const SolveRe
   const std::optional<model::Floorplan> plan = fp::constructiveFloorplan(problem, opt);
   SolveResponse out;
   if (plan) {
-    out.status = SolveStatus::kFeasible;
+    out.status = model::SolveStatus::kFeasible;
     out.plan = *plan;
     out.costs = model::evaluate(problem, out.plan);
-    out.incumbent_published = channel ? 1 : 0;
+    out.exchange.published = channel ? 1 : 0;
     out.detail = "heuristic: feasible";
   } else {
     out.detail = "heuristic: no feasible construction";
@@ -166,11 +101,11 @@ SolveResponse runAnnealer(const model::FloorplanProblem& problem, const SolveReq
   const std::optional<baseline::AnnealResult> res = baseline::annealFloorplan(problem, opt);
   SolveResponse out;
   if (res) {
-    out.status = SolveStatus::kFeasible;
+    out.status = model::SolveStatus::kFeasible;
     out.plan = res->plan;
     out.costs = res->costs;
     out.nodes = res->iterations;
-    out.incumbent_published = res->published;
+    out.exchange.published = res->published;
     std::ostringstream d;
     d << "annealer: feasible iterations=" << res->iterations
       << " accepted=" << res->accepted_moves;
@@ -197,8 +132,8 @@ void capInSolveThreads(SolveRequest* request, int budget) noexcept {
 }
 
 bool isProof(const SolveResponse& response) noexcept {
-  return isExhaustive(response.backend) && (response.status == SolveStatus::kOptimal ||
-                                            response.status == SolveStatus::kInfeasible);
+  return isExhaustive(response.backend) && (response.status == model::SolveStatus::kOptimal ||
+                                            response.status == model::SolveStatus::kInfeasible);
 }
 
 ProgressTicker::ProgressTicker(const telemetry::Context* ctx, double interval_seconds) {
@@ -241,8 +176,8 @@ void populateMetrics(SolveResponse* response) {
   std::map<std::string, double>& m = response->metrics;
   m["nodes"] = static_cast<double>(response->nodes);
   m["seconds"] = response->seconds;
-  if (!response->workers.empty() || response->steals > 0) {
-    m["steals"] = static_cast<double>(response->steals);
+  if (!response->workers.empty()) {
+    m["steals"] = static_cast<double>(totalSteals(response->workers));
     m["workers"] = static_cast<double>(response->workers.size());
   }
   if (response->lp.solves > 0) {
@@ -251,11 +186,10 @@ void populateMetrics(SolveResponse* response) {
     for (const lp::LpRateField& r : lp::kLpRates)
       m[std::string("lp.") + r.name] = (response->lp.*r.rate)();
   }
-  if (response->incumbent_published > 0 || response->incumbent_adopted > 0 ||
-      response->cutoff_prunes > 0) {
-    m["incumbent.published"] = static_cast<double>(response->incumbent_published);
-    m["incumbent.adopted"] = static_cast<double>(response->incumbent_adopted);
-    m["incumbent.cutoff_prunes"] = static_cast<double>(response->cutoff_prunes);
+  if (response->exchange.any()) {
+    m["incumbent.published"] = static_cast<double>(response->exchange.published);
+    m["incumbent.adopted"] = static_cast<double>(response->exchange.adopted);
+    m["incumbent.cutoff_prunes"] = static_cast<double>(response->exchange.cutoff_prunes);
   }
   if (response->incumbent.publishes > 0 || response->incumbent.staged) {
     m["portfolio.publishes"] = static_cast<double>(response->incumbent.publishes);
@@ -283,17 +217,18 @@ SolveResponse runBackend(const model::FloorplanProblem& problem, const SolveRequ
     case Backend::kAnnealer: out = runAnnealer(problem, request, external_stop, channel); break;
   }
   out.backend = backend;
+  if (out.workers.size() < 2) out.workers.clear();  // listed for parallel solves only
   // Boundary guarantee: a run that ends with the shared stop flag set was
   // cancelled, and a cancelled run is not a proof — whatever slipped through
   // the engine's own truncation handling (e.g. a verdict computed before the
   // flag was raised, or an LP cut short mid-pivot behind an "exhausted"
   // tree) is downgraded here. The cancelling winner holds the real proof.
   if (external_stop && external_stop->load(std::memory_order_relaxed)) {
-    if (out.status == SolveStatus::kOptimal) {
-      out.status = SolveStatus::kFeasible;
+    if (out.status == model::SolveStatus::kOptimal) {
+      out.status = model::SolveStatus::kFeasible;
       out.detail += " [cancelled: optimality claim downgraded]";
-    } else if (out.status == SolveStatus::kInfeasible) {
-      out.status = SolveStatus::kNoSolution;
+    } else if (out.status == model::SolveStatus::kInfeasible) {
+      out.status = model::SolveStatus::kNoSolution;
       out.detail += " [cancelled: infeasibility claim downgraded]";
     }
   }

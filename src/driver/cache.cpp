@@ -189,8 +189,8 @@ bool fromCanonicalPlan(const Fingerprint& fp, const model::FloorplanProblem& pro
   return true;
 }
 
-[[nodiscard]] bool isProofStatus(SolveStatus s) noexcept {
-  return s == SolveStatus::kOptimal || s == SolveStatus::kInfeasible;
+[[nodiscard]] bool isProofStatus(model::SolveStatus s) noexcept {
+  return s == model::SolveStatus::kOptimal || s == model::SolveStatus::kInfeasible;
 }
 
 /// Flight-table key: the full cache key. The hash alone would let a
@@ -361,7 +361,7 @@ CacheLookup ResultCache::lookup(const Fingerprint& fp, const model::FloorplanPro
     if (isProofStatus(e->canonical.status)) {
       // Prefer an optimality proof over an infeasibility one (both are
       // budget-independent; only one carries a plan).
-      if (proof == lru_.end() || e->canonical.status == SolveStatus::kOptimal) proof = e;
+      if (proof == lru_.end() || e->canonical.status == model::SolveStatus::kOptimal) proof = e;
     } else if (e->canonical.hasSolution()) {
       if (best == lru_.end() ||
           model::strictlyBetter(problem, e->canonical.costs, best->canonical.costs))
@@ -387,9 +387,7 @@ CacheLookup ResultCache::lookup(const Fingerprint& fp, const model::FloorplanPro
       // the answer, not the work).
       out.response.nodes = 0;
       out.response.lp = LpStats{};
-      out.response.incumbent_published = 0;
-      out.response.incumbent_adopted = 0;
-      out.response.cutoff_prunes = 0;
+      out.response.exchange = {};
       out.outcome = CacheOutcome::kHit;
       touch(hit);
       ++stats_.hits;
@@ -425,7 +423,7 @@ bool ResultCache::insert(const Fingerprint& fp, const model::FloorplanProblem& p
   // original near-miss seeding as its own.
   entry.canonical.cache_hit = false;
   entry.canonical.cache_seeded = false;
-  if (response.status == SolveStatus::kInfeasible) {
+  if (response.status == model::SolveStatus::kInfeasible) {
     // Only a proof may be cached as infeasibility; anything else could be a
     // truncation artifact.
     if (!isExhaustive(response.backend)) {
@@ -656,12 +654,12 @@ SolveResponse solveThroughCache(ResultCache* cache, const model::FloorplanProble
     SolveResponse res = runBackend(problem, request, request.backend, external_stop,
                                    caller ? nullptr : &local);
     res.cache_seeded = true;
-    if (!res.hasSolution() && res.status != SolveStatus::kInfeasible) {
-      res.status = SolveStatus::kFeasible;
+    if (!res.hasSolution() && res.status != model::SolveStatus::kInfeasible) {
+      res.status = model::SolveStatus::kFeasible;
       res.plan = lk.seed_plan;
       res.costs = lk.seed_costs;
       res.detail += " [cache seed returned]";
-    } else if (res.hasSolution() && res.status != SolveStatus::kOptimal &&
+    } else if (res.hasSolution() && res.status != model::SolveStatus::kOptimal &&
                model::strictlyBetter(problem, lk.seed_costs, res.costs)) {
       // Engines that cannot consume the channel (annealer) may come back
       // worse than the seed; arbitration keeps the better plan.

@@ -35,16 +35,6 @@ bool isExhaustive(Backend b) noexcept {
   return b == Backend::kSearch || b == Backend::kMilpO;
 }
 
-const char* toString(SolveStatus s) noexcept {
-  switch (s) {
-    case SolveStatus::kOptimal: return "optimal";
-    case SolveStatus::kFeasible: return "feasible";
-    case SolveStatus::kInfeasible: return "infeasible";
-    case SolveStatus::kNoSolution: return "no-solution";
-  }
-  return "?";
-}
-
 Driver::Driver() : Driver(DriverOptions{}) {}
 
 Driver::Driver(const DriverOptions& options)

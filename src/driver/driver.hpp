@@ -35,6 +35,7 @@
 #include "fp/milp_floorplanner.hpp"
 #include "lp/counters.hpp"
 #include "model/floorplan.hpp"
+#include "model/outcome.hpp"
 #include "model/problem.hpp"
 #include "search/solver.hpp"
 
@@ -63,14 +64,9 @@ enum class Backend {
 /// and the heuristic/annealer are incomplete.
 [[nodiscard]] bool isExhaustive(Backend b) noexcept;
 
-enum class SolveStatus {
-  kOptimal,     ///< proven optimal by an exhaustive backend
-  kFeasible,    ///< valid floorplan without an optimality proof
-  kInfeasible,  ///< proven infeasible by an exhaustive backend
-  kNoSolution,  ///< nothing found before the limits hit
-};
-
-[[nodiscard]] const char* toString(SolveStatus s) noexcept;
+/// perfbench's name for the floorplanning status; it goes with the next
+/// perfbench change.
+using SolveStatus = model::SolveStatus;
 
 struct SolveRequest {
   Backend backend = Backend::kSearch;  ///< single-backend + batch dispatch
@@ -165,56 +161,29 @@ struct IncumbentStats {
 /// figures from different members must not be summed.
 struct PortfolioMemberStats {
   Backend backend = Backend::kSearch;
-  SolveStatus status = SolveStatus::kNoSolution;
+  model::SolveStatus status = model::SolveStatus::kNoSolution;
   int stage = 0;  ///< 1 = incomplete slice, 2 = prover stage (0 = flat race)
   double seconds = 0.0;
   long nodes = 0;
-  long published = 0;      ///< incumbents this member offered to the channel
-  long adopted = 0;        ///< external incumbents this member adopted
-  long cutoff_prunes = 0;  ///< nodes this member pruned on an external cutoff
+  ExchangeStats exchange;  ///< this member's own incumbent exchange
 };
 
-/// Per-worker telemetry of an in-solve work-stealing scheduler (exact
-/// search and parallel MILP branch & bound; empty for single-threaded
-/// solves and the incomplete engines). Field meanings follow the engine's
-/// own stats: `nodes` are B&B nodes the worker expanded, `stolen` counts
-/// work items acquired from other workers' deques.
-struct SolveWorkerStats {
-  int id = 0;
-  long nodes = 0;
-  long steals = 0;          ///< successful steal operations performed
-  long stolen = 0;          ///< work items acquired through those steals
-  long lp_solves = 0;       ///< MILP workers: LP relaxations solved
-  long lp_warm_hits = 0;    ///< MILP workers: solves warm-started from a basis
-  double idle_seconds = 0.0;
-};
-
-struct SolveResponse {
-  SolveStatus status = SolveStatus::kNoSolution;
+/// The backend's outcome, carried whole (a portfolio: the winner's), plus
+/// what the driver adds around it. `seconds` is the wall clock of this
+/// solve (portfolio: overall). `nodes` is the work measure of the backend
+/// that produced this result; a portfolio reports the *winner's own*
+/// count — never a sum across members, whose units differ; the per-member
+/// figures live in `members`. `workers` is left empty unless more than one
+/// worker ran.
+struct SolveResponse : model::SolveOutcome {
   /// Engine that produced this result (the portfolio winner). Only
   /// meaningful when hasSolution() or the status is a kInfeasible proof — a
   /// winner-less portfolio keeps the default and `detail` says "winner=-".
   Backend backend = Backend::kSearch;
-  model::Floorplan plan;               ///< valid when hasSolution()
-  model::FloorplanCosts costs;
-  double seconds = 0.0;  ///< wall clock of this solve (portfolio: overall)
-  /// Backend-specific work measure (B&B nodes / annealer iterations) of the
-  /// backend that produced this result. A portfolio reports the *winner's
-  /// own* count — never a sum across members, whose units differ; the
-  /// per-member figures live in `members`.
-  long nodes = 0;
   std::string detail;    ///< per-backend diagnostics
   LpStats lp;            ///< LP substrate telemetry (MILP backends)
-  // Incumbent-exchange telemetry of this backend's run (portfolio members).
-  long incumbent_published = 0;
-  long incumbent_adopted = 0;
-  long cutoff_prunes = 0;
   IncumbentStats incumbent;                  ///< portfolio channel summary
   std::vector<PortfolioMemberStats> members; ///< portfolio: one per member
-  // In-solve work-stealing telemetry (num_threads > 1 on an exact backend):
-  // one entry per worker, plus the steal total across all workers.
-  std::vector<SolveWorkerStats> workers;
-  long steals = 0;
   // Result-cache provenance (driver/cache.hpp): served from the store
   // without running an engine, or re-solved with the cached plan published
   // into the incumbent channel (near miss under a different budget).
@@ -237,10 +206,6 @@ struct SolveResponse {
   /// map is exact and populated even without a telemetry context; a
   /// portfolio reports the winner's engine figures plus channel totals.
   std::map<std::string, double> metrics;
-
-  [[nodiscard]] bool hasSolution() const noexcept {
-    return status == SolveStatus::kOptimal || status == SolveStatus::kFeasible;
-  }
 };
 
 class ResultCache;   // driver/cache.hpp

@@ -175,13 +175,13 @@ SolveResponse Driver::solvePortfolio(const model::FloorplanProblem& problem,
   // nothing.
   const SolveResponse* winner = nullptr;
   for (const SolveResponse& r : responses)
-    if (detail::isProof(r) && r.status == SolveStatus::kOptimal) {
+    if (detail::isProof(r) && r.status == model::SolveStatus::kOptimal) {
       winner = &r;
       break;
     }
   if (!winner)
     for (const SolveResponse& r : responses)
-      if (detail::isProof(r) && r.status == SolveStatus::kInfeasible) {
+      if (detail::isProof(r) && r.status == model::SolveStatus::kInfeasible) {
         winner = &r;
         break;
       }
@@ -203,16 +203,15 @@ SolveResponse Driver::solvePortfolio(const model::FloorplanProblem& problem,
     m.stage = !staged ? 0 : (isExhaustive(backends[i]) ? 2 : 1);
     m.seconds = responses[i].seconds;
     m.nodes = responses[i].nodes;
-    m.published = responses[i].incumbent_published;
-    m.adopted = responses[i].incumbent_adopted;
-    m.cutoff_prunes = responses[i].cutoff_prunes;
+    m.exchange = responses[i].exchange;
     out.members.push_back(m);
   }
   if (chan) {
     out.incumbent.source = chan->source();
     out.incumbent.publishes = chan->publishes();
     out.incumbent.adoptions = chan->adoptions();
-    for (const SolveResponse& r : responses) out.incumbent.cutoff_prunes += r.cutoff_prunes;
+    for (const SolveResponse& r : responses)
+      out.incumbent.cutoff_prunes += r.exchange.cutoff_prunes;
   }
   out.incumbent.staged = staged;
   out.incumbent.stage1_seconds = stage1_seconds;

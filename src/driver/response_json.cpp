@@ -12,7 +12,7 @@ std::string solveResponseToJson(const model::FloorplanProblem& problem,
   w.key("status").value(toString(response.status));
   // `backend` is only attributable alongside a solution or a proof; a
   // winner-less portfolio would otherwise pin its failure on one engine.
-  if (response.hasSolution() || response.status == SolveStatus::kInfeasible)
+  if (response.hasSolution() || response.status == model::SolveStatus::kInfeasible)
     w.key("backend").value(toString(response.backend));
   w.key("seconds").value(response.seconds);
   w.key("served_by").value(response.served_by);
@@ -28,9 +28,9 @@ std::string solveResponseToJson(const model::FloorplanProblem& problem,
       if (m.stage > 0) w.key("stage").value(m.stage);
       w.key("seconds").value(m.seconds);
       w.key("nodes").value(m.nodes);
-      if (m.published > 0) w.key("published").value(m.published);
-      if (m.adopted > 0) w.key("adopted").value(m.adopted);
-      if (m.cutoff_prunes > 0) w.key("cutoff_prunes").value(m.cutoff_prunes);
+      if (m.exchange.published > 0) w.key("published").value(m.exchange.published);
+      if (m.exchange.adopted > 0) w.key("adopted").value(m.exchange.adopted);
+      if (m.exchange.cutoff_prunes > 0) w.key("cutoff_prunes").value(m.exchange.cutoff_prunes);
       w.endObject();
     }
     w.endArray();
@@ -56,9 +56,9 @@ std::string solveResponseToJson(const model::FloorplanProblem& problem,
     w.endObject();
   }
   if (!response.workers.empty()) {
-    w.key("steals").value(response.steals);
+    w.key("steals").value(totalSteals(response.workers));
     w.key("workers").beginArray();
-    for (const SolveWorkerStats& s : response.workers) {
+    for (const WorkerStats& s : response.workers) {
       w.beginObject();
       w.key("id").value(s.id);
       w.key("nodes").value(s.nodes);

@@ -15,24 +15,14 @@
 
 namespace rfp::fp {
 
-const char* toString(FpStatus s) noexcept {
-  switch (s) {
-    case FpStatus::kOptimal: return "optimal";
-    case FpStatus::kFeasible: return "feasible";
-    case FpStatus::kInfeasible: return "infeasible";
-    case FpStatus::kNoSolution: return "no-solution";
-  }
-  return "?";
-}
-
 namespace {
 
-FpStatus fromMip(milp::MipStatus s) {
+model::SolveStatus fromMip(milp::MipStatus s) {
   switch (s) {
-    case milp::MipStatus::kOptimal: return FpStatus::kOptimal;
-    case milp::MipStatus::kFeasible: return FpStatus::kFeasible;
-    case milp::MipStatus::kInfeasible: return FpStatus::kInfeasible;
-    default: return FpStatus::kNoSolution;
+    case milp::MipStatus::kOptimal: return model::SolveStatus::kOptimal;
+    case milp::MipStatus::kFeasible: return model::SolveStatus::kFeasible;
+    case milp::MipStatus::kInfeasible: return model::SolveStatus::kInfeasible;
+    default: return model::SolveStatus::kNoSolution;
   }
 }
 
@@ -47,21 +37,14 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
   FpResult result;
   std::ostringstream detail;
   const auto accumulateStage = [&result](const milp::MipResult& mip) {
-    result.adopted += mip.external_adoptions;
-    result.external_prunes += mip.cutoff_prunes;
+    result.nodes += mip.nodes;
+    result.exchange += mip.exchange;
     result.lp += mip.lp;
-    result.steals += mip.steals;
-    for (const milp::MipWorkerStats& w : mip.workers) {
+    for (const WorkerStats& w : mip.workers) {
       const auto i = static_cast<std::size_t>(w.id);
       if (result.workers.size() <= i) result.workers.resize(i + 1);
-      milp::MipWorkerStats& acc = result.workers[i];
-      acc.id = w.id;
-      acc.nodes += w.nodes;
-      acc.steals += w.steals;
-      acc.stolen_nodes += w.stolen_nodes;
-      acc.lp_solves += w.lp_solves;
-      acc.lp_warm_hits += w.lp_warm_hits;
-      acc.idle_seconds += w.idle_seconds;
+      result.workers[i].id = w.id;
+      result.workers[i] += w;
     }
   };
 
@@ -104,7 +87,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
   }
   if (options_.algorithm == Algorithm::kHO) {
     if (!warm) {
-      result.status = FpStatus::kNoSolution;
+      result.status = model::SolveStatus::kNoSolution;
       result.detail = "HO: constructive heuristic found no feasible first solution";
       result.seconds = watch.seconds();
       return result;
@@ -180,10 +163,9 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
         if (!chan->snapshotNewer(&seen, &plan, nullptr)) return std::nullopt;
         return formulation.encode(plan);
       };
-      mopt.incumbent_publish = [chan, &formulation, &problem, &result,
+      mopt.incumbent_publish = [chan, &formulation, &problem,
                                 source](const std::vector<double>& x) {
         const model::Floorplan plan = formulation.extract(x);
-        ++result.published;
         chan->publish(plan, model::evaluate(problem, plan), source);
       };
     }
@@ -194,7 +176,6 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
 
   if (!options_.lexicographic) {
     auto [mip, formulation] = buildAndSolve(ObjectiveKind::kWeighted, std::nullopt, std::nullopt);
-    result.nodes = mip.nodes;
     accumulateStage(mip);
     result.status = fromMip(mip.status);
     detail << "weighted: " << milp::toString(mip.status) << " obj=" << mip.objective;
@@ -206,7 +187,6 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     // Stage 1: minimize wasted frames.
     auto [mip1, formulation1] =
         buildAndSolve(ObjectiveKind::kWastedFrames, std::nullopt, std::nullopt);
-    result.nodes = mip1.nodes;
     accumulateStage(mip1);
     detail << "stage1(waste): " << milp::toString(mip1.status);
     if (!mip1.hasSolution()) {
@@ -227,7 +207,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
              << ")";
       result.plan = std::move(stage1_plan);
       result.costs = model::evaluate(problem, result.plan);
-      result.status = FpStatus::kFeasible;
+      result.status = model::SolveStatus::kFeasible;
       result.detail = detail.str();
       result.seconds = watch.seconds();
       return result;
@@ -238,7 +218,6 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     auto [mip2, formulation2] = buildAndSolve(
         ObjectiveKind::kWireLength, waste_cap,
         std::optional<std::vector<double>>(formulation1.encode(stage1_plan)));
-    result.nodes += mip2.nodes;
     accumulateStage(mip2);
     detail << "stage2(wl): " << milp::toString(mip2.status);
     if (mip2.hasSolution()) {
@@ -246,19 +225,19 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
       result.costs = model::evaluate(problem, result.plan);
       const bool both_optimal =
           mip1.status == milp::MipStatus::kOptimal && mip2.status == milp::MipStatus::kOptimal;
-      result.status = both_optimal ? FpStatus::kOptimal : FpStatus::kFeasible;
+      result.status = both_optimal ? model::SolveStatus::kOptimal : model::SolveStatus::kFeasible;
     } else {
       // Stage 2 truncated before finding anything: fall back to stage 1.
       result.plan = std::move(stage1_plan);
       result.costs = model::evaluate(problem, result.plan);
-      result.status = FpStatus::kFeasible;
+      result.status = model::SolveStatus::kFeasible;
     }
   }
 
   // HO explores a restricted space: optimality claims are relative to the
   // sequence pair, so report kFeasible unless the heuristic space was full.
-  if (options_.algorithm == Algorithm::kHO && result.status == FpStatus::kOptimal)
-    result.status = FpStatus::kFeasible;
+  if (options_.algorithm == Algorithm::kHO && result.status == model::SolveStatus::kOptimal)
+    result.status = model::SolveStatus::kFeasible;
 
   result.detail = detail.str();
   result.seconds = watch.seconds();

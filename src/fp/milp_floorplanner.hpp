@@ -21,6 +21,7 @@
 #include "lp/counters.hpp"
 #include "milp/bb.hpp"
 #include "model/floorplan.hpp"
+#include "model/outcome.hpp"
 #include "model/problem.hpp"
 
 namespace rfp::driver {
@@ -30,10 +31,6 @@ class SharedIncumbent;  // driver/incumbent.hpp
 namespace rfp::fp {
 
 enum class Algorithm { kO, kHO };
-
-enum class FpStatus { kOptimal, kFeasible, kInfeasible, kNoSolution };
-
-[[nodiscard]] const char* toString(FpStatus s) noexcept;
 
 struct MilpFloorplannerOptions {
   Algorithm algorithm = Algorithm::kO;
@@ -63,26 +60,12 @@ struct MilpFloorplannerOptions {
   driver::SharedIncumbent* incumbent = nullptr;
 };
 
-struct FpResult {
-  FpStatus status = FpStatus::kNoSolution;
-  model::Floorplan plan;
-  model::FloorplanCosts costs;
-  double seconds = 0.0;
-  long nodes = 0;
+/// The common floorplanning outcome (`nodes`, `workers` and `exchange`
+/// summed over the MILP stages, workers by id) plus the stage diagnostics
+/// and the LP work.
+struct FpResult : model::SolveOutcome {
   std::string detail;  ///< per-stage diagnostics
-  lp::LpCounters lp;  ///< LP work, summed over the MILP stages
-  // In-solve work-stealing telemetry (one entry per MILP worker): per-worker
-  // figures summed by worker id across the MILP stages, plus the steal total.
-  std::vector<milp::MipWorkerStats> workers;
-  long steals = 0;
-  // Incumbent-exchange telemetry (zero without a channel).
-  long published = 0;        ///< incumbents offered to the channel
-  long adopted = 0;          ///< external incumbents adopted as cutoffs
-  long external_prunes = 0;  ///< MILP nodes pruned against an external cutoff
-
-  [[nodiscard]] bool hasSolution() const noexcept {
-    return status == FpStatus::kOptimal || status == FpStatus::kFeasible;
-  }
+  lp::LpCounters lp;   ///< LP work, summed over the MILP stages
 };
 
 class MilpFloorplanner {

@@ -27,6 +27,7 @@
 #include "lp/lp_solver.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "support/engine_stats.hpp"
 
 namespace rfp::telemetry {
 struct Context;  // support/telemetry/trace.hpp
@@ -44,18 +45,6 @@ enum class MipStatus {
 
 [[nodiscard]] const char* toString(MipStatus s) noexcept;
 
-/// Per-worker telemetry from the tree search (one entry per worker at
-/// every thread count).
-struct MipWorkerStats {
-  int id = 0;
-  long nodes = 0;         ///< nodes this worker expanded
-  long steals = 0;        ///< successful steal operations it performed
-  long stolen_nodes = 0;  ///< nodes acquired through those steals
-  long lp_solves = 0;
-  long lp_warm_hits = 0;      ///< node LPs that adopted a parent basis
-  double idle_seconds = 0.0;  ///< time spent with an empty deque and no loot
-};
-
 struct MipResult {
   MipStatus status = MipStatus::kNoSolution;
   std::vector<double> x;       ///< incumbent (model variable order)
@@ -67,12 +56,11 @@ struct MipResult {
   /// LP work summed over every relaxation this solve ran: cut rounds, root
   /// and nodes (declined dual attempts add their pivots, not a solve).
   lp::LpCounters lp;
-  // Incumbent-exchange telemetry (zero without the callbacks below).
-  long external_adoptions = 0;  ///< external incumbents adopted as the cutoff
-  long cutoff_prunes = 0;       ///< nodes pruned against an external cutoff
-  // Per-worker telemetry: one entry per worker, so one at threads <= 1.
-  std::vector<MipWorkerStats> workers;
-  long steals = 0;  ///< successful steal operations across all workers
+  /// Incumbent exchange through the poll/publish callbacks below (zero
+  /// without them).
+  ExchangeStats exchange;
+  /// Per-worker telemetry: one entry per worker, so one at threads <= 1.
+  std::vector<WorkerStats> workers;
   /// Deterministic-replay digest over the node expansion order and steal
   /// schedule (Options::deterministic only; 0 otherwise). Two runs with the
   /// same options produce the same hash — the reproducibility contract.

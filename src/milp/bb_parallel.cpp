@@ -168,7 +168,7 @@ struct SharedTree {
   /// root. Workers observe it at pool picks and drain out.
   std::atomic<bool> halt{false};
   std::atomic<bool> truncated{false};
-  std::atomic<bool> dropped{false};  ///< a node LP hit a limit mid-solve
+  std::atomic<bool> dropped{false};  ///< a node LP hit its iteration limit or went uncertified
   std::atomic<bool> root_unbounded{false};
 
   // The incumbent. `cutoff`/`has_incumbent` are the hot read path (every
@@ -187,7 +187,9 @@ struct SharedTree {
   /// never held under it (callback_mu forwards into SharedIncumbent, which
   /// sits below in the repo-wide hierarchy — see CONTRIBUTING.md).
   sync::Mutex callback_mu;
-  std::atomic<long> external_adoptions{0};
+  /// Publishes and adoptions; the hot-path cutoff prunes count lock-free
+  /// below and join them in the result.
+  ExchangeStats exchange RFP_GUARDED_BY(callback_mu);
   std::atomic<long> cutoff_prunes{0};
 
   // Deterministic mode runs single-threaded, so the digest needs no lock.
@@ -202,6 +204,8 @@ struct SharedTree {
   [[nodiscard]] bool externallyStopped() const {
     return opt.stop && opt.stop->load(std::memory_order_relaxed);
   }
+  /// The deadline passed or the external stop flag is up.
+  [[nodiscard]] bool interrupted() const { return deadline.expired() || externallyStopped(); }
   [[nodiscard]] double absGapSlack() const {
     if (!has_incumbent.load(std::memory_order_acquire)) return 0.0;
     return opt.gap_tol * std::max(1.0, std::abs(cutoff.load(std::memory_order_relaxed)));
@@ -235,9 +239,11 @@ struct SharedTree {
     if (!snapshot.empty()) {
       const sync::MutexLock cb(callback_mu);
       opt.incumbent_publish(snapshot);
+      ++exchange.published;
     }
-    telemetry::instant(opt.telemetry, "incumbent", external ? "adopt" : "publish",
-                       "objective", userObj(obj), "engine", "milp");
+    if (!external)
+      telemetry::instant(opt.telemetry, "incumbent", "publish", "objective", userObj(obj),
+                         "engine", "milp");
     return true;
   }
 
@@ -260,7 +266,11 @@ struct SharedTree {
     const double obj = signedObj(model.evalObjective(*x));
     roundIntegers(model, *x);
     if (offerIncumbent(std::move(*x), obj, true)) {
-      external_adoptions.fetch_add(1, std::memory_order_relaxed);
+      {
+        const sync::MutexLock cb(callback_mu);
+        ++exchange.adopted;
+      }
+      telemetry::adoption(opt.telemetry, "milp", "objective", userObj(obj));
       if (opt.log_progress) RFP_LOG_INFO("milp: adopted external incumbent " << userObj(obj));
     }
   }
@@ -276,7 +286,7 @@ struct SharedTree {
   bool stopped() {
     if (halt.load(std::memory_order_relaxed)) return true;
     const bool limit_hit =
-        deadline.expired() || externallyStopped() ||
+        interrupted() ||
         (opt.node_limit > 0 && total_nodes.load(std::memory_order_relaxed) >= opt.node_limit);
     if (limit_hit) latchTruncation();
     return limit_hit;
@@ -289,7 +299,7 @@ struct SharedTree {
   /// to get there keeps diving, so `nodes` exceeds node_limit by at most
   /// plunge_depth at every thread count.
   bool claimNode(int worker, bool diving) {
-    if (!deadline.expired() && !externallyStopped()) {
+    if (!interrupted()) {
       long n = total_nodes.load(std::memory_order_relaxed);
       while (opt.node_limit <= 0 || n < opt.node_limit || (diving && ownsOverrun(worker)))
         if (total_nodes.compare_exchange_weak(n, n + 1, std::memory_order_relaxed)) return true;
@@ -370,8 +380,8 @@ class Worker {
     return Step::kWorked;
   }
 
-  [[nodiscard]] MipWorkerStats stats() const {
-    MipWorkerStats s = stats_;
+  [[nodiscard]] WorkerStats stats() const {
+    WorkerStats s = stats_;
     s.lp_solves = counters.solves;
     s.lp_warm_hits = counters.warm_start_hits;
     return s;
@@ -400,7 +410,7 @@ class Worker {
       const int got = shared_.pools[static_cast<std::size_t>(victim)]->stealHalf(loot);
       if (got == 0) continue;
       ++stats_.steals;
-      stats_.stolen_nodes += got;
+      stats_.stolen += got;
       if (trace_ != nullptr) trace_->instant("steal", "steal", "nodes", static_cast<double>(got));
       if (steals_ctr_ != nullptr) steals_ctr_->increment();
       if (shared_.deterministic) {
@@ -526,10 +536,17 @@ class Worker {
           shared_.root_unbounded.store(true, std::memory_order_relaxed);
           shared_.halt.store(true, std::memory_order_relaxed);
         }
+      } else if (rel.status == lp::LpStatus::kTimeLimit && shared_.interrupted()) {
+        // Cut short by the deadline or the stop flag: the node is still
+        // open, so it goes back to its pool, where the truncated run's
+        // bound counts it at its parent's bound.
+        shared_.latchTruncation();
+        pushOpen(std::move(node));
+        return std::nullopt;
       } else if (rel.status != lp::LpStatus::kInfeasible) {
-        // Limit hit (or the sparse engine refused to certify its point):
-        // the subtree is dropped unexplored, so the final answer is a
-        // truncation, never a proof.
+        // Iteration limit (or the sparse engine refused to certify its
+        // point): the subtree is dropped unexplored, so the final answer is
+        // a truncation, never a proof, and its dual bound is unknown.
         shared_.dropped.store(true, std::memory_order_relaxed);
       }
       finishNode();
@@ -597,7 +614,7 @@ class Worker {
 
   const int id_;
   SharedTree& shared_;
-  MipWorkerStats stats_;
+  WorkerStats stats_;
   std::vector<PseudoCost> pseudo_costs_;
   /// Private warm-reopt state (live factors + give-up breaker); see the
   /// concurrency contract in dual_simplex.hpp.
@@ -685,11 +702,13 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
   res.nodes = shared.total_nodes.load(std::memory_order_relaxed);
   for (const std::unique_ptr<Worker>& w : workers) {
     res.workers.push_back(w->stats());
-    res.steals += w->stats().steals;
     res.lp += w->counters;
   }
-  res.external_adoptions = shared.external_adoptions.load(std::memory_order_relaxed);
-  res.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);
+  {
+    const sync::MutexLock cb(shared.callback_mu);
+    res.exchange = shared.exchange;
+  }
+  res.exchange.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);
 
   if (shared.root_unbounded.load(std::memory_order_relaxed)) {
     res.status = MipStatus::kUnbounded;

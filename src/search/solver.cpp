@@ -22,16 +22,6 @@
 
 namespace rfp::search {
 
-const char* toString(SearchStatus s) noexcept {
-  switch (s) {
-    case SearchStatus::kOptimal: return "optimal";
-    case SearchStatus::kInfeasible: return "infeasible";
-    case SearchStatus::kFeasible: return "feasible";
-    case SearchStatus::kNoSolution: return "no-solution";
-  }
-  return "?";
-}
-
 namespace {
 
 using device::Rect;
@@ -225,12 +215,9 @@ void adoptExternalIncumbent(const Instance& inst, Shared& shared, std::uint64_t*
       took = true;
     }
   }
-  if (took) {
-    telemetry::instant(inst.opt.telemetry, "incumbent", "adopt", "waste",
-                       static_cast<double>(costs.wasted_frames), "engine", "search");
-    if (inst.opt.telemetry != nullptr && inst.opt.telemetry->metrics != nullptr)
-      inst.opt.telemetry->metrics->counter("incumbent.adoptions").increment();
-  }
+  if (took)
+    telemetry::adoption(inst.opt.telemetry, "search", "waste",
+                        static_cast<double>(costs.wasted_frames));
 }
 
 /// A region's contribution to a net's bounding box: its center while it is
@@ -315,7 +302,7 @@ class Worker {
     }
   }
 
-  [[nodiscard]] const SearchWorkerStats& stats() const { return stats_; }
+  [[nodiscard]] const WorkerStats& stats() const { return stats_; }
 
  private:
   TaskDeque& deque() { return *sched_.deques[static_cast<std::size_t>(id_)]; }
@@ -329,7 +316,7 @@ class Worker {
       std::vector<Task> loot;
       if (sched_.deques[static_cast<std::size_t>(victim)]->stealHalf(loot) == 0) continue;
       ++stats_.steals;
-      stats_.stolen_tasks += static_cast<long>(loot.size());
+      stats_.stolen += static_cast<long>(loot.size());
       if (trace_ != nullptr)
         trace_->instant("steal", "steal", "tasks", static_cast<double>(loot.size()));
       if (steals_ctr_ != nullptr) steals_ctr_->increment();
@@ -794,7 +781,7 @@ class Worker {
   Shared& shared_;
   Scheduler& sched_;
   const Deadline& deadline_;
-  SearchWorkerStats stats_;
+  WorkerStats stats_;
   /// (shape_index, y) of the current path's placements — the prefix a
   /// spawned task needs to replay this position.
   std::vector<std::pair<int, int>> prefix_;
@@ -966,7 +953,7 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
 
   // Aggregate over-demand is an infeasibility verdict, not an API error.
   if (!problem.supplyShortfall().empty()) {
-    result.status = SearchStatus::kInfeasible;
+    result.status = model::SolveStatus::kInfeasible;
     result.seconds = watch.seconds();
     return result;
   }
@@ -999,7 +986,7 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
     // No regions: trivially feasible empty plan.
     result.plan.fc_areas = model::expandFcRequests(problem);
     result.costs = model::evaluate(problem, result.plan);
-    result.status = SearchStatus::kOptimal;
+    result.status = model::SolveStatus::kOptimal;
     result.seconds = watch.seconds();
     return result;
   }
@@ -1032,14 +1019,12 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
   for (const std::unique_ptr<Worker>& w : workers) {
     w->finish();
     result.workers.push_back(w->stats());
-    result.steals += w->stats().steals;
   }
 
   result.nodes = shared.nodes.load();
   result.seconds = watch.seconds();
-  result.published = shared.published.load();
-  result.adopted = shared.adopted.load();
-  result.external_prunes = shared.external_prunes.load();
+  result.exchange = {shared.published.load(), shared.adopted.load(),
+                     shared.external_prunes.load()};
   // A cancelled run is not a proof: even when every worker happened to
   // exhaust its subtree without observing the flag, a set stop flag at the
   // boundary downgrades the verdict (the portfolio's winner already holds
@@ -1057,11 +1042,11 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
       result.plan = shared.best_plan;
     }
     result.costs = model::evaluate(problem, result.plan);
-    result.status = truncated && !options_.feasibility_only ? SearchStatus::kFeasible
-                                                            : SearchStatus::kOptimal;
-    if (options_.feasibility_only) result.status = SearchStatus::kFeasible;
+    result.status = truncated && !options_.feasibility_only ? model::SolveStatus::kFeasible
+                                                            : model::SolveStatus::kOptimal;
+    if (options_.feasibility_only) result.status = model::SolveStatus::kFeasible;
   } else {
-    result.status = truncated ? SearchStatus::kNoSolution : SearchStatus::kInfeasible;
+    result.status = truncated ? model::SolveStatus::kNoSolution : model::SolveStatus::kInfeasible;
   }
   return result;
 }

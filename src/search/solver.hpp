@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "model/floorplan.hpp"
+#include "model/outcome.hpp"
 #include "model/problem.hpp"
 
 namespace rfp::driver {
@@ -35,26 +36,11 @@ namespace rfp::search {
 
 enum class ObjectiveMode { kLexicographic, kWeighted };
 
-enum class SearchStatus {
-  kOptimal,     ///< search exhausted; best found is optimal
-  kInfeasible,  ///< search exhausted; no feasible floorplan exists
-  kFeasible,    ///< limit hit with an incumbent
-  kNoSolution,  ///< limit hit without an incumbent
-};
-
-[[nodiscard]] const char* toString(SearchStatus s) noexcept;
-
-/// Per-worker telemetry from the work-stealing scheduler (one entry per
-/// worker thread; a single-threaded solve reports one worker, zero steals).
-struct SearchWorkerStats {
-  int id = 0;
-  long nodes = 0;         ///< search nodes this worker expanded
-  long tasks = 0;         ///< stealable subtree tasks it executed
-  long splits = 0;        ///< subtrees it deferred as stealable tasks
-  long steals = 0;        ///< successful steal operations it performed
-  long stolen_tasks = 0;  ///< tasks acquired through those steals
-  double idle_seconds = 0.0;  ///< time spent with an empty deque and no loot
-};
+/// perfbench's name for the floorplanning status; it goes with the next
+/// perfbench change.
+using SearchStatus = model::SolveStatus;
+/// The search reports the common floorplanning outcome.
+using SearchResult = model::SolveOutcome;
 
 struct SearchOptions {
   ObjectiveMode mode = ObjectiveMode::kLexicographic;
@@ -78,25 +64,6 @@ struct SearchOptions {
   /// steal/incumbent instants, live node counters for the progress ticker.
   /// Null (the default) keeps every instrumentation site branch-only.
   const telemetry::Context* telemetry = nullptr;
-};
-
-struct SearchResult {
-  SearchStatus status = SearchStatus::kNoSolution;
-  model::Floorplan plan;        ///< valid when an incumbent exists
-  model::FloorplanCosts costs;  ///< evaluated costs of `plan`
-  long nodes = 0;
-  double seconds = 0.0;
-  // Incumbent-exchange telemetry (zero without a channel).
-  long published = 0;        ///< incumbents offered to the channel
-  long adopted = 0;          ///< external incumbents adopted as the cutoff
-  long external_prunes = 0;  ///< subtrees pruned against an external cutoff
-  // Work-stealing scheduler telemetry.
-  std::vector<SearchWorkerStats> workers;
-  long steals = 0;  ///< successful steal operations across all workers
-
-  [[nodiscard]] bool hasSolution() const noexcept {
-    return status == SearchStatus::kOptimal || status == SearchStatus::kFeasible;
-  }
 };
 
 class ColumnarSearchSolver {

@@ -189,6 +189,14 @@ inline void instant(const Context* ctx, const char* cat, const char* name,
     ctx->trace->instant(cat, name, akey, aval, skey, sval);
 }
 
+/// One external incumbent adopted by `engine`: the "incumbent"/"adopt"
+/// instant plus the live `incumbent.adoptions` counter, for every engine.
+inline void adoption(const Context* ctx, const char* engine, const char* akey, double aval) {
+  instant(ctx, "incumbent", "adopt", akey, aval, "engine", engine);
+  if (ctx != nullptr && ctx->metrics != nullptr)
+    ctx->metrics->counter("incumbent.adoptions").increment();
+}
+
 /// Counter-bump helper mirroring `instant`'s null tolerance.
 inline void bump(const Context* ctx, Counter* c, long n = 1) noexcept {
   (void)ctx;

@@ -31,7 +31,7 @@ TEST(VipinFahmy, WastesMoreThanTheExactFloorplanner) {
   search::SearchOptions sopt;
   sopt.num_threads = 8;
   const search::SearchResult opt = search::ColumnarSearchSolver(sopt).solve(sdr);
-  ASSERT_EQ(opt.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(opt.status, model::SolveStatus::kOptimal);
   EXPECT_GT(heuristic_waste, opt.costs.wasted_frames);
 }
 

@@ -76,7 +76,7 @@ TEST_P(CatalogDevice, SmallRegionIsPlaceable) {
   // One tile of each type: placeable on every real part.
   p.addRegion(model::RegionSpec{"probe", {4, 1, 1}});
   const search::SearchResult res = search::ColumnarSearchSolver().solve(p);
-  EXPECT_EQ(res.status, search::SearchStatus::kOptimal) << GetParam().name;
+  EXPECT_EQ(res.status, model::SolveStatus::kOptimal) << GetParam().name;
   EXPECT_EQ(model::check(p, res.plan), "");
 }
 

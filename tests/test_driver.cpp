@@ -5,14 +5,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "device/builders.hpp"
 #include "driver/backend_runner.hpp"
@@ -20,9 +22,11 @@
 #include "driver/driver.hpp"
 #include "driver/incumbent.hpp"
 #include "driver/response_json.hpp"
+#include "fp/formulation.hpp"
 #include "model/floorplan.hpp"
 #include "model/generator.hpp"
 #include "model/problem.hpp"
+#include "partition/columnar.hpp"
 #include "search/solver.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/telemetry/trace.hpp"
@@ -70,7 +74,7 @@ TEST(DriverSingle, EveryBackendSolvesASmallProblem) {
     ASSERT_TRUE(res.hasSolution()) << toString(b) << ": " << res.detail;
     EXPECT_EQ(model::check(p, res.plan), "") << toString(b);
     if (isExhaustive(b)) {
-      EXPECT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
+      EXPECT_EQ(res.status, model::SolveStatus::kOptimal) << res.detail;
     }
   }
 }
@@ -85,8 +89,8 @@ TEST(DriverSingle, ExhaustiveBackendsAgreeOnTheOptimum) {
   req.backend = Backend::kMilpO;
   req.deadline_seconds = 120.0;
   const SolveResponse milp = drv.solve(p, req);
-  ASSERT_EQ(exact.status, SolveStatus::kOptimal);
-  ASSERT_EQ(milp.status, SolveStatus::kOptimal) << milp.detail;
+  ASSERT_EQ(exact.status, model::SolveStatus::kOptimal);
+  ASSERT_EQ(milp.status, model::SolveStatus::kOptimal) << milp.detail;
   EXPECT_EQ(exact.costs.wasted_frames, milp.costs.wasted_frames);
   // MILP optimality holds within gap_tol, so equally-optimal plans may
   // differ in the last bits of the wire length.
@@ -105,10 +109,10 @@ TEST(DriverSingle, InfeasibleProblemsAreProvenInfeasible) {
   const Driver drv;
   SolveRequest req;
   req.backend = Backend::kSearch;
-  EXPECT_EQ(drv.solve(p, req).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(drv.solve(p, req).status, model::SolveStatus::kInfeasible);
   // The incomplete engines cannot prove anything.
   req.backend = Backend::kHeuristic;
-  EXPECT_EQ(drv.solve(p, req).status, SolveStatus::kNoSolution);
+  EXPECT_EQ(drv.solve(p, req).status, model::SolveStatus::kNoSolution);
 }
 
 TEST(DriverPortfolio, MatchesTheExactOptimumOnTheSdrProblem) {
@@ -118,7 +122,7 @@ TEST(DriverPortfolio, MatchesTheExactOptimumOnTheSdrProblem) {
   search::SearchOptions sopt;
   sopt.num_threads = 2;
   const search::SearchResult ref = search::ColumnarSearchSolver(sopt).solve(sdr);
-  ASSERT_EQ(ref.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(ref.status, model::SolveStatus::kOptimal);
 
   const Driver drv;
   SolveRequest req;
@@ -127,7 +131,7 @@ TEST(DriverPortfolio, MatchesTheExactOptimumOnTheSdrProblem) {
   // quarter of this) does not dominate the test's wall clock.
   req.deadline_seconds = 12.0;
   const SolveResponse res = drv.solvePortfolio(sdr, req);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << res.detail;
   EXPECT_EQ(res.costs.wasted_frames, ref.costs.wasted_frames);
   // A gap-tolerance MILP win is equally optimal but not bit-identical.
   EXPECT_NEAR(res.costs.wire_length, ref.costs.wire_length,
@@ -146,7 +150,7 @@ TEST(DriverPortfolio, ProvenInfeasibilityWinsOverNoSolution) {
   SolveRequest req;
   req.deadline_seconds = 60.0;
   const SolveResponse res = drv.solvePortfolio(p, req);
-  EXPECT_EQ(res.status, SolveStatus::kInfeasible) << res.detail;
+  EXPECT_EQ(res.status, model::SolveStatus::kInfeasible) << res.detail;
 }
 
 TEST(DriverPortfolio, ExplicitSingletonPortfolioBehavesLikeSingle) {
@@ -156,7 +160,7 @@ TEST(DriverPortfolio, ExplicitSingletonPortfolioBehavesLikeSingle) {
   SolveRequest req;
   req.portfolio = {Backend::kSearch};
   const SolveResponse res = drv.solvePortfolio(p, req);
-  EXPECT_EQ(res.status, SolveStatus::kOptimal);
+  EXPECT_EQ(res.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(res.backend, Backend::kSearch);
 }
 
@@ -171,7 +175,7 @@ TEST(DriverDeadline, AnnealerStopsAtTheDeadline) {
   Stopwatch watch;
   const SolveResponse res = drv.solve(sdr, req);
   EXPECT_LT(watch.seconds(), 10.0);  // poll granularity + CI slack
-  EXPECT_EQ(res.status, SolveStatus::kFeasible) << res.detail;
+  EXPECT_EQ(res.status, model::SolveStatus::kFeasible) << res.detail;
 }
 
 TEST(DriverDeadline, MilpStopsNearTheDeadline) {
@@ -186,7 +190,7 @@ TEST(DriverDeadline, MilpStopsNearTheDeadline) {
   Stopwatch watch;
   const SolveResponse res = drv.solve(sdr, req);
   EXPECT_LT(watch.seconds(), 60.0);  // one LP/presolve round of slack
-  EXPECT_NE(res.status, SolveStatus::kOptimal);
+  EXPECT_NE(res.status, model::SolveStatus::kOptimal);
 }
 
 TEST(DriverBatch, ResultsAreIndependentOfThePoolSize) {
@@ -231,7 +235,7 @@ TEST(DriverPortfolio, StagedDeadlinesSeedTheProversAndReportTelemetry) {
   req.deadline_seconds = 12.0;
   req.annealer.iterations = 20000;  // a quick stage-1 publisher
   const SolveResponse res = drv.solvePortfolio(sdr, req);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << res.detail;
   EXPECT_TRUE(res.incumbent.staged) << res.detail;
   EXPECT_GT(res.incumbent.adoptions, 0) << res.detail;  // stage 1 published
   ASSERT_EQ(res.members.size(), 4u);
@@ -352,7 +356,7 @@ TEST(SharedIncumbentChannel, SearchProvesASeededIncumbentOptimal) {
   const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
   const model::FloorplanProblem p = twoRegionProblem(dev);
   const search::SearchResult ref = search::ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(ref.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(ref.status, model::SolveStatus::kOptimal);
 
   SharedIncumbent channel(p);
   ASSERT_TRUE(channel.publish(ref.plan, ref.costs, "annealer"));
@@ -360,8 +364,8 @@ TEST(SharedIncumbentChannel, SearchProvesASeededIncumbentOptimal) {
   search::SearchOptions opt;
   opt.incumbent = &channel;
   const search::SearchResult res = search::ColumnarSearchSolver(opt).solve(p);
-  EXPECT_EQ(res.status, search::SearchStatus::kOptimal);
-  EXPECT_EQ(res.adopted, 1);
+  EXPECT_EQ(res.status, model::SolveStatus::kOptimal);
+  EXPECT_EQ(res.exchange.adopted, 1);
   EXPECT_EQ(res.costs.wasted_frames, ref.costs.wasted_frames);
   // The search ranks plans by a wire-length key quantized at 1/64, so an
   // equal-key tie may swap in a plan within that resolution of the optimum.
@@ -384,8 +388,8 @@ TEST(DriverCancellation, CancelledExactBackendsNeverClaimProofs) {
   for (const Backend b : {Backend::kSearch, Backend::kMilpO}) {
     req.backend = b;
     const SolveResponse res = detail::runBackend(sdr, req, b, &stop);
-    EXPECT_NE(res.status, SolveStatus::kOptimal) << toString(b) << ": " << res.detail;
-    EXPECT_NE(res.status, SolveStatus::kInfeasible) << toString(b) << ": " << res.detail;
+    EXPECT_NE(res.status, model::SolveStatus::kOptimal) << toString(b) << ": " << res.detail;
+    EXPECT_NE(res.status, model::SolveStatus::kInfeasible) << toString(b) << ": " << res.detail;
   }
 
   // Even a verdict the engine can reach without searching (aggregate supply
@@ -397,7 +401,7 @@ TEST(DriverCancellation, CancelledExactBackendsNeverClaimProofs) {
   infeasible.addRegion(huge);
   req.backend = Backend::kSearch;
   const SolveResponse res = detail::runBackend(infeasible, req, Backend::kSearch, &stop);
-  EXPECT_EQ(res.status, SolveStatus::kNoSolution) << res.detail;
+  EXPECT_EQ(res.status, model::SolveStatus::kNoSolution) << res.detail;
 }
 
 TEST(DriverCancellation, RacingAnInstantProverAgainstASlowExactSolve) {
@@ -417,8 +421,8 @@ TEST(DriverCancellation, RacingAnInstantProverAgainstASlowExactSolve) {
   const SolveResponse res = detail::runBackend(sdr, req, Backend::kMilpO, &stop);
   prover.join();
   EXPECT_LT(watch.seconds(), 60.0);  // unwound long before the deadline
-  EXPECT_NE(res.status, SolveStatus::kOptimal) << res.detail;
-  EXPECT_NE(res.status, SolveStatus::kInfeasible) << res.detail;
+  EXPECT_NE(res.status, model::SolveStatus::kOptimal) << res.detail;
+  EXPECT_NE(res.status, model::SolveStatus::kInfeasible) << res.detail;
 }
 
 TEST(DriverBatch, ExternalStopCancelsInFlightAndPendingSolves) {
@@ -442,7 +446,7 @@ TEST(DriverBatch, ExternalStopCancelsInFlightAndPendingSolves) {
   ASSERT_EQ(res.size(), ptrs.size());
   int skipped = 0;
   for (const SolveResponse& r : res) {
-    EXPECT_NE(r.status, SolveStatus::kOptimal);
+    EXPECT_NE(r.status, model::SolveStatus::kOptimal);
     skipped += r.detail == "batch: cancelled before dispatch" ? 1 : 0;
   }
   // With 6 problems on 2 pool threads and a 200ms cancellation, the tail of
@@ -470,7 +474,7 @@ TEST(DriverBatch, OverallDeadlineBoundsTheWholeBatch) {
   int dispatched = 0;
   double max_seconds = 0.0;
   for (const SolveResponse& r : res) {
-    EXPECT_NE(r.status, SolveStatus::kOptimal);
+    EXPECT_NE(r.status, model::SolveStatus::kOptimal);
     if (r.detail.rfind("batch:", 0) != 0) {
       ++dispatched;
       max_seconds = std::max(max_seconds, r.seconds);
@@ -658,8 +662,8 @@ TEST(ResultCacheStore, ForcedHashCollisionNeverCrossReturns) {
   req.backend = Backend::kSearch;
   const SolveResponse r1 = drv.solve(p1, req);
   const SolveResponse r2 = drv.solve(p2, req);
-  ASSERT_EQ(r1.status, SolveStatus::kOptimal);
-  ASSERT_EQ(r2.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r1.status, model::SolveStatus::kOptimal);
+  ASSERT_EQ(r2.status, model::SolveStatus::kOptimal);
 
   Fingerprint f1 = fingerprintProblem(p1, req, Backend::kSearch);
   Fingerprint f2 = fingerprintProblem(p2, req, Backend::kSearch);
@@ -697,13 +701,13 @@ TEST(ResultCacheStore, PermutedHitRemapsThePlanIntoTheRequestersOrder) {
   SolveRequest req;
   req.backend = Backend::kSearch;
   const SolveResponse r1 = drv.solve(p1, req);
-  ASSERT_EQ(r1.status, SolveStatus::kOptimal) << r1.detail;
+  ASSERT_EQ(r1.status, model::SolveStatus::kOptimal) << r1.detail;
 
   ResultCache cache(8);
   ASSERT_TRUE(cache.insert(fingerprintProblem(p1, req, Backend::kSearch), p1, r1));
   const CacheLookup hit = cache.lookup(fingerprintProblem(p2, req, Backend::kSearch), p2);
   ASSERT_EQ(hit.outcome, CacheOutcome::kHit);
-  EXPECT_EQ(hit.response.status, SolveStatus::kOptimal);
+  EXPECT_EQ(hit.response.status, model::SolveStatus::kOptimal);
   // The money property: the stored plan, remapped, is checker-valid for the
   // *permuted* problem and costs exactly the same.
   EXPECT_EQ(model::check(p2, hit.response.plan), "");
@@ -725,13 +729,13 @@ TEST(ResultCacheStore, UntrustworthyResponsesAreRefused) {
 
   SolveResponse bogus;  // kFeasible with a plan the checker rejects
   bogus.backend = Backend::kSearch;
-  bogus.status = SolveStatus::kFeasible;
+  bogus.status = model::SolveStatus::kFeasible;
   bogus.plan.regions = {device::Rect{0, 0, 1, 1}, device::Rect{0, 0, 1, 1}};  // overlap
   EXPECT_FALSE(cache.insert(fp, p, bogus));
 
   SolveResponse fake_proof;  // infeasibility claimed by a non-exhaustive engine
   fake_proof.backend = Backend::kAnnealer;
-  fake_proof.status = SolveStatus::kInfeasible;
+  fake_proof.status = model::SolveStatus::kInfeasible;
   EXPECT_FALSE(cache.insert(fingerprintProblem(p, req, Backend::kAnnealer), p, fake_proof));
 
   EXPECT_EQ(cache.size(), 0u);
@@ -748,7 +752,7 @@ TEST(DriverCache, RepeatSolvesAreServedFromTheCache) {
   SolveRequest req;
   req.backend = Backend::kSearch;
   const SolveResponse cold = drv.solve(p, req);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  ASSERT_EQ(cold.status, model::SolveStatus::kOptimal);
   EXPECT_FALSE(cold.cache_hit);
   EXPECT_EQ(cold.served_by, "engine");
   // The engine run reports its exact effort in the metrics map.
@@ -759,7 +763,7 @@ TEST(DriverCache, RepeatSolvesAreServedFromTheCache) {
   const SolveResponse warm = drv.solve(p, req);
   EXPECT_TRUE(warm.cache_hit) << warm.detail;
   EXPECT_EQ(warm.served_by, "cache");
-  EXPECT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_EQ(warm.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(warm.costs.wasted_frames, cold.costs.wasted_frames);
   EXPECT_DOUBLE_EQ(warm.costs.wire_length, cold.costs.wire_length);
   EXPECT_EQ(model::check(p, warm.plan), "");
@@ -784,12 +788,12 @@ TEST(DriverCache, ProofsServeAnyBudget) {
   const Driver drv;
   SolveRequest req;
   req.backend = Backend::kSearch;
-  ASSERT_EQ(drv.solve(p, req).status, SolveStatus::kOptimal);
+  ASSERT_EQ(drv.solve(p, req).status, model::SolveStatus::kOptimal);
 
   req.deadline_seconds = 5.0;  // different budget tier
   const SolveResponse warm = drv.solve(p, req);
   EXPECT_TRUE(warm.cache_hit) << warm.detail;
-  EXPECT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_EQ(warm.status, model::SolveStatus::kOptimal);
 }
 
 TEST(DriverCache, NearMissSeedsTheReSolveAndNeverComesBackWorse) {
@@ -974,7 +978,7 @@ TEST(DriverPortfolio, QuietChannelEndsStageOneEarly) {
   req.annealer.iterations = 2000000000L;  // would fill the whole slice
   Stopwatch watch;
   const SolveResponse res = drv.solvePortfolio(p, req);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal) << res.detail;
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << res.detail;
   EXPECT_TRUE(res.incumbent.staged);
   // On a trivial instance the annealer stops improving almost immediately;
   // the watchdog must hand the rest of the 10s slice to the prover.
@@ -993,7 +997,7 @@ TEST(DriverBatch, EmptyBatchAndOversizedPoolAreFine) {
   const std::vector<const model::FloorplanProblem*> one = {&p};
   const std::vector<SolveResponse> res = drv.solveBatch(one, req, 16);
   ASSERT_EQ(res.size(), 1u);
-  EXPECT_EQ(res[0].status, SolveStatus::kOptimal);
+  EXPECT_EQ(res[0].status, model::SolveStatus::kOptimal);
 }
 
 TEST(DriverSingle, InSolveParallelismReportsWorkerTelemetry) {
@@ -1004,7 +1008,7 @@ TEST(DriverSingle, InSolveParallelismReportsWorkerTelemetry) {
   SolveRequest seq;
   seq.backend = Backend::kSearch;
   const SolveResponse base = drv.solve(p, seq);
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
+  ASSERT_EQ(base.status, model::SolveStatus::kOptimal);
 
   // The exact search: num_threads fans out work-stealing workers; the
   // parallel solve proves the same optimum and surfaces per-worker stats.
@@ -1012,22 +1016,22 @@ TEST(DriverSingle, InSolveParallelismReportsWorkerTelemetry) {
   par.use_cache = false;  // a cache hit would skip the engine entirely
   par.num_threads = 4;
   const SolveResponse ps = drv.solve(p, par);
-  ASSERT_EQ(ps.status, SolveStatus::kOptimal) << ps.detail;
+  ASSERT_EQ(ps.status, model::SolveStatus::kOptimal) << ps.detail;
   EXPECT_EQ(ps.costs.wasted_frames, base.costs.wasted_frames);
   ASSERT_EQ(ps.workers.size(), 4u) << ps.detail;
   long nodes = 0, steals = 0;
-  for (const SolveWorkerStats& w : ps.workers) {
+  for (const WorkerStats& w : ps.workers) {
     nodes += w.nodes;
     steals += w.steals;
   }
   EXPECT_EQ(nodes, ps.nodes);
-  EXPECT_EQ(steals, ps.steals);
+  EXPECT_EQ(steals, ps.metrics.at("steals"));
 
   // The MILP backend: the same knob reaches the B&B node pool.
   par.backend = Backend::kMilpO;
   par.num_threads = 2;
   const SolveResponse pm = drv.solve(p, par);
-  ASSERT_EQ(pm.status, SolveStatus::kOptimal) << pm.detail;
+  ASSERT_EQ(pm.status, model::SolveStatus::kOptimal) << pm.detail;
   EXPECT_EQ(pm.costs.wasted_frames, base.costs.wasted_frames);
   EXPECT_EQ(pm.workers.size(), 2u) << pm.detail;
 }
@@ -1045,7 +1049,7 @@ TEST(DriverBatch, ThreadBudgetCapsPoolTimesInSolveWorkers) {
   req.use_cache = false;
   req.num_threads = 16;
   const SolveResponse single = drv.solve(p, req);
-  ASSERT_EQ(single.status, SolveStatus::kOptimal) << single.detail;
+  ASSERT_EQ(single.status, model::SolveStatus::kOptimal) << single.detail;
   EXPECT_EQ(single.workers.size(), 4u);
 
   // Batch: pool width (4) times in-solve workers must stay within the
@@ -1058,7 +1062,7 @@ TEST(DriverBatch, ThreadBudgetCapsPoolTimesInSolveWorkers) {
   for (const auto& q : problems) ptrs.push_back(&q);
   const std::vector<SolveResponse> res = drv.solveBatch(ptrs, req, 4);
   for (std::size_t i = 0; i < res.size(); ++i) {
-    ASSERT_EQ(res[i].status, SolveStatus::kOptimal) << i;
+    ASSERT_EQ(res[i].status, model::SolveStatus::kOptimal) << i;
     EXPECT_TRUE(res[i].workers.empty()) << i;
   }
 }
@@ -1084,7 +1088,7 @@ TEST(ResultCacheStore, FlightTableBlocksFollowersUntilTheLeaderLands) {
   EXPECT_FALSE(follower_landed.load());  // still in flight
 
   SolveResponse answer;
-  answer.status = SolveStatus::kOptimal;
+  answer.status = model::SolveStatus::kOptimal;
   answer.backend = Backend::kSearch;
   Driver drv;
   answer = drv.solve(p, req);  // a real, checker-valid response to store
@@ -1207,7 +1211,7 @@ TEST(DriverCache, ConcurrentMixedSolvesStressTheStoreAndFlightTable) {
       req.backend = Backend::kSearch;
       const auto& p = problems[static_cast<std::size_t>((tid + round) % 3)];
       const SolveResponse r = drv.solve(p, req);
-      ASSERT_EQ(r.status, SolveStatus::kOptimal) << r.detail;
+      ASSERT_EQ(r.status, model::SolveStatus::kOptimal) << r.detail;
       EXPECT_EQ(model::check(p, r.plan), "");
       if (!r.cache_hit && !r.cache_seeded) engine_runs.fetch_add(1);
     }
@@ -1295,24 +1299,102 @@ TEST(DriverTelemetry, RegistryTotalsMatchTheResponseForEveryBackend) {
       EXPECT_EQ(res.lp.solves > 0, milp);
       for (const lp::LpCounterField& f : lp::kLpCounterFields)
         EXPECT_EQ(reg.counter(std::string("lp.") + f.name).total(), res.lp.*f.field) << f.name;
+      long steals = 0;
+      for (const WorkerStats& w : res.workers) steals += w.steals;
+      EXPECT_EQ(reg.counter("search.steals").total() + reg.counter("milp.steals").total(),
+                steals);
     }
+  }
+
+  // Incumbent adoptions reach the registry from every engine that adopts.
+  // The search adopts a channel-seeded optimum at its root. MILP-O on the
+  // weighted objective polls for external incumbents at node boundaries;
+  // its poll hands over the search's optimum in the formulation's encoding,
+  // which beats the heuristic warm start.
+  model::FloorplanProblem weighted = chain;
+  weighted.setLexicographic(false);
+  const search::SearchResult best = search::ColumnarSearchSolver(
+      search::SearchOptions{search::ObjectiveMode::kWeighted}).solve(weighted);
+  ASSERT_EQ(best.status, model::SolveStatus::kOptimal);
+  for (const Backend backend : {Backend::kSearch, Backend::kMilpO}) {
+    SCOPED_TRACE(std::string("seeded ") + toString(backend));
+    telemetry::MetricsRegistry reg;
+    telemetry::Context ctx;
+    ctx.metrics = &reg;
+    SolveRequest req;
+    req.telemetry = &ctx;
+    SharedIncumbent channel(weighted);
+    ASSERT_TRUE(channel.publish(best.plan, best.costs, "test"));
+    if (backend == Backend::kMilpO) {
+      const auto part = partition::columnarPartition(dev);
+      fp::FormulationOptions fopt;
+      fopt.objective = fp::ObjectiveKind::kWeighted;
+      const std::vector<double> x = fp::MilpFormulation(weighted, *part, fopt).encode(best.plan);
+      req.milp.milp.incumbent_poll = [x, sent = false]() mutable
+          -> std::optional<std::vector<double>> {
+        if (sent) return std::nullopt;
+        sent = true;
+        return x;
+      };
+    }
+    const SolveResponse res = detail::runBackend(
+        weighted, req, backend, nullptr, backend == Backend::kSearch ? &channel : nullptr);
+    ASSERT_TRUE(res.hasSolution()) << res.detail;
+    EXPECT_EQ(res.exchange.adopted, 1) << res.detail;
+    EXPECT_EQ(reg.counter("incumbent.adoptions").total(), res.exchange.adopted);
   }
 }
 
-/// The `lp` object of a response's JSON document, as key -> value.
-std::map<std::string, double> jsonLpObject(const std::string& json) {
-  std::map<std::string, double> out;
-  const std::string open = "\"lp\":{";
-  const std::size_t begin = json.find(open);
-  if (begin == std::string::npos) return out;
-  const std::size_t end = json.find('}', begin);
-  std::istringstream fields(json.substr(begin + open.size(), end - begin - open.size()));
-  for (std::string field; std::getline(fields, field, ',');) {
-    const std::size_t colon = field.find(':');
-    const std::string value = field.substr(colon + 1);
-    out[field.substr(1, colon - 2)] = value.front() == '"' ? 0.0 : std::stod(value);
+/// Every object key and every scalar value of a compact JSON document, by
+/// path: "" is the top level, "incumbent" the object under that key, and
+/// "workers[]" the elements of that array; a value is listed under its
+/// path and key ("workers[].steals"), raw, in document order.
+struct JsonSurface {
+  std::map<std::string, std::set<std::string>> keys;
+  std::map<std::string, std::vector<std::string>> values;
+};
+
+JsonSurface jsonSurface(const std::string& json) {
+  JsonSurface out;
+  std::vector<std::string> paths;  // one per open container
+  std::vector<bool> in_object;
+  std::string key;
+  const auto child = [&](const std::string& k) {
+    if (paths.empty()) return std::string();
+    if (!in_object.back()) return paths.back() + "[]";
+    return paths.back().empty() ? k : paths.back() + "." + k;
+  };
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') {
+      paths.push_back(child(key));
+      in_object.push_back(c == '{');
+    } else if (c == '}' || c == ']') {
+      paths.pop_back();
+      in_object.pop_back();
+    } else if (c == '"' || c == '-' || std::isalnum(static_cast<unsigned char>(c))) {
+      std::string token;
+      if (c == '"') {
+        for (++i; json[i] != '"'; ++i) token += json[i] == '\\' ? json[++i] : json[i];
+      } else {
+        for (; i < json.size() && std::string(",}]").find(json[i]) == std::string::npos; ++i)
+          token += json[i];
+        --i;
+      }
+      if (in_object.back() && i + 1 < json.size() && json[i + 1] == ':') {
+        key = token;
+        out.keys[paths.back()].insert(key);
+      } else {
+        out.values[in_object.back() ? child(key) : paths.back() + "[]"].push_back(token);
+      }
+    }
   }
   return out;
+}
+
+double jsonNumber(const JsonSurface& s, const std::string& path, std::size_t i = 0) {
+  const auto it = s.values.find(path);
+  return it == s.values.end() || i >= it->second.size() ? -1.0 : std::stod(it->second[i]);
 }
 
 TEST(DriverOutput, LpKeysAreTheNameTableAndTheValuesTheResponses) {
@@ -1355,16 +1437,159 @@ TEST(DriverOutput, LpKeysAreTheNameTableAndTheValuesTheResponses) {
   std::map<std::string, double> metrics;
   for (const auto& [name, value] : res.metrics)
     if (name.rfind("lp.", 0) == 0) metrics[name.substr(3)] = value;
-  std::map<std::string, double> json = jsonLpObject(solveResponseToJson(p, res));
-  std::set<std::string> got_metric_keys, got_json_keys;
+  const JsonSurface json = jsonSurface(solveResponseToJson(p, res));
+  std::set<std::string> got_metric_keys;
   for (const auto& kv : metrics) got_metric_keys.insert(kv.first);
-  for (const auto& kv : json) got_json_keys.insert(kv.first);
   EXPECT_EQ(got_metric_keys, metric_keys);
-  EXPECT_EQ(got_json_keys, json_keys);
+  EXPECT_EQ(json.keys.at("lp"), json_keys);
   for (const auto& [name, value] : expected) {
     EXPECT_DOUBLE_EQ(metrics[name], value) << name;
     // The JSON writer prints six significant digits.
-    EXPECT_NEAR(json[name], value, 1e-5 * std::max(1.0, std::abs(value))) << name;
+    EXPECT_NEAR(jsonNumber(json, "lp." + name), value, 1e-5 * std::max(1.0, std::abs(value)))
+        << name;
+  }
+}
+
+TEST(DriverOutput, ResponseSurfaceIsPinned) {
+  // The response's JSON and metrics surface, recorded before the engines'
+  // common outcome was declared once: key sets of the top level, workers[],
+  // portfolio[] and incumbent objects and of the metrics map, the status
+  // strings, and the exchange and worker values against the response.
+  EXPECT_STREQ(toString(model::SolveStatus::kOptimal), "optimal");
+  EXPECT_STREQ(toString(model::SolveStatus::kFeasible), "feasible");
+  EXPECT_STREQ(toString(model::SolveStatus::kInfeasible), "infeasible");
+  EXPECT_STREQ(toString(model::SolveStatus::kNoSolution), "no-solution");
+
+  const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  const model::FloorplanProblem p = threeRegionChain(dev);
+  const Driver drv;
+  const std::set<std::string> worker_keys = {"id", "nodes", "steals", "stolen", "idle_seconds"};
+  std::set<std::string> lp_metrics;
+  for (const lp::LpCounterField& f : lp::kLpCounterFields)
+    lp_metrics.insert(std::string("lp.") + f.name);
+  for (const lp::LpRateField& r : lp::kLpRates) lp_metrics.insert(std::string("lp.") + r.name);
+
+  /// Worker values in the JSON equal the response's, their steals add up
+  /// to the top-level and metrics totals, and the listing needs two workers.
+  const auto checkWorkers = [](const SolveResponse& res, const JsonSurface& s) {
+    ASSERT_EQ(s.values.at("workers[].id").size(), res.workers.size());
+    long steals = 0;
+    for (std::size_t i = 0; i < res.workers.size(); ++i) {
+      EXPECT_EQ(jsonNumber(s, "workers[].id", i), res.workers[i].id);
+      EXPECT_EQ(jsonNumber(s, "workers[].nodes", i), res.workers[i].nodes);
+      EXPECT_EQ(jsonNumber(s, "workers[].steals", i), res.workers[i].steals);
+      steals += res.workers[i].steals;
+    }
+    EXPECT_GT(res.workers.size(), 1u);
+    EXPECT_EQ(jsonNumber(s, "steals"), steals);
+    EXPECT_EQ(res.metrics.at("steals"), steals);
+    EXPECT_EQ(res.metrics.at("workers"), static_cast<double>(res.workers.size()));
+  };
+  const auto metricKeys = [](const SolveResponse& res) {
+    std::set<std::string> keys;
+    for (const auto& kv : res.metrics) keys.insert(kv.first);
+    return keys;
+  };
+
+  {
+    SCOPED_TRACE("search at 2 threads");
+    SolveRequest req;
+    req.backend = Backend::kSearch;
+    req.num_threads = 2;
+    req.use_cache = false;
+    const SolveResponse res = drv.solve(p, req);
+    ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << res.detail;
+    const JsonSurface s = jsonSurface(solveResponseToJson(p, res));
+    EXPECT_EQ(s.keys.at(""), (std::set<std::string>{"status", "backend", "seconds", "served_by",
+                                                    "nodes", "steals", "workers", "metrics",
+                                                    "detail", "floorplan"}));
+    EXPECT_EQ(s.keys.at("workers[]"), worker_keys);
+    EXPECT_EQ(metricKeys(res), (std::set<std::string>{"nodes", "seconds", "steals", "workers"}));
+    checkWorkers(res, s);
+    EXPECT_EQ(s.values.at("status").front(), "optimal");
+  }
+  {
+    SCOPED_TRACE("MILP-O at 2 deterministic threads");
+    SolveRequest req;
+    req.backend = Backend::kMilpO;
+    req.num_threads = 2;
+    req.use_cache = false;
+    req.milp.milp.deterministic = true;
+    req.milp.milp.node_limit = 200;
+    const SolveResponse res = drv.solve(p, req);
+    ASSERT_TRUE(res.hasSolution()) << res.detail;
+    const JsonSurface s = jsonSurface(solveResponseToJson(p, res));
+    EXPECT_EQ(s.keys.at(""), (std::set<std::string>{"status", "backend", "seconds", "served_by",
+                                                    "nodes", "steals", "workers", "lp",
+                                                    "metrics", "detail", "floorplan"}));
+    std::set<std::string> milp_worker_keys = worker_keys;
+    milp_worker_keys.insert({"lp_solves", "lp_warm_hits"});
+    EXPECT_EQ(s.keys.at("workers[]"), milp_worker_keys);
+    std::set<std::string> metrics = lp_metrics;
+    metrics.insert({"nodes", "seconds", "steals", "workers"});
+    EXPECT_EQ(metricKeys(res), metrics);
+    checkWorkers(res, s);
+    long lp_solves = 0;
+    for (std::size_t i = 0; i < res.workers.size(); ++i)
+      lp_solves += static_cast<long>(jsonNumber(s, "workers[].lp_solves", i));
+    EXPECT_LE(lp_solves, res.lp.solves);  // the root's cut rounds run before the tree
+  }
+  {
+    SCOPED_TRACE("staged portfolio");
+    SolveRequest req;
+    req.portfolio = {Backend::kSearch, Backend::kAnnealer};
+    req.deadline_seconds = 20.0;
+    req.annealer.iterations = 2000;
+    const SolveResponse res = drv.solvePortfolio(p, req);
+    ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << res.detail;
+    ASSERT_TRUE(res.incumbent.staged) << res.detail;
+    const JsonSurface s = jsonSurface(solveResponseToJson(p, res));
+    EXPECT_EQ(s.keys.at(""), (std::set<std::string>{"status", "backend", "seconds", "served_by",
+                                                    "nodes", "portfolio", "incumbent",
+                                                    "metrics", "detail", "floorplan"}));
+    EXPECT_EQ(s.keys.at("incumbent"),
+              (std::set<std::string>{"source", "publishes", "adoptions", "cutoff_prunes",
+                                     "staged", "stage1_seconds", "stage1_ended_early"}));
+    // Member exchange counts are listed only when positive.
+    std::set<std::string> member_keys = {"backend", "status", "stage", "seconds", "nodes"};
+    ASSERT_EQ(res.members.size(), 2u);
+    long published = 0, prunes = 0;
+    for (const PortfolioMemberStats& m : res.members) {
+      if (m.exchange.published > 0) member_keys.insert("published");
+      if (m.exchange.adopted > 0) member_keys.insert("adopted");
+      if (m.exchange.cutoff_prunes > 0) member_keys.insert("cutoff_prunes");
+      published += m.exchange.published;
+      prunes += m.exchange.cutoff_prunes;
+    }
+    EXPECT_EQ(s.keys.at("portfolio[]"), member_keys);
+    EXPECT_GT(published, 0) << res.detail;  // the annealer published in stage 1
+    EXPECT_EQ(static_cast<double>(prunes), jsonNumber(s, "incumbent.cutoff_prunes"));
+    EXPECT_EQ(res.incumbent.cutoff_prunes, prunes);
+    std::set<std::string> metrics = {"nodes", "seconds", "portfolio.publishes",
+                                     "portfolio.adoptions", "portfolio.stage1_seconds",
+                                     "portfolio.members"};
+    // The search proves the optimum, so it wins; the metrics carry its own
+    // exchange counts.
+    ASSERT_EQ(res.backend, Backend::kSearch);
+    const PortfolioMemberStats& won = res.members[0];
+    if (won.exchange.published > 0 || won.exchange.adopted > 0 ||
+        won.exchange.cutoff_prunes > 0) {
+      metrics.insert({"incumbent.published", "incumbent.adopted", "incumbent.cutoff_prunes"});
+      EXPECT_EQ(res.metrics.at("incumbent.published"), won.exchange.published);
+      EXPECT_EQ(res.metrics.at("incumbent.adopted"), won.exchange.adopted);
+      EXPECT_EQ(res.metrics.at("incumbent.cutoff_prunes"), won.exchange.cutoff_prunes);
+    }
+    EXPECT_EQ(metricKeys(res), metrics);
+    EXPECT_EQ(res.metrics.at("portfolio.publishes"), res.incumbent.publishes);
+    EXPECT_EQ(res.metrics.at("portfolio.adoptions"), res.incumbent.adoptions);
+    EXPECT_EQ(jsonNumber(s, "incumbent.adoptions"), res.incumbent.adoptions);
+    for (const char* path : {"status", "portfolio[].status"}) {
+      for (const std::string& v : s.values.at(path)) {
+        EXPECT_TRUE(v == "optimal" || v == "feasible" || v == "infeasible" ||
+                    v == "no-solution")
+            << v;
+      }
+    }
   }
 }
 

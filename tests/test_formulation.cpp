@@ -99,7 +99,7 @@ TEST(Formulation, MilpSolveMatchesSearchOptimum) {
   ASSERT_EQ(mip.status, milp::MipStatus::kOptimal);
 
   const search::SearchResult sres = search::ColumnarSearchSolver().solve(f.problem);
-  ASSERT_EQ(sres.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(sres.status, model::SolveStatus::kOptimal);
 
   const model::Floorplan fp = formulation.extract(mip.x);
   EXPECT_EQ(model::check(f.problem, fp), "");

@@ -124,7 +124,7 @@ TEST_P(SolverCrossCheck, MilpMatchesExactSearchOptimum) {
   if (!p) GTEST_SKIP() << "packing failed for this seed";
 
   const search::SearchResult oracle = search::ColumnarSearchSolver().solve(*p);
-  ASSERT_EQ(oracle.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(oracle.status, model::SolveStatus::kOptimal);
 
   fp::MilpFloorplannerOptions mopt;
   mopt.algorithm = fp::Algorithm::kO;

@@ -26,7 +26,7 @@ TEST(Integration, Sdr2EndToEndWithBitstreamRelocation) {
   search::SearchOptions opt;
   opt.num_threads = 8;
   const search::SearchResult res = search::ColumnarSearchSolver(opt).solve(sdr2);
-  ASSERT_EQ(res.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   ASSERT_EQ(model::check(sdr2, res.plan), "");
   ASSERT_EQ(res.plan.placedFcCount(), 6);
 
@@ -66,7 +66,7 @@ TEST(Integration, MilpAndSearchAgreeOnRelocationInstances) {
   p.addRelocation(model::RelocationRequest{1, 1, true, 1.0});
 
   const search::SearchResult sres = search::ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(sres.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(sres.status, model::SolveStatus::kOptimal);
 
   fp::MilpFloorplannerOptions mopt;
   mopt.algorithm = fp::Algorithm::kO;
@@ -124,7 +124,7 @@ TEST(Integration, ColumnarPartitionFeedsFormulationOnV7Style) {
   model::FloorplanProblem p(&dev);
   p.addRegion(model::RegionSpec{"r", {6, 1, 1}});
   const search::SearchResult res = search::ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(res.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(model::check(p, res.plan), "");
 }
 

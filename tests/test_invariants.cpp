@@ -37,7 +37,7 @@ TEST(GeneratorInvariant, ZeroSlackInstancesHaveZeroWasteOptimum) {
     const auto p = model::generateProblem(dev, gopt);
     if (!p) continue;
     const search::SearchResult res = search::ColumnarSearchSolver(opt).solve(*p);
-    ASSERT_EQ(res.status, search::SearchStatus::kOptimal) << "seed " << seed;
+    ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_EQ(res.costs.wasted_frames, 0) << "seed " << seed;
     ++exercised;
   }
@@ -61,7 +61,7 @@ TEST(SearchInvariant, WasteBudgetIsRespectedExactly) {
 
   capped.waste_budget = optimum - 1;
   EXPECT_EQ(search::ColumnarSearchSolver(capped).solve(sdr).status,
-            search::SearchStatus::kInfeasible);
+            model::SolveStatus::kInfeasible);
 }
 
 // Every FC area of a hard-constraint solution is free-compatible w.r.t. its
@@ -252,7 +252,7 @@ TEST(DriverInvariant, PortfolioNeverWorseThanExactSearch) {
     const auto p = model::generateProblem(dev, gopt);
     if (!p) continue;
     const search::SearchResult ref = search::ColumnarSearchSolver().solve(*p);
-    if (ref.status != search::SearchStatus::kOptimal) continue;
+    if (ref.status != model::SolveStatus::kOptimal) continue;
     ++exercised;
 
     driver::SolveRequest req;
@@ -262,7 +262,7 @@ TEST(DriverInvariant, PortfolioNeverWorseThanExactSearch) {
     req.deadline_seconds = 8.0;
     req.annealer.iterations = 20000;
     const driver::SolveResponse res = drv.solvePortfolio(*p, req);
-    ASSERT_EQ(res.status, driver::SolveStatus::kOptimal) << "seed " << seed << ": " << res.detail;
+    ASSERT_EQ(res.status, model::SolveStatus::kOptimal) << "seed " << seed << ": " << res.detail;
     EXPECT_EQ(res.costs.wasted_frames, ref.costs.wasted_frames) << "seed " << seed;
     EXPECT_EQ(model::check(*p, res.plan), "") << "seed " << seed;
   }

@@ -1,10 +1,14 @@
 // End-to-end tests for the O and HO MILP floorplanning flows.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "device/builders.hpp"
 #include "fp/milp_floorplanner.hpp"
+#include "partition/columnar.hpp"
 #include "search/solver.hpp"
 
 namespace rfp::fp {
@@ -29,7 +33,7 @@ TEST(MilpFloorplanner, OLexicographicMatchesSearch) {
   EXPECT_EQ(model::check(p, milp_res.plan), "");
 
   const search::SearchResult sres = search::ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(sres.status, search::SearchStatus::kOptimal);
+  ASSERT_EQ(sres.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(milp_res.costs.wasted_frames, sres.costs.wasted_frames);
   EXPECT_NEAR(milp_res.costs.wire_length, sres.costs.wire_length, 1e-6);
 }
@@ -50,7 +54,7 @@ TEST(MilpFloorplanner, OTwoThreadsMatchesOneThread) {
     EXPECT_EQ(model::check(p, res.plan), "") << threads << " threads";
     ASSERT_EQ(res.workers.size(), static_cast<std::size_t>(threads));
     long nodes = 0;
-    for (const milp::MipWorkerStats& w : res.workers) nodes += w.nodes;
+    for (const WorkerStats& w : res.workers) nodes += w.nodes;
     EXPECT_EQ(nodes, res.nodes) << threads << " threads";
     results.push_back(res);
   }
@@ -137,7 +141,7 @@ TEST(MilpFloorplanner, LpMemoryGateDeclinesOverCapAndZeroDisablesIt) {
   opt.algorithm = Algorithm::kO;
   opt.max_lp_gib = 1e-6;  // ~1 KiB: below any formulation's estimate
   const FpResult declined = MilpFloorplanner(opt).solve(p);
-  EXPECT_EQ(declined.status, FpStatus::kNoSolution);
+  EXPECT_EQ(declined.status, model::SolveStatus::kNoSolution);
   EXPECT_NE(declined.detail.find("declined:"), std::string::npos) << declined.detail;
   EXPECT_EQ(declined.lp.solves, 0);
 
@@ -199,6 +203,47 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
     }
   }
   EXPECT_GT(warm_branching_runs, 0);
+}
+
+
+TEST(MilpFloorplanner, StopCutNodeLpKeepsItsParentBound) {
+  // MILP-O's stage-1 model, stopped while a node LP is in flight: the
+  // interrupted node goes back to the bound computation with its parent's
+  // bound, so the truncated solve reports a finite dual bound below its
+  // incumbent rather than none at all.
+  const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  model::FloorplanProblem p(&dev);
+  p.addRegion(model::RegionSpec{"a", {6, 1, 0}});
+  p.addRegion(model::RegionSpec{"b", {4, 0, 1}});
+  p.addRegion(model::RegionSpec{"c", {3, 0, 0}});
+  p.addNet(model::Net{{0, 1}, 1.0, "n"});
+  p.addNet(model::Net{{1, 2}, 2.0, "m"});
+  const auto part = partition::columnarPartition(dev);
+  ASSERT_TRUE(part.has_value());
+  FormulationOptions fopt;
+  fopt.objective = ObjectiveKind::kWastedFrames;
+  const MilpFormulation formulation(p, *part, fopt);
+  const std::optional<model::Floorplan> warm = constructiveFloorplan(p, HeuristicOptions{});
+  ASSERT_TRUE(warm.has_value());
+
+  std::atomic<bool> stop{false};
+  int polls = 0;
+  milp::MilpSolver::Options mopt;
+  mopt.lp_warm_start = false;  // cold node LPs run past the pivot loop's stop check
+  mopt.stop = &stop;
+  // The solver polls once per pool pick and once per plunge step below it:
+  // the second poll precedes the root's first child, whose LP then sees the
+  // raised flag mid-solve.
+  mopt.incumbent_poll = [&stop, &polls]() -> std::optional<std::vector<double>> {
+    if (++polls == 2) stop.store(true);
+    return std::nullopt;
+  };
+  const milp::MipResult res =
+      milp::MilpSolver(mopt).solve(formulation.model(), formulation.encode(*warm));
+  ASSERT_EQ(res.status, milp::MipStatus::kFeasible) << milp::toString(res.status);
+  EXPECT_EQ(res.nodes, 2);
+  EXPECT_GT(res.best_bound, -lp::kInfinity / 2);
+  EXPECT_LE(res.best_bound, res.objective + 1e-9);
 }
 
 }  // namespace

@@ -76,9 +76,9 @@ TEST(CrossValidation, MilpAgreesWithSearchOnRandomInstances) {
     mopt.time_limit_seconds = 30;
     const milp::MipResult mip = milp::MilpSolver(mopt).solve(formulation.model());
 
-    if (sres.status == search::SearchStatus::kInfeasible) {
+    if (sres.status == model::SolveStatus::kInfeasible) {
       EXPECT_EQ(mip.status, milp::MipStatus::kInfeasible) << "trial " << trial;
-    } else if (sres.status == search::SearchStatus::kOptimal &&
+    } else if (sres.status == model::SolveStatus::kOptimal &&
                mip.status == milp::MipStatus::kOptimal) {
       const model::Floorplan fp = formulation.extract(mip.x);
       ASSERT_EQ(model::check(p, fp), "") << "trial " << trial;
@@ -226,13 +226,13 @@ TEST(CrossEngineProperty, DriverBackendsAgreeOnGeneratedInstances) {
     ++instances;
 
     const driver::SolveResponse exact = drv.solve(*p, search_req);
-    ASSERT_EQ(exact.status, driver::SolveStatus::kOptimal) << "seed " << seed;
+    ASSERT_EQ(exact.status, model::SolveStatus::kOptimal) << "seed " << seed;
     ASSERT_EQ(model::check(*p, exact.plan), "") << "seed " << seed;
 
     const driver::SolveResponse milp = drv.solve(*p, milp_req);
     ASSERT_TRUE(milp.hasSolution()) << "seed " << seed << ": " << milp.detail;
     ASSERT_EQ(model::check(*p, milp.plan), "") << "seed " << seed;
-    if (milp.status == driver::SolveStatus::kOptimal) {
+    if (milp.status == model::SolveStatus::kOptimal) {
       EXPECT_EQ(milp.costs.wasted_frames, exact.costs.wasted_frames)
           << "seed " << seed << ": " << milp.detail;
       ++both_optimal;

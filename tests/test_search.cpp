@@ -208,7 +208,7 @@ TEST(Solver, FindsOptimalWasteOnTinyInstance) {
   p.addRegion(model::RegionSpec{"a", {2, 1, 0}});
   p.addRegion(model::RegionSpec{"b", {2, 0, 0}});
   const SearchResult res = ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(res.status, SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(res.costs.wasted_frames, 0);
   EXPECT_EQ(model::check(p, res.plan), "");
 }
@@ -219,7 +219,7 @@ TEST(Solver, ProvesInfeasibilityWhenRegionsCannotFit) {
   p.addRegion(model::RegionSpec{"a", {3, 0, 0}});
   p.addRegion(model::RegionSpec{"b", {2, 0, 0}});
   const SearchResult res = ColumnarSearchSolver().solve(p);
-  EXPECT_EQ(res.status, SearchStatus::kInfeasible);
+  EXPECT_EQ(res.status, model::SolveStatus::kInfeasible);
 }
 
 TEST(Solver, HardRelocationConstraintIsEnforced) {
@@ -229,7 +229,7 @@ TEST(Solver, HardRelocationConstraintIsEnforced) {
   p.addRegion(model::RegionSpec{"r", {4}});
   p.addRelocation(model::RelocationRequest{0, 1, true, 1.0});
   const SearchResult res = ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(res.status, SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   ASSERT_EQ(res.plan.placedFcCount(), 1);
   EXPECT_EQ(model::check(p, res.plan), "");
 }
@@ -241,7 +241,7 @@ TEST(Solver, HardRelocationInfeasibleWhenNoRoom) {
   p.addRegion(model::RegionSpec{"r", {4}});
   p.addRelocation(model::RelocationRequest{0, 1, true, 1.0});
   const SearchResult res = ColumnarSearchSolver().solve(p);
-  EXPECT_EQ(res.status, SearchStatus::kInfeasible);
+  EXPECT_EQ(res.status, model::SolveStatus::kInfeasible);
 }
 
 TEST(Solver, SoftRelocationDegradesGracefully) {
@@ -253,7 +253,7 @@ TEST(Solver, SoftRelocationDegradesGracefully) {
   SearchOptions opt;
   opt.mode = ObjectiveMode::kWeighted;
   const SearchResult res = ColumnarSearchSolver(opt).solve(p);
-  ASSERT_EQ(res.status, SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(res.plan.placedFcCount(), 0);
   EXPECT_DOUBLE_EQ(res.costs.relocation, 1.0);
 }
@@ -267,7 +267,7 @@ TEST(Solver, WeightedModePlacesFcWhenBeneficial) {
   SearchOptions opt;
   opt.mode = ObjectiveMode::kWeighted;
   const SearchResult res = ColumnarSearchSolver(opt).solve(p);
-  ASSERT_EQ(res.status, SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(res.plan.placedFcCount(), 2);  // space exists → no reason to skip
 }
 
@@ -278,7 +278,7 @@ TEST(Solver, LexicographicPrefersLowerWireLengthAtEqualWaste) {
   p.addRegion(model::RegionSpec{"b", {4}});
   p.addNet(model::Net{{0, 1}, 1.0, "n"});
   const SearchResult res = ColumnarSearchSolver().solve(p);
-  ASSERT_EQ(res.status, SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(res.costs.wasted_frames, 0);
   // Zero-waste optimum on WL: 1x4 full-height strips in adjacent columns,
   // center distance 1 on x — strictly better than side-by-side 2x2 blocks.
@@ -295,8 +295,8 @@ TEST(Solver, ParallelMatchesSerial) {
   parallel.num_threads = 8;
   const SearchResult a = ColumnarSearchSolver(serial).solve(sdr2);
   const SearchResult b = ColumnarSearchSolver(parallel).solve(sdr2);
-  ASSERT_EQ(a.status, SearchStatus::kOptimal);
-  ASSERT_EQ(b.status, SearchStatus::kOptimal);
+  ASSERT_EQ(a.status, model::SolveStatus::kOptimal);
+  ASSERT_EQ(b.status, model::SolveStatus::kOptimal);
   EXPECT_EQ(a.costs.wasted_frames, b.costs.wasted_frames);
   EXPECT_NEAR(a.costs.wire_length, b.costs.wire_length, 1e-9);
   EXPECT_EQ(model::check(sdr2, a.plan), "");
@@ -323,18 +323,16 @@ TEST(Solver, WorkStealingTelemetryIsConsistent) {
   SearchOptions opt;
   opt.num_threads = 8;
   const SearchResult res = ColumnarSearchSolver(opt).solve(sdr2);
-  ASSERT_EQ(res.status, SearchStatus::kOptimal);
+  ASSERT_EQ(res.status, model::SolveStatus::kOptimal);
   ASSERT_EQ(res.workers.size(), 8u);
-  long nodes = 0, tasks = 0, splits = 0, steals = 0, stolen = 0;
-  for (const SearchWorkerStats& w : res.workers) {
+  long nodes = 0, tasks = 0, splits = 0, stolen = 0;
+  for (const WorkerStats& w : res.workers) {
     nodes += w.nodes;
     tasks += w.tasks;
     splits += w.splits;
-    steals += w.steals;
-    stolen += w.stolen_tasks;
+    stolen += w.stolen;
   }
   EXPECT_EQ(nodes, res.nodes);
-  EXPECT_EQ(steals, res.steals);
   // A completed solve executed every task: the roots plus every split.
   EXPECT_GE(tasks, splits);
   // Stolen tasks were all spawned by someone (roots are dealt, not stolen,
@@ -365,7 +363,7 @@ TEST(Solver, WasteBudgetMakesProblemInfeasible) {
   SearchOptions opt;
   opt.waste_budget = 10;  // below the 90-frame optimum
   const SearchResult res = ColumnarSearchSolver(opt).solve(sdr);
-  EXPECT_EQ(res.status, SearchStatus::kInfeasible);
+  EXPECT_EQ(res.status, model::SolveStatus::kInfeasible);
 }
 
 TEST(Solver, NeverReturnsAPlanWorseThanAPublishedIncumbent) {
@@ -381,7 +379,7 @@ TEST(Solver, NeverReturnsAPlanWorseThanAPublishedIncumbent) {
   SearchOptions serial;
   serial.num_threads = 1;
   const SearchResult opt = ColumnarSearchSolver(serial).solve(p);
-  ASSERT_EQ(opt.status, SearchStatus::kOptimal);
+  ASSERT_EQ(opt.status, model::SolveStatus::kOptimal);
 
   for (int round = 0; round < 5; ++round) {
     driver::SharedIncumbent channel(p);
@@ -429,7 +427,7 @@ TEST(Solver, SeededSearchExpandsASubsetOfTheBlindTree) {
     ASSERT_TRUE(channel.publish(incumbent->plan, incumbent->costs, "annealer"));
     opt.incumbent = &channel;
     const SearchResult seeded = ColumnarSearchSolver(opt).solve(*p);
-    ASSERT_EQ(blind.status, SearchStatus::kOptimal) << "seed " << gopt.seed;
+    ASSERT_EQ(blind.status, model::SolveStatus::kOptimal) << "seed " << gopt.seed;
     EXPECT_EQ(seeded.status, blind.status) << "seed " << gopt.seed;
     EXPECT_LE(seeded.nodes, blind.nodes) << "seed " << gopt.seed;
     fewer += seeded.nodes < blind.nodes ? 1 : 0;
@@ -442,7 +440,7 @@ TEST(Solver, SeededSearchExpandsASubsetOfTheBlindTree) {
 /// only to the answer, moves `nodes`. A change that is meant to alter the
 /// search's pruning updates these numbers and says why.
 struct PinnedWork {
-  SearchStatus status;
+  model::SolveStatus status;
   long nodes;
   long wasted_frames;
   double wire_length;
@@ -461,10 +459,10 @@ void expectWork(const model::FloorplanProblem& p, SearchOptions opt, const Pinne
 
 TEST(Solver, WorkIsUnchanged) {
   const device::Device fx = device::virtex5FX70T();
-  const PinnedWork sdr[] = {{SearchStatus::kOptimal, 1001048, 90, 2976.0},
-                            {SearchStatus::kOptimal, 1001092, 90, 2976.0},
-                            {SearchStatus::kOptimal, 1000139, 90, 2976.0},
-                            {SearchStatus::kOptimal, 998290, 90, 3744.0}};
+  const PinnedWork sdr[] = {{model::SolveStatus::kOptimal, 1001048, 90, 2976.0},
+                            {model::SolveStatus::kOptimal, 1001092, 90, 2976.0},
+                            {model::SolveStatus::kOptimal, 1000139, 90, 2976.0},
+                            {model::SolveStatus::kOptimal, 998290, 90, 3744.0}};
   for (int fc = 0; fc <= 3; ++fc) {
     model::FloorplanProblem p = model::makeSdrProblem(fx);
     if (fc > 0) model::addSdrRelocations(p, fc);
@@ -475,7 +473,7 @@ TEST(Solver, WorkIsUnchanged) {
     model::addSdrRelocations(p, 2);
     SearchOptions opt;
     opt.optimize_wirelength = false;
-    expectWork(p, opt, {SearchStatus::kOptimal, 4931, 90, 5280.0}, "SDR2, waste only");
+    expectWork(p, opt, {model::SolveStatus::kOptimal, 4931, 90, 5280.0}, "SDR2, waste only");
   }
   {
     const device::Device dev = device::columnarFromPattern("w", "CCBCCDCCBCCC", 6);
@@ -490,7 +488,7 @@ TEST(Solver, WorkIsUnchanged) {
     p.setWeights(model::ObjectiveWeights{1, 0.5, 1, 1});
     SearchOptions opt;
     opt.mode = ObjectiveMode::kWeighted;
-    expectWork(p, opt, {SearchStatus::kOptimal, 198305, 60, 5.0}, "weighted, soft FC");
+    expectWork(p, opt, {model::SolveStatus::kOptimal, 198305, 60, 5.0}, "weighted, soft FC");
   }
   {
     // Later regions can take the last free-compatible area of an earlier
@@ -502,7 +500,8 @@ TEST(Solver, WorkIsUnchanged) {
     p.addRegion(model::RegionSpec{"c", {2}});
     p.addNet(model::Net{{0, 1, 2}, 1.0, "n"});
     p.addRelocation(model::RelocationRequest{0, 1, true, 1.0});
-    expectWork(p, {}, {SearchStatus::kOptimal, 380, 0, 3.0}, "FC area taken by later regions");
+    expectWork(p, {}, {model::SolveStatus::kOptimal, 380, 0, 3.0},
+               "FC area taken by later regions");
   }
   {
     // Two hard FC areas per region on a small device: FC checks often fail
@@ -516,7 +515,7 @@ TEST(Solver, WorkIsUnchanged) {
     p.addNet(model::Net{{1, 0}, 4.0, "ba2"});
     p.addNet(model::Net{{1, 2}, 2.0, "bc"});
     for (int n = 0; n < 3; ++n) p.addRelocation(model::RelocationRequest{n, 2, true, 1.0});
-    expectWork(p, {}, {SearchStatus::kOptimal, 26385, 0, 19.5}, "two FC areas per region");
+    expectWork(p, {}, {model::SolveStatus::kOptimal, 26385, 0, 19.5}, "two FC areas per region");
   }
   {
     // 70 rows: two words per column, and the hard block straddles row 64.
@@ -528,7 +527,7 @@ TEST(Solver, WorkIsUnchanged) {
     p.addRegion(model::RegionSpec{"c", {80, 20, 0}});
     p.addNet(model::Net{{0, 1, 2}, 1.0, "bus"});
     p.addRelocation(model::RelocationRequest{2, 1, true, 1.0});
-    expectWork(p, {}, {SearchStatus::kOptimal, 5319, 184, 33.5}, "70-row device");
+    expectWork(p, {}, {model::SolveStatus::kOptimal, 5319, 184, 33.5}, "70-row device");
   }
 }
 
@@ -542,7 +541,8 @@ TEST(Solver, StopFlagIsSeenAtTheFirstPoll) {
   SearchOptions opt;
   opt.stop = &stop;
   const SearchResult res = ColumnarSearchSolver(opt).solve(p);
-  EXPECT_FALSE(res.status == SearchStatus::kOptimal || res.status == SearchStatus::kInfeasible);
+  EXPECT_FALSE(res.status == model::SolveStatus::kOptimal ||
+               res.status == model::SolveStatus::kInfeasible);
   EXPECT_EQ(res.nodes, 1);
 }
 
