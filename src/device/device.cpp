@@ -17,6 +17,7 @@ Device::Device(std::string name, int width, int height, std::vector<TileType> ty
       grid_[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
             static_cast<std::size_t>(x)] = column_types[static_cast<std::size_t>(x)];
   validate();
+  computeColumnTypes();
 }
 
 Device::Device(std::string name, int width, int height, std::vector<TileType> types,
@@ -31,6 +32,7 @@ Device::Device(std::string name, int width, int height, std::vector<TileType> ty
                     static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_),
                 "device '" << name_ << "': grid size mismatch");
   validate();
+  computeColumnTypes();
 }
 
 void Device::validate() const {
@@ -43,6 +45,16 @@ void Device::validate() const {
     RFP_CHECK_MSG(t.frames > 0, "tile type '" << t.name << "': frames must be positive");
 }
 
+void Device::computeColumnTypes() {
+  column_type_.resize(static_cast<std::size_t>(width_));
+  for (int x = 0; x < width_; ++x) {
+    int t0 = typeAt(x, 0);
+    for (int y = 1; y < height_ && t0 >= 0; ++y)
+      if (typeAt(x, y) != t0) t0 = -1;
+    column_type_[static_cast<std::size_t>(x)] = t0;
+  }
+}
+
 int Device::tileTypeId(const std::string& name) const noexcept {
   for (int i = 0; i < numTileTypes(); ++i)
     if (types_[static_cast<std::size_t>(i)].name == name) return i;
@@ -50,19 +62,14 @@ int Device::tileTypeId(const std::string& name) const noexcept {
 }
 
 bool Device::isColumnar() const noexcept {
-  for (int x = 0; x < width_; ++x) {
-    const int t0 = typeAt(x, 0);
-    for (int y = 1; y < height_; ++y)
-      if (typeAt(x, y) != t0) return false;
-  }
-  return true;
+  return std::none_of(column_type_.begin(), column_type_.end(),
+                      [](int t) { return t < 0; });
 }
 
 int Device::columnType(int x) const {
-  const int t0 = typeAt(x, 0);
-  for (int y = 1; y < height_; ++y)
-    RFP_CHECK_MSG(typeAt(x, y) == t0, "column " << x << " is not uniform");
-  return t0;
+  const int t = column_type_.at(static_cast<std::size_t>(x));
+  RFP_CHECK_MSG(t >= 0, "column " << x << " is not uniform");
+  return t;
 }
 
 void Device::addForbidden(Rect r, std::string label) {

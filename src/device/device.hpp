@@ -62,7 +62,8 @@ class Device {
 
   /// True when every column has a single tile type (columnar device).
   [[nodiscard]] bool isColumnar() const noexcept;
-  /// The type of column x; requires the column to be uniform.
+  /// The type of column x; requires the column to be uniform. O(1): read
+  /// from the per-column types computed at construction.
   [[nodiscard]] int columnType(int x) const;
 
   // ---- forbidden areas -----------------------------------------------------
@@ -95,12 +96,17 @@ class Device {
 
  private:
   void validate() const;
+  /// Fills `column_type_` from `grid_`; called once by each constructor.
+  void computeColumnTypes();
 
   std::string name_;
   int width_ = 0;
   int height_ = 0;
   std::vector<TileType> types_;
-  std::vector<int> grid_;  ///< row-major type ids
+  std::vector<int> grid_;  ///< row-major type ids; never written after construction
+  /// Per column: its type when uniform, -1 otherwise. Derived from `grid_`
+  /// once in the constructors, so it cannot go stale.
+  std::vector<int> column_type_;
   std::vector<Rect> forbidden_;
   std::vector<std::string> forbidden_labels_;
 };

@@ -70,6 +70,8 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     warm = constructiveFloorplan(problem, hopt);
     if (heur_span.active()) heur_span.note("found", warm ? "yes" : "no");
   }
+  // A construction is published to the channel before it is returned.
+  if (warm && hopt.incumbent) ++result.exchange.published;
   // O only: a floorplan already in the exchange channel (a faster engine's,
   // or a staged portfolio's first slice) that beats the construction makes
   // the better warm start — the paper's heuristic-feeds-exact-MILP
@@ -82,8 +84,12 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     model::Floorplan chan_plan;
     model::FloorplanCosts chan_costs;
     if (options_.incumbent->best(&chan_plan, &chan_costs) &&
-        (!warm || model::strictlyBetter(problem, chan_costs, model::evaluate(problem, *warm))))
+        (!warm || model::strictlyBetter(problem, chan_costs, model::evaluate(problem, *warm)))) {
       warm = std::move(chan_plan);
+      ++result.exchange.adopted;
+      telemetry::adoption(options_.milp.telemetry, "milp", "waste",
+                          static_cast<double>(chan_costs.wasted_frames));
+    }
   }
   if (options_.algorithm == Algorithm::kHO) {
     if (!warm) {

@@ -90,6 +90,30 @@ std::vector<int> matchingColumnSpans(const device::Device& dev, int x0, int w) {
   return out;
 }
 
+ColumnSpanTable::ColumnSpanTable(const device::Device& dev) : width_(dev.width()) {
+  const auto W = static_cast<std::size_t>(width_);
+  std::vector<int> type(W);
+  for (std::size_t x = 0; x < W; ++x) type[x] = dev.columnType(static_cast<int>(x));
+  // lcp[a * (W+1) + b], with lcp(·, W) = lcp(W, ·) = 0.
+  std::vector<std::size_t> lcp((W + 1) * (W + 1), 0);
+  for (std::size_t a = W; a-- > 0;)
+    for (std::size_t b = 0; b < W; ++b)
+      if (type[a] == type[b]) lcp[a * (W + 1) + b] = 1 + lcp[(a + 1) * (W + 1) + b + 1];
+  // b belongs to lists (a, 1..lcp(a, b)); ascending b keeps every list
+  // ascending. One walk sizes the lists, the second fills them.
+  const auto eachMatch = [&](auto&& visit) {
+    for (std::size_t a = 0; a < W; ++a)
+      for (std::size_t b = 0; b < W; ++b)
+        for (std::size_t w = 1; w <= lcp[a * (W + 1) + b]; ++w) visit(a * W + w - 1, b);
+  };
+  start_.assign(W * W + 1, 0);
+  eachMatch([&](std::size_t i, std::size_t) { ++start_[i + 1]; });
+  for (std::size_t i = 0; i < W * W; ++i) start_[i + 1] += start_[i];
+  xs_.resize(start_.back());
+  std::vector<std::size_t> next(start_.begin(), start_.end() - 1);
+  eachMatch([&](std::size_t i, std::size_t b) { xs_[next[i]++] = static_cast<int>(b); });
+}
+
 std::vector<int> validRows(const device::Device& dev, int x, int w, int h) {
   std::vector<int> ys;
   for (int y = 0; y + h <= dev.height(); ++y)

@@ -8,6 +8,7 @@
 // at paper scale (DESIGN.md §3 substitution 2).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "device/device.hpp"
@@ -56,6 +57,31 @@ struct RegionCandidates {
 /// the compatible column spans per Definition .1 (y positions are free on a
 /// columnar device, up to forbidden areas). Includes x0 itself.
 [[nodiscard]] std::vector<int> matchingColumnSpans(const device::Device& dev, int x0, int w);
+
+/// matchingColumnSpans for every column span (x, w) of a columnar device,
+/// built in O(W² + output) from one common-prefix pass over the column types:
+/// lcp(a, b) = type[a] == type[b] ? 1 + lcp(a+1, b+1) : 0, and x' matches
+/// (x, w) iff lcp(x, x') >= w. Each list is ascending, as matchingColumnSpans
+/// returns it; spans with x + w > W have an empty list. All lists share one
+/// array, so building the table allocates a few times, not once per span.
+class ColumnSpanTable {
+ public:
+  ColumnSpanTable() = default;
+  explicit ColumnSpanTable(const device::Device& dev);
+
+  /// The x positions matching columns [x, x+w); 0 <= x < W, 1 <= w <= W.
+  [[nodiscard]] std::span<const int> spans(int x, int w) const {
+    const std::size_t i = static_cast<std::size_t>(x) * static_cast<std::size_t>(width_) +
+                          static_cast<std::size_t>(w) - 1;
+    return {xs_.data() + start_[i], xs_.data() + start_[i + 1]};
+  }
+
+ private:
+  int width_ = 0;
+  /// List (x, w) is xs_[start_[i], start_[i+1]) with i = x * W + w - 1.
+  std::vector<std::size_t> start_;
+  std::vector<int> xs_;
+};
 
 /// Valid top rows for an h-tall rect at columns [x, x+w) avoiding forbidden
 /// areas.

@@ -52,8 +52,7 @@ struct Instance {
   std::vector<std::vector<int>> req;         ///< req[n][t] = required tiles
   std::vector<int> hard_fc;                  ///< hard FC slots per region
   std::vector<std::size_t> witness_start;    ///< Σ hard_fc of regions before n
-  std::vector<std::vector<int>> span_cache;  ///< (x, w) → matching column spans
-  int span_stride = 0;                       ///< device width (span_cache index)
+  ColumnSpanTable span_table;  ///< built only when FC slots are present
   /// The device's forbidden tiles (sized in buildInstance); every worker's
   /// occupancy starts as a copy, so its overlap tests cover forbidden areas
   /// without a separate check.
@@ -70,12 +69,6 @@ struct Instance {
   double wl_max = 1, p_max = 1, r_max = 1, rl_max = 1;  ///< Eq. 14 normalizers
 
   [[nodiscard]] const model::FloorplanProblem& prob() const { return *problem; }
-
-  /// Cached matchingColumnSpans(dev, x, w); valid whenever slots are present.
-  [[nodiscard]] const std::vector<int>& spans(int x, int w) const {
-    return span_cache[static_cast<std::size_t>(x) * static_cast<std::size_t>(span_stride) +
-                      static_cast<std::size_t>(w) - 1];
-  }
 };
 
 /// Thread-shared incumbent: a monotone 64-bit cost key for lock-free pruning
@@ -540,7 +533,7 @@ class Worker {
     Rect* witness = &witnesses_[inst_.witness_start[static_cast<std::size_t>(n)]];
     std::uint64_t* rows = rowBits(inst_.prob().numRegions());
     int found = 0;
-    for (const int x : inst_.spans(src.x, src.w)) {
+    for (const int x : inst_.span_table.spans(src.x, src.w)) {
       occ_.orColumns(x, src.w, rows);
       occ_.freeWindows(rows, src.h);
       // The source rect itself is occupied, so these are genuinely free
@@ -636,7 +629,7 @@ class Worker {
       if (!computed[static_cast<std::size_t>(n)]) {
         computed[static_cast<std::size_t>(n)] = true;
         const Rect& src = rects_[static_cast<std::size_t>(n)];
-        for (const int x : inst_.spans(src.x, src.w)) {
+        for (const int x : inst_.span_table.spans(src.x, src.w)) {
           inst_.forbidden.orColumns(x, src.w, forbidden_rows);
           inst_.forbidden.freeWindows(forbidden_rows, src.h);
           for (int y = 0; y + src.h <= height; ++y)
@@ -918,17 +911,8 @@ Instance buildInstance(const model::FloorplanProblem& problem, const SearchOptio
           next_net[static_cast<std::size_t>(inst.net_pins[static_cast<std::size_t>(i)])]++)] =
           static_cast<int>(e);
 
-  // Column-span cache for the FC checks (only needed when FC slots exist).
-  if (!inst.slots.empty()) {
-    const device::Device& dev = problem.dev();
-    const int W = dev.width();
-    inst.span_stride = W;
-    inst.span_cache.resize(static_cast<std::size_t>(W) * static_cast<std::size_t>(W));
-    for (int w = 1; w <= W; ++w)
-      for (int x = 0; x + w <= W; ++x)
-        inst.span_cache[static_cast<std::size_t>(x) * static_cast<std::size_t>(W) +
-                        static_cast<std::size_t>(w) - 1] = matchingColumnSpans(dev, x, w);
-  }
+  // Column-span table for the FC checks (only needed when FC slots exist).
+  if (!inst.slots.empty()) inst.span_table = ColumnSpanTable(problem.dev());
 
   // Eq. 14 normalizers (same convention as model::evaluate).
   const device::Device& dev = problem.dev();

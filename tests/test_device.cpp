@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "device/builders.hpp"
+#include "device/catalog.hpp"
 #include "device/parser.hpp"
 #include "support/check.hpp"
 
@@ -99,6 +100,18 @@ TEST(Device, BrokenColumnDeviceIsNotColumnar) {
   const Device dev = brokenColumnDevice();
   EXPECT_FALSE(dev.isColumnar());
   EXPECT_THROW((void)dev.columnType(2), CheckError);
+}
+
+TEST(Device, ColumnTypeMatchesEveryTileOnCatalogDevices) {
+  // columnType reads the per-column types cached at construction; they must
+  // agree with the grid at every row.
+  for (const CatalogEntry& entry : catalog()) {
+    SCOPED_TRACE(entry.name);
+    const Device dev = entry.build();
+    ASSERT_TRUE(dev.isColumnar());
+    for (int x = 0; x < dev.width(); ++x)
+      for (int y = 0; y < dev.height(); ++y) ASSERT_EQ(dev.columnType(x), dev.typeAt(x, y));
+  }
 }
 
 TEST(Device, GridConstructorValidation) {

@@ -1307,17 +1307,26 @@ TEST(DriverTelemetry, RegistryTotalsMatchTheResponseForEveryBackend) {
   }
 
   // Incumbent adoptions reach the registry from every engine that adopts.
-  // The search adopts a channel-seeded optimum at its root. MILP-O on the
-  // weighted objective polls for external incumbents at node boundaries;
-  // its poll hands over the search's optimum in the formulation's encoding,
-  // which beats the heuristic warm start.
+  // The search adopts a channel-seeded optimum at its root, and MILP-O takes
+  // it as its warm start in place of the heuristic construction. MILP-O on
+  // the weighted objective also polls for external incumbents at node
+  // boundaries; without a channel, its poll hands over the search's optimum
+  // in the formulation's encoding, which beats the heuristic warm start.
   model::FloorplanProblem weighted = chain;
   weighted.setLexicographic(false);
   const search::SearchResult best = search::ColumnarSearchSolver(
       search::SearchOptions{search::ObjectiveMode::kWeighted}).solve(weighted);
   ASSERT_EQ(best.status, model::SolveStatus::kOptimal);
-  for (const Backend backend : {Backend::kSearch, Backend::kMilpO}) {
-    SCOPED_TRACE(std::string("seeded ") + toString(backend));
+  struct SeededCase {
+    Backend backend;
+    bool seeded_channel;  ///< false: seeded through the node-boundary poll
+  };
+  for (const SeededCase sc : {SeededCase{Backend::kSearch, true},
+                              SeededCase{Backend::kMilpO, false},
+                              SeededCase{Backend::kMilpO, true}}) {
+    const Backend backend = sc.backend;
+    SCOPED_TRACE(std::string("seeded ") + toString(backend) +
+                 (sc.seeded_channel ? " through its channel" : " through its poll"));
     telemetry::MetricsRegistry reg;
     telemetry::Context ctx;
     ctx.metrics = &reg;
@@ -1325,7 +1334,7 @@ TEST(DriverTelemetry, RegistryTotalsMatchTheResponseForEveryBackend) {
     req.telemetry = &ctx;
     SharedIncumbent channel(weighted);
     ASSERT_TRUE(channel.publish(best.plan, best.costs, "test"));
-    if (backend == Backend::kMilpO) {
+    if (!sc.seeded_channel) {
       const auto part = partition::columnarPartition(dev);
       fp::FormulationOptions fopt;
       fopt.objective = fp::ObjectiveKind::kWeighted;
@@ -1337,11 +1346,29 @@ TEST(DriverTelemetry, RegistryTotalsMatchTheResponseForEveryBackend) {
         return x;
       };
     }
-    const SolveResponse res = detail::runBackend(
-        weighted, req, backend, nullptr, backend == Backend::kSearch ? &channel : nullptr);
+    const SolveResponse res = detail::runBackend(weighted, req, backend, nullptr,
+                                                 sc.seeded_channel ? &channel : nullptr);
     ASSERT_TRUE(res.hasSolution()) << res.detail;
     EXPECT_EQ(res.exchange.adopted, 1) << res.detail;
     EXPECT_EQ(reg.counter("incumbent.adoptions").total(), res.exchange.adopted);
+  }
+}
+
+TEST(DriverTelemetry, MilpBackendsCountEveryPublishTheyMake) {
+  // MILP-O and MILP-HO publish their heuristic construction and then branch
+  // & bound's improvements; the response counts each publish call once.
+  const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  const model::FloorplanProblem chain = threeRegionChain(dev);
+  for (const Backend backend : {Backend::kMilpO, Backend::kMilpHO}) {
+    SCOPED_TRACE(toString(backend));
+    SharedIncumbent channel(chain);
+    SolveRequest req;
+    req.deadline_seconds = 60.0;
+    req.milp.milp.node_limit = 200;
+    const SolveResponse res = detail::runBackend(chain, req, backend, nullptr, &channel);
+    ASSERT_TRUE(res.hasSolution()) << res.detail;
+    EXPECT_GE(res.exchange.published, 1);
+    EXPECT_EQ(res.exchange.published, channel.publishes());
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,34 @@ TEST(Candidates, MatchingColumnSpans) {
   ASSERT_EQ(xs.size(), 2u);
   EXPECT_EQ(xs[0], 0);
   EXPECT_EQ(xs[1], 3);
+}
+
+TEST(Candidates, ColumnSpanTableMatchesPerQueryScan) {
+  // The common-prefix table must list exactly what the per-query scan
+  // returns, in the same (ascending) order, for every span of the device.
+  const device::Device devices[] = {device::virtex5FX70T(),
+                                    device::columnarFromPattern("t", "CCBCCBCCDCCBCC", 3),
+                                    device::uniformDevice(9, 4)};
+  for (const device::Device& dev : devices) {
+    SCOPED_TRACE(dev.name());
+    const int W = dev.width();
+    const ColumnSpanTable table(dev);
+    for (int x = 0; x < W; ++x)
+      for (int w = 1; w <= W; ++w) {
+        SCOPED_TRACE("x=" + std::to_string(x) + " w=" + std::to_string(w));
+        if (x + w > W) {
+          EXPECT_TRUE(table.spans(x, w).empty());
+          continue;
+        }
+        const std::span<const int> got = table.spans(x, w);
+        EXPECT_EQ(std::vector<int>(got.begin(), got.end()), matchingColumnSpans(dev, x, w));
+      }
+  }
+  // On a uniform device every span matches every position it fits.
+  const device::Device uniform = device::uniformDevice(9, 4);
+  const ColumnSpanTable table(uniform);
+  const std::span<const int> got = table.spans(2, 4);
+  EXPECT_EQ(std::vector<int>(got.begin(), got.end()), (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Solver, FindsOptimalWasteOnTinyInstance) {
