@@ -38,11 +38,12 @@
 #include "fp/formulation.hpp"
 #include "io/json.hpp"
 #include "lp/lp_solver.hpp"
-#include "lp/simplex.hpp"
 #include "lp/sparse/csc.hpp"
+#include "lp/sparse/dual_simplex.hpp"
 #include "lp/sparse/revised_simplex.hpp"
 #include "model/generator.hpp"
 #include "model/problem.hpp"
+#include "oracle/simplex.hpp"
 #include "partition/columnar.hpp"
 #include "support/timer.hpp"
 
@@ -106,11 +107,10 @@ RunRecord solveWith(const std::string& name, const lp::Model& m, bool dense,
                     double time_limit) {
   RunRecord rec = describe(name, m, dense);
   lp::LpSolver::Options opt;
-  opt.core.max_iterations = 2000000;
-  opt.core.time_limit_seconds = time_limit;
+  opt.max_iterations = 2000000;
+  opt.time_limit_seconds = time_limit;
   Stopwatch watch;
-  const lp::LpResult r =
-      dense ? lp::SimplexSolver(opt.core).solve(m) : lp::LpSolver(opt).solve(m);
+  const lp::LpResult r = dense ? lp::SimplexSolver(opt).solve(m) : lp::LpSolver(opt).solve(m);
   rec.status = lp::toString(r.status);
   rec.objective = r.objective;
   rec.iterations = r.counters.iterations;
@@ -219,8 +219,7 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
   rec.constrs = m.numConstrs();
   rec.nnz = lp::sparse::countNonzeros(m);
 
-  const auto csc =
-      std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(m));
+  const lp::sparse::CscMatrix csc = lp::sparse::CscMatrix::fromModel(m);
   std::vector<double> lb0(static_cast<std::size_t>(m.numVars()));
   std::vector<double> ub0(static_cast<std::size_t>(m.numVars()));
   for (int j = 0; j < m.numVars(); ++j) {
@@ -228,10 +227,10 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
     ub0[static_cast<std::size_t>(j)] = m.var(j).ub;
   }
   lp::LpSolver::Options opt;
-  opt.core.max_iterations = 2000000;
-  opt.core.time_limit_seconds = 1200;
+  opt.max_iterations = 2000000;
+  opt.time_limit_seconds = 1200;
   Stopwatch root_watch;
-  const lp::LpResult root = lp::LpSolver(opt).solve(m, lb0, ub0, nullptr, csc.get());
+  const lp::LpResult root = lp::LpSolver(opt).solve(m, lb0, ub0, nullptr, &csc);
   rec.root_seconds = root_watch.seconds();
   rec.root_iterations = root.counters.iterations;
   if (root.status != lp::LpStatus::kOptimal || !root.basis) {
@@ -252,13 +251,10 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
   };
 
   // ---- dual path: dive through the persistent reoptimizer ----
-  lp::sparse::DualSimplexSolver::Options dopt;
-  dopt.core = opt.core;
-  dopt.core.time_limit_seconds = 600;
-  lp::sparse::DualReoptimizer reopt(m, csc, dopt);
-  lp::LpSolver::Options fallback_opt = opt;
-  fallback_opt.core.time_limit_seconds = 600;
-  fallback_opt.dual_reopt = false;
+  lp::LpSolver::Options node_opt = opt;
+  node_opt.time_limit_seconds = 600;
+  lp::sparse::DualReoptimizer reopt(m, csc, node_opt);
+  const lp::sparse::RevisedSimplexSolver primal_engine(node_opt);
 
   std::vector<std::pair<std::vector<double>, std::vector<double>>> dive;  // bound vectors
   std::vector<double> dual_obj;
@@ -277,9 +273,9 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
     dive.emplace_back(lb, ub);
     Stopwatch watch;
     lp::LpResult declined;
-    std::optional<lp::LpResult> r = reopt.reoptimize(lb, ub, basis, 600, &declined);
+    std::optional<lp::LpResult> r = reopt.reoptimize(lb, ub, *basis, 600, &declined);
     if (!r) {
-      r = lp::LpSolver(fallback_opt).solve(m, lb, ub, basis.get(), csc.get());
+      r = primal_engine.solve(m, lb, ub, basis.get(), &csc);
       // The abandoned dual attempt's work belongs to the dual path's bill —
       // the iteration-count regression guard must not compare undercounts.
       r->counters += declined.counters;
@@ -300,8 +296,7 @@ ReoptRecord runReoptBench(const std::string& name, const lp::Model& m, int max_n
   basis = root.basis;
   for (const auto& [dlb, dub] : dive) {
     Stopwatch watch;
-    const lp::LpResult r =
-        lp::LpSolver(fallback_opt).solve(m, dlb, dub, basis.get(), csc.get());
+    const lp::LpResult r = primal_engine.solve(m, dlb, dub, basis.get(), &csc);
     accumulate(rec.primal, r, watch.seconds(), primal_obj);
     if (r.status != lp::LpStatus::kOptimal) break;
     basis = r.basis;

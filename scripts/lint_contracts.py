@@ -18,12 +18,6 @@ Rules (each violation prints as ``path:line: [rule] message``):
                  (git sha, compiler, flags) the comparison tooling keys on.
   nolint-reason  Every NOLINT / NOLINTNEXTLINE must name the suppressed check
                  and carry a ``: reason`` string — bare suppressions rot.
-  dense-oracle   The dense tableau ``SimplexSolver`` is the tests' reference
-                 engine, not a production path: no file under src/ outside
-                 its own (src/lp/simplex.{hpp,cpp}) may name it except as the
-                 scope of a nested name (``SimplexSolver::Options``, the
-                 tolerance struct every engine shares). Production LPs go
-                 through ``lp::LpSolver``.
   counter-relay  The LP kernel-breakdown counters (KERNEL_COUNTER_FIELDS) are
                  named only under src/lp/, where the engines count them and
                  ``lp::LpCounters`` declares them once with its name table.
@@ -100,12 +94,6 @@ BENCH_META_RE = re.compile(r'#\s*include\s*"bench_meta\.hpp"')
 # list in parens, then ": <reason>".
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([^)\n]+\)\s*:\s*\S")
 NOLINT_ANY_RE = re.compile(r"NOLINT")
-
-# The dense reference engine's own declaration and definition.
-DENSE_ORACLE_FILES = {"src/lp/simplex.hpp", "src/lp/simplex.cpp"}
-# `SimplexSolver` as a type or constructor call, not `SimplexSolver::...`
-# (and not the sparse engines, whose names merely end in it).
-DENSE_USE_RE = re.compile(r"\bSimplexSolver\b(?!\s*::)")
 
 # LP counters that only the kernels produce; outside src/lp/ nothing may name
 # them, also not as part of a relay field such as `lp_dual_pivots`.
@@ -208,17 +196,6 @@ def rule_nolint_reason(rel: str, text: str) -> List[Violation]:
     return out
 
 
-def rule_dense_oracle(rel: str, text: str) -> List[Violation]:
-    if not rel.startswith("src/") or rel in DENSE_ORACLE_FILES:
-        return []
-    code = strip_comments(text)
-    return [Violation(
-        rel, line_of(code, m.start()), "dense-oracle",
-        "the dense SimplexSolver is a test oracle only; production code "
-        "solves through lp::LpSolver (SimplexSolver::Options stays legal)")
-        for m in DENSE_USE_RE.finditer(code)]
-
-
 def rule_counter_relay(rel: str, text: str) -> List[Violation]:
     parts = rel.split("/")
     if len(parts) < 3 or parts[0] != "src" or parts[1] == "lp":
@@ -236,7 +213,6 @@ RULES: List[Callable[[str, str], List[Violation]]] = [
     rule_engine_contract,
     rule_bench_meta,
     rule_nolint_reason,
-    rule_dense_oracle,
     rule_counter_relay,
 ]
 

@@ -1,8 +1,11 @@
 #include "lp/lp_solver.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "lp/sparse/csc.hpp"
+#include "lp/sparse/dual_simplex.hpp"
+#include "lp/sparse/revised_simplex.hpp"
 
 namespace rfp::lp {
 
@@ -38,24 +41,17 @@ LpResult LpSolver::solve(const Model& model, std::span<const double> lb,
     csc = &local;
   }
   LpResult declined;
-  if (warm && options_.dual_reopt) {
+  if (warm) {
     // Warm reoptimization fast path: a bound change leaves the supplied
     // basis dual feasible, so the dual simplex usually finishes in a few
     // pivots. It declines (nullopt) when the basis is not dual feasible
     // after bound-flip repair; the primal engine then takes over.
-    sparse::DualSimplexSolver::Options dopt;
-    dopt.core = options_.core;
-    dopt.refactor_interval = options_.refactor_interval;
-    dopt.lu = options_.lu;
-    if (std::optional<LpResult> dual =
-            sparse::DualSimplexSolver(dopt).solve(model, lb, ub, *warm, csc, &declined))
-      return *std::move(dual);
+    sparse::DualReoptimizer dual(model, *csc, options_);
+    if (std::optional<LpResult> r =
+            dual.reoptimize(lb, ub, *warm, options_.time_limit_seconds, &declined))
+      return *std::move(r);
   }
-  sparse::RevisedSimplexSolver::Options sopt;
-  sopt.core = options_.core;
-  sopt.refactor_interval = options_.refactor_interval;
-  sopt.lu = options_.lu;
-  LpResult res = sparse::RevisedSimplexSolver(sopt).solve(model, lb, ub, warm, csc);
+  LpResult res = sparse::RevisedSimplexSolver(options_).solve(model, lb, ub, warm, csc);
   // Fold the declined dual attempt's effort into the report so the
   // telemetry reflects actual solver work, not just the engine that won.
   res.counters += declined.counters;

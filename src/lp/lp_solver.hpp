@@ -4,8 +4,8 @@
 // Forrest–Tomlin-updated basis (lp/sparse/). Memory scales with the nonzero
 // count (~10 MB for an SDR2 formulation, where a dense tableau would need
 // ~25 GiB) and it accepts basis warm starts, which branch & bound uses to
-// reoptimize child nodes. The dense tableau (lp/simplex.hpp) is only the
-// reference the tests compare against.
+// reoptimize child nodes. The tests check it against a dense tableau kept
+// outside the library (tests/oracle/).
 //
 // Warm reoptimization rides a fast path: when a warm basis is supplied (a
 // branch & bound child differing from its parent only in variable bounds)
@@ -20,31 +20,40 @@
 // allocating it.
 #pragma once
 
+#include <atomic>
 #include <span>
 
-#include "lp/simplex.hpp"
+#include "lp/model.hpp"
+#include "lp/result.hpp"
 #include "lp/sparse/basis.hpp"
-#include "lp/sparse/dual_simplex.hpp"
-#include "lp/sparse/revised_simplex.hpp"
+
+namespace rfp::telemetry {
+struct Context;  // support/telemetry/trace.hpp
+}
 
 namespace rfp::lp {
 
+namespace sparse {
+struct CscMatrix;
+}  // namespace sparse
+
 class LpSolver {
  public:
+  /// The limits and hooks of one solve, and the only LP options type: the
+  /// sparse engines (lp/sparse/) take it as is. Tolerances and
+  /// factorization settings are constants of the engines.
   struct Options {
-    /// Tolerances and limits (the struct the dense reference shares).
-    SimplexSolver::Options core;
-    /// Refactorization triggers on Forrest–Tomlin stability failures and
-    /// factor fill growth, plus this hard update-count cap (<= 0 disables
-    /// the cap; warm reoptimizations finish far below it, so the B&B hot
-    /// path is refactorization-free either way).
-    int refactor_interval = 100;
-    /// With a warm basis, reoptimize with the dual simplex first and fall
-    /// back to the primal when no dual-feasible start exists. Off forces
-    /// every solve through the primal engine (A/B tests and the cold-path
-    /// oracle; results are identical either way).
-    bool dual_reopt = true;
-    sparse::BasisLu::Options lu;
+    long max_iterations = 200000;
+    double time_limit_seconds = 0.0;  ///< <= 0: no limit
+    /// Cooperative cancellation, polled inside the pivot loop (a paper-scale
+    /// sparse solve runs for tens of seconds — callers like the driver
+    /// portfolio cannot wait for a node boundary). When set, the solve
+    /// returns kTimeLimit at the next poll. The pointee must outlive solve().
+    std::atomic<bool>* stop = nullptr;
+    /// Solve-scoped observability (support/telemetry). The sparse engines
+    /// emit refactorization instants and per-pivot samples (rate set by
+    /// Context::detail_sample); null keeps the pivot loop branch-only.
+    const telemetry::Context* telemetry = nullptr;
   };
 
   LpSolver() = default;
@@ -67,8 +76,6 @@ class LpSolver {
   /// Nonzero-based working-set estimate: CSC storage plus LU fill and
   /// update headroom per nonzero, plus the per-variable working vectors. Deliberately conservative (real use is lower).
   [[nodiscard]] static double sparseFootprintGib(const Model& model);
-
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
   Options options_;

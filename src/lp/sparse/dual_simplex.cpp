@@ -6,6 +6,7 @@
 #include "lp/sparse/simplex_state.hpp"
 #include "support/check.hpp"
 #include "support/telemetry/trace.hpp"
+#include "support/timer.hpp"
 
 namespace rfp::lp::sparse {
 
@@ -39,9 +40,8 @@ void countDualSolve(LpResult& r, bool warm) {
 class Worker {
  public:
   Worker(const Model& model, std::span<const double> lb, std::span<const double> ub,
-         const CscMatrix* csc, const DualSimplexSolver::Options& opt)
+         const CscMatrix* csc, const LpSolver::Options& opt)
       : opt_(opt), f_(model, lb, ub, csc) {
-    bs_.lu = BasisLu(opt_.lu);
     d_.assign(uz(f_.nn), 0.0);
     arow_.assign(uz(f_.nn), 0.0);
     colmark_.assign(uz(f_.nn), 0);
@@ -53,9 +53,9 @@ class Worker {
     rowmark_.assign(uz(f_.m), 0);
     cb_.resize(uz(f_.m));
     dualy_.resize(uz(f_.m));
-    if (opt_.core.telemetry && opt_.core.telemetry->metrics) {
-      ftran_hist_ = &opt_.core.telemetry->metrics->histogram("lp.ftran_density_permille");
-      btran_hist_ = &opt_.core.telemetry->metrics->histogram("lp.btran_density_permille");
+    if (opt_.telemetry && opt_.telemetry->metrics) {
+      ftran_hist_ = &opt_.telemetry->metrics->histogram("lp.ftran_density_permille");
+      btran_hist_ = &opt_.telemetry->metrics->histogram("lp.btran_density_permille");
     }
   }
 
@@ -133,11 +133,11 @@ class Worker {
       // Drifted reduced costs are repaired by re-flipping boxed variables;
       // an unfixable violation sends the solve to the primal fallback
       // rather than reporting a point that is not actually optimal.
-      if (dualViolation() > 10.0 * opt_.core.cost_tol) {
+      if (dualViolation() > 10.0 * kCostTol) {
         if (!repairDualFeasibility()) return telemetry(out, iters), std::nullopt;
       }
-      verified = bs_.maxBasicViolation(f_) <= 10.0 * opt_.core.feas_tol &&
-                 dualViolation() <= 10.0 * opt_.core.cost_tol;
+      verified = bs_.maxBasicViolation(f_) <= 10.0 * kFeasTol &&
+                 dualViolation() <= 10.0 * kCostTol;
       if (!verified && bs_.lu.updateCount() > 0) {
         // Escalate the retry round to fresh factors.
         refactorizeTracked();
@@ -208,7 +208,7 @@ class Worker {
       // Deterministic per-column magnitude in [0.1, 0.9] * cost_tol:
       // distinct ratios break ties while the removal residue stays well
       // inside the 10 * cost_tol verification threshold.
-      const double xi = 0.1 * opt_.core.cost_tol *
+      const double xi = 0.1 * kCostTol *
                         (1.0 + 8.0 * static_cast<double>((static_cast<unsigned>(j) *
                                                           2654435761u >>
                                                           16) &
@@ -264,14 +264,13 @@ class Worker {
   /// a one-sided bound) — the basis is genuinely dual-infeasible and the
   /// primal engine must take over. Recomputes the basics when it flipped.
   bool repairDualFeasibility() {
-    const double ctol = opt_.core.cost_tol;
     bool flipped = false;
     for (int j = 0; j < f_.nn; ++j) {
       if (bs_.status[uz(j)] == VarStatus::kBasic || isFixed(j)) continue;
       const double dj = d_[uz(j)];
       switch (bs_.status[uz(j)]) {
         case VarStatus::kAtLower:
-          if (dj < -ctol) {
+          if (dj < -kCostTol) {
             if (!finiteUp(f_.up[uz(j)])) return false;
             bs_.status[uz(j)] = VarStatus::kAtUpper;
             ++counters_.bound_flips;
@@ -279,7 +278,7 @@ class Worker {
           }
           break;
         case VarStatus::kAtUpper:
-          if (dj > ctol) {
+          if (dj > kCostTol) {
             if (!finiteLo(f_.lo[uz(j)])) return false;
             bs_.status[uz(j)] = VarStatus::kAtLower;
             ++counters_.bound_flips;
@@ -287,7 +286,7 @@ class Worker {
           }
           break;
         default:
-          if (std::abs(dj) > ctol) return false;
+          if (std::abs(dj) > kCostTol) return false;
           break;
       }
     }
@@ -304,12 +303,12 @@ class Worker {
     std::vector<Candidate> cands;
     std::vector<int> flips;
     while (true) {
-      if (++iters > opt_.core.max_iterations) return LpStatus::kIterLimit;
+      if (++iters > opt_.max_iterations) return LpStatus::kIterLimit;
       if ((iters & 7) == 0 &&
           (deadline.expired() ||
-           (opt_.core.stop && opt_.core.stop->load(std::memory_order_relaxed))))
+           (opt_.stop && opt_.stop->load(std::memory_order_relaxed))))
         return LpStatus::kTimeLimit;
-      const bool bland = degenerate_streak > opt_.core.bland_after_degenerate;
+      const bool bland = degenerate_streak > kBlandAfterDegenerate;
 
       // ---- leaving row: worst weighted bound violation ----
       int p_row = -1;
@@ -320,10 +319,10 @@ class Worker {
         const double v = bs_.xb[uz(p)];
         double viol;
         double sgn;
-        if (v < f_.lo[uz(b)] - opt_.core.feas_tol) {
+        if (v < f_.lo[uz(b)] - kFeasTol) {
           viol = f_.lo[uz(b)] - v;
           sgn = -1.0;
-        } else if (v > f_.up[uz(b)] + opt_.core.feas_tol) {
+        } else if (v > f_.up[uz(b)] + kFeasTol) {
           viol = v - f_.up[uz(b)];
           sgn = 1.0;
         } else {
@@ -383,9 +382,9 @@ class Worker {
         if (bs_.status[uz(j)] == VarStatus::kBasic || isFixed(j)) continue;
         const double atil = sigma * arow_[uz(j)];
         const VarStatus s = bs_.status[uz(j)];
-        const bool eligible = (s == VarStatus::kAtLower && atil > opt_.core.pivot_tol) ||
-                              (s == VarStatus::kAtUpper && atil < -opt_.core.pivot_tol) ||
-                              (s == VarStatus::kFree && std::abs(atil) > opt_.core.pivot_tol);
+        const bool eligible = (s == VarStatus::kAtLower && atil > kPivotTol) ||
+                              (s == VarStatus::kAtUpper && atil < -kPivotTol) ||
+                              (s == VarStatus::kFree && std::abs(atil) > kPivotTol);
         if (!eligible) continue;
         cands.push_back(Candidate{std::max(0.0, d_[uz(j)] / atil), atil, j});
       }
@@ -408,7 +407,7 @@ class Worker {
         const bool can_flip = !bland && isBoxed(j) && bs_.status[uz(j)] != VarStatus::kFree;
         const double absorb =
             can_flip ? std::abs(cands[c].atil) * (f_.up[uz(j)] - f_.lo[uz(j)]) : kInfinity;
-        if (can_flip && absorb < remaining - opt_.core.feas_tol) {
+        if (can_flip && absorb < remaining - kFeasTol) {
           flips.push_back(static_cast<int>(c));
           remaining -= absorb;
           continue;
@@ -440,7 +439,7 @@ class Worker {
                             static_cast<double>(f_.m));
       const double pivot_col = alpha_.val[uz(p_row)];
       if (std::abs(pivot_col - arow_[uz(e)]) > 1e-7 * (1.0 + std::abs(pivot_col)) ||
-          std::abs(pivot_col) <= opt_.core.pivot_tol) {
+          std::abs(pivot_col) <= kPivotTol) {
         if (consecutive_recoveries++ < 2) {
           refactorizeTracked();
           bs_.computeXb(f_);
@@ -450,7 +449,7 @@ class Worker {
         // Keep going with the FTRAN value; the outer loop re-verifies. A
         // genuinely vanishing pivot would blow up the step — that is a
         // numerics failure, so give the node up to the primal engine.
-        if (std::abs(pivot_col) <= opt_.core.pivot_tol) {
+        if (std::abs(pivot_col) <= kPivotTol) {
           stalled_ = true;
           return LpStatus::kIterLimit;
         }
@@ -483,9 +482,8 @@ class Worker {
       bs_.status[uz(e)] = VarStatus::kBasic;
       bs_.xb[uz(p_row)] = enter_val;
       ++counters_.dual_pivots;
-      if (telemetry::sampleHit(opt_.core.telemetry,
-                               static_cast<std::uint64_t>(counters_.dual_pivots)))
-        opt_.core.telemetry->trace->instant("lp", "pivot", "ratio", cand.ratio, "kind", "dual");
+      if (telemetry::sampleHit(opt_.telemetry, static_cast<std::uint64_t>(counters_.dual_pivots)))
+        opt_.telemetry->trace->instant("lp", "pivot", "ratio", cand.ratio, "kind", "dual");
       degenerate_streak = cand.ratio < 1e-10 ? degenerate_streak + 1 : 0;
       if (degenerate_streak > std::max(200, f_.m / 4)) {
         // A run this long means the perturbed problem is still cycling;
@@ -545,17 +543,15 @@ class Worker {
 
       // ---- Forrest–Tomlin update ----
       if (!bs_.lu.updateColumn(p_row, spike_)) {
-        telemetry::instant(opt_.core.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
+        telemetry::instant(opt_.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
                            "unstable_update");
         refactorizeTracked();
         bs_.computeXb(f_);
         computeDuals();
       } else {
         ++counters_.ft_updates;
-        if ((opt_.refactor_interval > 0 &&
-             bs_.lu.updateCount() >= opt_.refactor_interval) ||
-            bs_.lu.shouldRefactorize()) {
-          telemetry::instant(opt_.core.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
+        if (bs_.lu.updateCount() >= kRefactorInterval || bs_.lu.shouldRefactorize()) {
+          telemetry::instant(opt_.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
                              "interval");
           refactorizeTracked();
           bs_.computeXb(f_);
@@ -584,7 +580,7 @@ class Worker {
     }
   }
 
-  DualSimplexSolver::Options opt_;
+  LpSolver::Options opt_;
   StandardForm f_;
   BasisState bs_;
   LpCounters counters_;  ///< pivot-class counters (the factor side is in bs_)
@@ -608,47 +604,12 @@ class Worker {
 
 }  // namespace
 
-std::optional<LpResult> DualSimplexSolver::solve(const Model& model,
-                                                 std::span<const double> lb,
-                                                 std::span<const double> ub,
-                                                 const Basis& warm, const CscMatrix* csc,
-                                                 LpResult* declined_attempt) const {
-  RFP_CHECK(static_cast<int>(lb.size()) == model.numVars());
-  RFP_CHECK(static_cast<int>(ub.size()) == model.numVars());
-  Stopwatch watch;
-  Deadline deadline(options_.core.time_limit_seconds);
-  LpResult result;
-
-  for (int j = 0; j < model.numVars(); ++j) {
-    if (lb[uz(j)] > ub[uz(j)] + 1e-12) {
-      countDualSolve(result, /*warm=*/false);
-      result.status = LpStatus::kInfeasible;
-      result.seconds = watch.seconds();
-      return result;
-    }
-  }
-
-  Worker worker(model, lb, ub, csc, options_);
-  const std::optional<LpStatus> status =
-      worker.reoptimize(warm, /*hot=*/false, result, deadline);
-  if (!status) {
-    result.seconds = watch.seconds();
-    if (declined_attempt) *declined_attempt = std::move(result);
-    return std::nullopt;
-  }
-  countDualSolve(result, /*warm=*/true);
-  result.status = *status;
-  if (result.status == LpStatus::kOptimal) result.objective = model.evalObjective(result.x);
-  result.seconds = watch.seconds();
-  return result;
-}
-
 // ---- DualReoptimizer --------------------------------------------------------
 
 struct DualReoptimizer::Impl {
   const Model& model;
-  std::shared_ptr<const CscMatrix> csc;
-  DualSimplexSolver::Options opt;
+  const CscMatrix& csc;
+  LpSolver::Options opt;
   std::optional<Worker> worker;  ///< constructed on the first reoptimize
   /// Basis snapshot the live worker state corresponds to; null whenever the
   /// live state is not a usable warm-start source (after fallbacks, limits
@@ -656,24 +617,21 @@ struct DualReoptimizer::Impl {
   std::shared_ptr<const Basis> live;
   /// Circuit breaker: consecutive give-ups. Some subtrees (hyper-degenerate
   /// instances at the largest scales) defeat dual row pricing on every
-  /// node; after `breaker_strikes` consecutive failures the reoptimizer
-  /// stops burning the effort budget and lets the primal engine carry the
-  /// next `breaker_cooldown` nodes. The breaker is a
-  /// cool-down, not a kill switch: after the cool-down one probe attempt
-  /// runs, and a probe that completes re-arms the warm path — a single bad
-  /// subtree must not disable dual reoptimization for the rest of the
-  /// tree. (This state is single-owner, like the live factors: parallel
-  /// B&B keeps one reoptimizer per worker, so strikes are per-worker too.)
+  /// node; after kBreakerStrikes consecutive failures the reoptimizer stops
+  /// burning the effort budget and lets the primal engine carry the next
+  /// kBreakerCooldown nodes. After the cool-down one probe attempt runs,
+  /// and a probe that completes re-arms the warm path. (This state is
+  /// single-owner, like the live factors: parallel B&B keeps one
+  /// reoptimizer per worker, so strikes are per-worker too.)
   int strikes = 0;
   int cooldown_left = 0;  ///< tripped-breaker calls to decline before a probe
 
-  Impl(const Model& m, std::shared_ptr<const CscMatrix> c, DualSimplexSolver::Options o)
-      : model(m), csc(std::move(c)), opt(o) {}
+  Impl(const Model& m, const CscMatrix& c, LpSolver::Options o) : model(m), csc(c), opt(o) {}
 };
 
-DualReoptimizer::DualReoptimizer(const Model& model, std::shared_ptr<const CscMatrix> csc,
-                                 DualSimplexSolver::Options options)
-    : impl_(std::make_unique<Impl>(model, std::move(csc), options)) {}
+DualReoptimizer::DualReoptimizer(const Model& model, const CscMatrix& csc,
+                                 LpSolver::Options options)
+    : impl_(std::make_unique<Impl>(model, csc, options)) {}
 
 DualReoptimizer::~DualReoptimizer() = default;
 DualReoptimizer::DualReoptimizer(DualReoptimizer&&) noexcept = default;
@@ -681,12 +639,9 @@ DualReoptimizer& DualReoptimizer::operator=(DualReoptimizer&&) noexcept = defaul
 
 std::optional<LpResult> DualReoptimizer::reoptimize(std::span<const double> lb,
                                                     std::span<const double> ub,
-                                                    const std::shared_ptr<const Basis>& warm,
-                                                    double time_limit_seconds,
+                                                    const Basis& warm, double time_limit_seconds,
                                                     LpResult* declined_attempt) {
-  if (!warm) return std::nullopt;
-  const int max_strikes = impl_->opt.breaker_strikes;
-  if (max_strikes > 0 && impl_->strikes >= max_strikes && impl_->cooldown_left > 0) {
+  if (impl_->strikes >= kBreakerStrikes && impl_->cooldown_left > 0) {
     --impl_->cooldown_left;  // tripped: decline until the cool-down elapses
     return std::nullopt;
   }
@@ -705,21 +660,19 @@ std::optional<LpResult> DualReoptimizer::reoptimize(std::span<const double> lb,
     }
   }
 
-  const bool hot = impl_->worker && impl_->live && warm == impl_->live;
+  const bool hot = impl_->worker && impl_->live.get() == &warm;
   if (!impl_->worker) {
-    impl_->worker.emplace(impl_->model, lb, ub, impl_->csc.get(), impl_->opt);
+    impl_->worker.emplace(impl_->model, lb, ub, &impl_->csc, impl_->opt);
   } else {
     impl_->worker->setBounds(lb, ub);
   }
   impl_->live.reset();  // invalid until this solve ends in an optimum
-  const std::optional<LpStatus> status =
-      impl_->worker->reoptimize(*warm, hot, result, deadline);
+  const std::optional<LpStatus> status = impl_->worker->reoptimize(warm, hot, result, deadline);
   if (!status) {
     ++impl_->strikes;
     // Reaching the strike limit (or failing the post-cool-down probe)
     // (re-)trips the breaker for another cool-down window.
-    if (max_strikes > 0 && impl_->strikes >= max_strikes)
-      impl_->cooldown_left = std::max(0, impl_->opt.breaker_cooldown);
+    if (impl_->strikes >= kBreakerStrikes) impl_->cooldown_left = kBreakerCooldown;
     result.seconds = watch.seconds();
     if (declined_attempt) *declined_attempt = std::move(result);
     return std::nullopt;

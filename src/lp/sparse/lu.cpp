@@ -93,7 +93,7 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
     forEachEntry(p, [&](int r, double v) {
       w.row_pool[zu(w.row_beg[zu(r)] + w.row_len[zu(r)]++)] = PatternEntry{p, w.col_len[zu(p)]};
       w.col_pool[zu(w.col_beg[zu(p)] + w.col_len[zu(p)]++)] = ActiveEntry{r, v};
-      if (!(std::abs(v) > opt_.drop_tol)) w.tiny[zu(p)] = 1;
+      if (!(std::abs(v) > kDropTol)) w.tiny[zu(p)] = 1;
     });
     w.live[zu(p)] = w.col_len[zu(p)];
     w.bucket[zu(w.live[zu(p)])].push_back(p);
@@ -159,7 +159,7 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
       double colmax = 0.0;
       for (const ActiveEntry& e : column(p)) colmax = std::max(colmax, std::abs(e.val));
       const double floor =
-          std::max(opt_.abs_pivot_tol, relaxed ? 0.0 : opt_.rel_pivot_tol * colmax);
+          std::max(kAbsPivotTol, relaxed ? 0.0 : kRelPivotTol * colmax);
       int cand_row = -1;
       double cand_val = 0.0;
       long cand_cost = -1;
@@ -183,7 +183,7 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
           best_val = cand_val;
           best_cost = cand_cost;
         }
-        if (best_cost == 0 || examined >= opt_.search_columns) break;
+        if (best_cost == 0 || examined >= kSearchColumns) break;
       }
     }
     // Unchosen candidates return to the queue for later steps.
@@ -268,7 +268,7 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
         int len = 0;
         for (const int r : w.touched) {
           const double v = w.wval[zu(r)];
-          if (std::abs(v) > opt_.drop_tol)
+          if (std::abs(v) > kDropTol)
             out[len++] = ActiveEntry{r, v};
           else
             --w.rcount[zu(r)];  // cancelled out
@@ -344,11 +344,11 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basic) {
 
 bool BasisLu::hyperEligible(std::size_t input_nnz) const noexcept {
   return static_cast<double>(input_nnz) <=
-         std::max(2.0, opt_.hyper_input_density * static_cast<double>(m_));
+         std::max(2.0, kHyperInputDensity * static_cast<double>(m_));
 }
 
 long BasisLu::reachCap() const noexcept {
-  const long cap = static_cast<long>(opt_.hyper_reach_density * static_cast<double>(m_));
+  const long cap = static_cast<long>(kHyperReachDensity * static_cast<double>(m_));
   return cap < 8 ? 8 : cap;
 }
 
@@ -717,7 +717,7 @@ bool BasisLu::updateColumn(int position, const Spike& spike) {
     if (!upd_mark_[zu(j)]) continue;  // duplicate heap entry
     upd_mark_[zu(j)] = 0;
     const double val = upd_val_[zu(j)];
-    if (std::abs(val) <= opt_.drop_tol) continue;
+    if (std::abs(val) <= kDropTol) continue;
     const double mult = val / diag_[zu(j)];
     ft_tgt_.push_back(t);
     ft_src_.push_back(j);
@@ -743,7 +743,7 @@ bool BasisLu::updateColumn(int position, const Spike& spike) {
   } else {
     for (int k = 0; k < m_; ++k) wmax = std::max(wmax, std::abs(w[zu(k)]));
   }
-  if (std::abs(d) < std::max(opt_.abs_pivot_tol, opt_.ft_stability_tol * wmax))
+  if (std::abs(d) < std::max(kAbsPivotTol, kFtStabilityTol * wmax))
     return false;  // factorization spoiled; caller refactorizes
   diag_[zu(t)] = d;
 
@@ -752,7 +752,7 @@ bool BasisLu::updateColumn(int position, const Spike& spike) {
   const auto scatterSpikeEntry = [&](int j) {
     if (j == t) return;
     const double v = w[zu(j)];
-    if (std::abs(v) <= opt_.drop_tol) return;
+    if (std::abs(v) <= kDropTol) return;
     u_cols_[zu(t)].push_back(UEntry{j, v});
     u_rows_[zu(j)].push_back(UEntry{t, v});
     ++u_nnz_;

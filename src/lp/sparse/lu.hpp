@@ -78,30 +78,6 @@ struct IndexedVector {
 
 class BasisLu {
  public:
-  struct Options {
-    double abs_pivot_tol = 1e-11;  ///< reject pivots smaller than this
-    double rel_pivot_tol = 0.05;   ///< pivot must be >= rel * max|column|
-    int search_columns = 8;        ///< Markowitz candidate columns per pivot
-    double drop_tol = 1e-13;       ///< fill-in below this is discarded
-    /// Forrest–Tomlin stability: the updated diagonal must be at least this
-    /// fraction of the spike's largest entry, or the update is refused and
-    /// the caller must refactorize.
-    double ft_stability_tol = 1e-9;
-    /// Factor-growth refactorization hint: `shouldRefactorize` fires when
-    /// the updated factors hold this many times the fresh factor's nonzeros.
-    double ft_fill_factor = 3.0;
-    /// Hyper-sparse solves take the graph-driven path only while the input
-    /// support stays below this fraction of m (else the reachability setup
-    /// costs more than the dense sweep it avoids)...
-    double hyper_input_density = 0.10;
-    /// ...and while the predicted result support (the DFS reach) stays below
-    /// this fraction of m; past it the solve falls back to the dense sweep.
-    double hyper_reach_density = 0.30;
-  };
-
-  BasisLu() = default;
-  explicit BasisLu(Options opt) : opt_(opt) {}
-
   /// Factorizes the basis selected by `basic` (size A.rows): entries
   /// < A.cols are structural columns of A, A.cols + i is the slack of row i.
   /// Discards any existing factorization and update history. Returns false
@@ -164,7 +140,7 @@ class BasisLu {
   [[nodiscard]] bool shouldRefactorize() const noexcept {
     return update_count_ > 0 &&
            static_cast<double>(u_nnz_ + static_cast<long>(ft_src_.size())) >
-               opt_.ft_fill_factor * static_cast<double>(base_nnz_ < 16 ? 16 : base_nnz_);
+               kFtFillFactor * static_cast<double>(base_nnz_ < 16 ? 16 : base_nnz_);
   }
 
   [[nodiscard]] int rows() const noexcept { return m_; }
@@ -179,7 +155,25 @@ class BasisLu {
     double val;
   };
 
-  Options opt_;
+  static constexpr double kAbsPivotTol = 1e-11;  ///< reject pivots smaller than this
+  static constexpr double kRelPivotTol = 0.05;   ///< pivot must be >= rel * max|column|
+  static constexpr int kSearchColumns = 8;       ///< Markowitz candidate columns per pivot
+  static constexpr double kDropTol = 1e-13;      ///< fill-in below this is discarded
+  /// Forrest–Tomlin stability: the updated diagonal must be at least this
+  /// fraction of the spike's largest entry, or the update is refused and
+  /// the caller must refactorize.
+  static constexpr double kFtStabilityTol = 1e-9;
+  /// Factor-growth refactorization hint: `shouldRefactorize` fires when
+  /// the updated factors hold this many times the fresh factor's nonzeros.
+  static constexpr double kFtFillFactor = 3.0;
+  /// Hyper-sparse solves take the graph-driven path only while the input
+  /// support stays below this fraction of m (else the reachability setup
+  /// costs more than the dense sweep it avoids)...
+  static constexpr double kHyperInputDensity = 0.10;
+  /// ...and while the predicted result support (the DFS reach) stays below
+  /// this fraction of m; past it the solve falls back to the dense sweep.
+  static constexpr double kHyperReachDensity = 0.30;
+
   int m_ = 0;
 
   // L from the factorization: row operations per elimination step, applied

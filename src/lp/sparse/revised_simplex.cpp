@@ -6,6 +6,7 @@
 #include "lp/sparse/simplex_state.hpp"
 #include "support/check.hpp"
 #include "support/telemetry/trace.hpp"
+#include "support/timer.hpp"
 
 namespace rfp::lp::sparse {
 
@@ -16,9 +17,8 @@ namespace {
 class Worker {
  public:
   Worker(const Model& model, std::span<const double> lb, std::span<const double> ub,
-         const CscMatrix* csc, const RevisedSimplexSolver::Options& opt)
+         const CscMatrix* csc, const LpSolver::Options& opt)
       : opt_(opt), f_(model, lb, ub, csc) {
-    bs_.lu = BasisLu(opt_.lu);
     weights_.assign(uz(f_.nn), 1.0);
     alpha_.reset(f_.m);
     rho_.reset(f_.m);
@@ -27,9 +27,9 @@ class Worker {
     dual_.resize(uz(f_.m));
     arow_.assign(uz(f_.nn), 0.0);
     colmark_.assign(uz(f_.nn), 0);
-    if (opt_.core.telemetry && opt_.core.telemetry->metrics) {
-      ftran_hist_ = &opt_.core.telemetry->metrics->histogram("lp.ftran_density_permille");
-      btran_hist_ = &opt_.core.telemetry->metrics->histogram("lp.btran_density_permille");
+    if (opt_.telemetry && opt_.telemetry->metrics) {
+      ftran_hist_ = &opt_.telemetry->metrics->histogram("lp.ftran_density_permille");
+      btran_hist_ = &opt_.telemetry->metrics->histogram("lp.btran_density_permille");
     }
   }
 
@@ -59,7 +59,7 @@ class Worker {
       if (status != LpStatus::kOptimal) break;
       if (bs_.lu.updateCount() > 0) bs_.refactorize(f_);  // fresh factors for the final check
       bs_.computeXb(f_);
-      verified = bs_.maxBasicViolation(f_) <= 10.0 * opt_.core.feas_tol;
+      verified = bs_.maxBasicViolation(f_) <= 10.0 * kFeasTol;
     }
     // Never report an unverified point as optimal: if the re-check kept
     // failing, degrade to a truncation status so callers (branch & bound)
@@ -96,8 +96,8 @@ class Worker {
   [[nodiscard]] Feas classify(int p) const {
     const int b = bs_.basic[uz(p)];
     const double v = bs_.xb[uz(p)];
-    if (v < f_.lo[uz(b)] - opt_.core.feas_tol) return Feas::kBelow;
-    if (v > f_.up[uz(b)] + opt_.core.feas_tol) return Feas::kAbove;
+    if (v < f_.lo[uz(b)] - kFeasTol) return Feas::kBelow;
+    if (v > f_.up[uz(b)] + kFeasTol) return Feas::kAbove;
     return Feas::kOk;
   }
 
@@ -106,10 +106,10 @@ class Worker {
     int consecutive_recoveries = 0;
     // Steepest-edge weights describe basis geometry, which phases share.
     while (true) {
-      if (++iters > opt_.core.max_iterations) return LpStatus::kIterLimit;
+      if (++iters > opt_.max_iterations) return LpStatus::kIterLimit;
       if ((iters & 7) == 0 &&
           (deadline.expired() ||
-           (opt_.core.stop && opt_.core.stop->load(std::memory_order_relaxed))))
+           (opt_.stop && opt_.stop->load(std::memory_order_relaxed))))
         return LpStatus::kTimeLimit;
 
       // Phase-1 cost row: unit penalty per violated bound. Phase 1 is over
@@ -130,7 +130,7 @@ class Worker {
       // cost row rarely has small support), so it keeps the dense sweep.
       dual_ = cb_;
       bs_.lu.btran(dual_);  // dual_ now holds y (row space)
-      const bool bland = degenerate_streak > opt_.core.bland_after_degenerate;
+      const bool bland = degenerate_streak > kBlandAfterDegenerate;
       int enter = -1;
       double enter_d = 0.0;
       double best_score = 0.0;
@@ -140,9 +140,9 @@ class Worker {
         const double cj = phase1 ? 0.0 : f_.cost[uz(j)];
         const double d = cj - f_.columnDot(dual_, j);
         const VarStatus s = bs_.status[uz(j)];
-        const bool eligible = (s == VarStatus::kAtLower && d < -opt_.core.cost_tol) ||
-                              (s == VarStatus::kAtUpper && d > opt_.core.cost_tol) ||
-                              (s == VarStatus::kFree && std::abs(d) > opt_.core.cost_tol);
+        const bool eligible = (s == VarStatus::kAtLower && d < -kCostTol) ||
+                              (s == VarStatus::kAtUpper && d > kCostTol) ||
+                              (s == VarStatus::kFree && std::abs(d) > kCostTol);
         if (!eligible) continue;
         if (bland) {
           enter = j;
@@ -173,7 +173,7 @@ class Worker {
       // row cannot block.
       const auto rowRatio = [&](int p, double relax, double& t, bool& at_upper) -> bool {
         const double apv = alpha_.val[uz(p)];
-        if (std::abs(apv) <= opt_.core.pivot_tol) return false;
+        if (std::abs(apv) <= kPivotTol) return false;
         const double delta = -dir * apv;  // d xB_p / dt
         const int b = bs_.basic[uz(p)];
         const double v = bs_.xb[uz(p)];
@@ -229,7 +229,7 @@ class Worker {
         for (const int p : alpha_.idx) {
           double t;
           bool at_upper;
-          if (!rowRatio(p, opt_.core.feas_tol, t, at_upper)) continue;
+          if (!rowRatio(p, kFeasTol, t, at_upper)) continue;
           theta_max = std::min(theta_max, std::max(0.0, t));
         }
         double best_mag = 0.0;
@@ -308,10 +308,9 @@ class Worker {
       bs_.status[uz(enter)] = VarStatus::kBasic;
       bs_.xb[uz(block)] = enter_val;
       ++counters_.primal_pivots;
-      if (telemetry::sampleHit(opt_.core.telemetry,
-                               static_cast<std::uint64_t>(counters_.primal_pivots)))
-        opt_.core.telemetry->trace->instant("lp", "pivot", "phase", phase1 ? 1.0 : 2.0, "kind",
-                                            "primal");
+      if (telemetry::sampleHit(opt_.telemetry, static_cast<std::uint64_t>(counters_.primal_pivots)))
+        opt_.telemetry->trace->instant("lp", "pivot", "phase", phase1 ? 1.0 : 2.0, "kind",
+                                       "primal");
 
       // Reference-weight update from the pivot row (already in rho_). The
       // CSR mirror confines the pass to columns intersecting rho's support
@@ -361,16 +360,14 @@ class Worker {
 
       if (!bs_.lu.updateColumn(block, spike_)) {
         // Unstable update: the factorization is spoiled — rebuild it.
-        telemetry::instant(opt_.core.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
+        telemetry::instant(opt_.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
                            "unstable_update");
         bs_.refactorize(f_);
         bs_.computeXb(f_);
       } else {
         ++counters_.ft_updates;
-        if ((opt_.refactor_interval > 0 &&
-             bs_.lu.updateCount() >= opt_.refactor_interval) ||
-            bs_.lu.shouldRefactorize()) {
-          telemetry::instant(opt_.core.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
+        if (bs_.lu.updateCount() >= kRefactorInterval || bs_.lu.shouldRefactorize()) {
+          telemetry::instant(opt_.telemetry, "lp", "refactorize", nullptr, 0.0, "reason",
                              "interval");
           bs_.refactorize(f_);
           bs_.computeXb(f_);
@@ -383,7 +380,7 @@ class Worker {
     return 1000.0 * static_cast<double>(v.idx.size()) / static_cast<double>(f_.m);
   }
 
-  RevisedSimplexSolver::Options opt_;
+  LpSolver::Options opt_;
   StandardForm f_;
   BasisState bs_;
   LpCounters counters_;  ///< pivot-class counters (the factor side is in bs_)
@@ -417,7 +414,7 @@ LpResult RevisedSimplexSolver::solve(const Model& model, std::span<const double>
   RFP_CHECK(static_cast<int>(lb.size()) == model.numVars());
   RFP_CHECK(static_cast<int>(ub.size()) == model.numVars());
   Stopwatch watch;
-  Deadline deadline(options_.core.time_limit_seconds);
+  Deadline deadline(options_.time_limit_seconds);
   LpResult result;
   result.counters.solves = 1;
 

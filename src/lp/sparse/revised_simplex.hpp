@@ -1,7 +1,7 @@
 // Sparse revised simplex for LPs with bounded variables.
 //
-// The production LP engine behind `LpSolver` (lp/lp_solver.hpp): where the
-// dense reference solver (lp/simplex.hpp) materializes an (m+1) x (n+2m)
+// The production LP engine behind `LpSolver` (lp/lp_solver.hpp): where a
+// dense tableau (the tests' oracle) materializes an (m+1) x (n+2m)
 // tableau — ~25 GiB on an SDR2 floorplanning formulation — this one keeps
 // the constraint matrix in CSC form and works with a Markowitz-factorized
 // basis (lp/sparse/lu.hpp), so the same formulation fits in tens of MB.
@@ -30,38 +30,22 @@
 
 #include <span>
 
-#include "lp/simplex.hpp"
+#include "lp/lp_solver.hpp"
 #include "lp/sparse/basis.hpp"
 #include "lp/sparse/csc.hpp"
-#include "lp/sparse/lu.hpp"
 
 namespace rfp::lp::sparse {
 
 class RevisedSimplexSolver {
  public:
-  struct Options {
-    /// Shared tolerances and limits, interpreted exactly as the dense
-    /// solver does (feas/cost/pivot tolerances, iteration and time limits,
-    /// Bland's-rule switch).
-    SimplexSolver::Options core;
-    /// Hard cap on Forrest–Tomlin updates between refactorizations, on top
-    /// of the stability and fill-growth triggers; <= 0 disables the cap.
-    /// Warm reoptimizations finish long before hitting it (so the B&B hot
-    /// path runs refactorization-free); on paper-scale *cold* solves a
-    /// periodic refresh measurably beats unbounded update chains, whose
-    /// accumulated drift degrades pricing quality.
-    int refactor_interval = 100;
-    BasisLu::Options lu;
-  };
-
   RevisedSimplexSolver() = default;
-  explicit RevisedSimplexSolver(Options options) : options_(options) {}
+  explicit RevisedSimplexSolver(LpSolver::Options options) : options_(options) {}
 
   /// Solves the continuous relaxation of `model` (integrality ignored).
   [[nodiscard]] LpResult solve(const Model& model) const;
 
   /// Solves with per-variable bound overrides; `warm`, when non-null and
-  /// shape-compatible, seeds the starting basis (`LpResult::warm_started`
+  /// shape-compatible, seeds the starting basis (`warm_start_hits`
   /// reports whether it was adopted). `csc`, when non-null, must be the CSC
   /// form of `model`'s constraint matrix — branch & bound builds it once
   /// per tree and shares it across every node solve.
@@ -69,10 +53,8 @@ class RevisedSimplexSolver {
                                std::span<const double> ub, const Basis* warm = nullptr,
                                const CscMatrix* csc = nullptr) const;
 
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
-
  private:
-  Options options_;
+  LpSolver::Options options_;
 };
 
 }  // namespace rfp::lp::sparse

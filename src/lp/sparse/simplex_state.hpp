@@ -28,6 +28,19 @@ namespace rfp::lp::sparse {
 [[nodiscard]] inline bool finiteLo(double v) noexcept { return v > -kInfinity / 2; }
 [[nodiscard]] inline bool finiteUp(double v) noexcept { return v < kInfinity / 2; }
 
+// Tolerances and limits shared by the primal and dual engines.
+inline constexpr double kFeasTol = 1e-7;   ///< bound/row feasibility tolerance
+inline constexpr double kCostTol = 1e-7;   ///< reduced-cost optimality tolerance
+inline constexpr double kPivotTol = 1e-9;  ///< minimum |pivot| magnitude
+/// Bland's rule takes over after this many consecutive degenerate pivots.
+inline constexpr int kBlandAfterDegenerate = 40;
+/// Hard cap on Forrest–Tomlin updates between refactorizations, on top of
+/// the stability and fill-growth triggers. Warm reoptimizations finish long
+/// before hitting it (so the B&B hot path runs refactorization-free); on
+/// paper-scale *cold* solves a periodic refresh measurably beats unbounded
+/// update chains, whose accumulated drift degrades pricing quality.
+inline constexpr int kRefactorInterval = 100;
+
 /// The standard-form problem one solve works on. Variables are indexed
 /// 0..n-1 (structural) and n..n+m-1 (slack of row j-n).
 struct StandardForm {

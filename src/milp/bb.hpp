@@ -24,9 +24,7 @@
 #include <vector>
 
 #include "lp/counters.hpp"
-#include "lp/lp_solver.hpp"
 #include "lp/model.hpp"
-#include "lp/simplex.hpp"
 #include "support/engine_stats.hpp"
 
 namespace rfp::telemetry {
@@ -88,7 +86,6 @@ class MilpSolver {
     bool enable_cover_cuts = true;    ///< root knapsack cover cuts
     int cut_rounds = 5;               ///< max root separation rounds
     bool pseudo_cost_branching = true;  ///< reliability-style var selection
-    bool log_progress = false;
     /// In-solve parallelism: branch & bound workers over one tree. <= 1 runs
     /// one worker inline on the calling thread. Workers own private
     /// best-bound node pools (and private dual reoptimizers) and steal the
@@ -122,13 +119,11 @@ class MilpSolver {
     /// Called with every improving incumbent the search itself finds
     /// (integral LP optima and rounding-heuristic hits).
     std::function<void(const std::vector<double>&)> incumbent_publish;
-    /// LP substrate: tolerances, limits and the sparse engine's knobs.
-    lp::LpSolver::Options lp;
     /// Chain the root cut rounds and reoptimize child nodes from the
     /// parent's optimal basis. Off solves every relaxation cold: the
     /// oracle the tests compare the warm path against (results are
     /// identical either way). Warm node solves go through the dual simplex
-    /// first (lp.dual_reopt) with the primal engine as fallback.
+    /// first with the primal engine as fallback.
     bool lp_warm_start = true;
     /// Solve-scoped observability (support/telemetry): presolve/cut/root-LP
     /// spans, sampled dual-reopt vs primal-fallback instants, live node

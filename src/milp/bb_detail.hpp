@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "lp/lp_solver.hpp"
 #include "milp/bb.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
@@ -31,20 +32,16 @@ struct PseudoCost {
   long down_count = 0, up_count = 0;
 };
 
-/// LP options with the MILP's stop flag threaded in and the time limit
-/// clamped to `remaining_seconds` (<= 0: no extra cap). Paper-scale LP
+/// The LP options of one relaxation: the MILP's stop flag and telemetry,
+/// and `remaining_seconds` as the time limit (<= 0: none). Paper-scale LP
 /// solves run for seconds to minutes, so truncation and cancellation must
 /// act inside the pivot loop, not at the next node boundary.
 inline lp::LpSolver::Options cappedLpOptions(const MilpSolver::Options& opt,
                                              double remaining_seconds) {
-  lp::LpSolver::Options lopt = opt.lp;
-  if (!lopt.core.stop) lopt.core.stop = opt.stop;
-  if (!lopt.core.telemetry) lopt.core.telemetry = opt.telemetry;
-  if (remaining_seconds > 0)
-    lopt.core.time_limit_seconds =
-        lopt.core.time_limit_seconds > 0
-            ? std::min(lopt.core.time_limit_seconds, remaining_seconds)
-            : remaining_seconds;
+  lp::LpSolver::Options lopt;
+  lopt.time_limit_seconds = remaining_seconds;
+  lopt.stop = opt.stop;
+  lopt.telemetry = opt.telemetry;
   return lopt;
 }
 

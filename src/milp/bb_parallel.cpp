@@ -52,8 +52,9 @@
 #include <thread>
 #include <vector>
 
+#include "lp/sparse/dual_simplex.hpp"
+#include "lp/sparse/revised_simplex.hpp"
 #include "milp/bb_detail.hpp"
-#include "support/log.hpp"
 #include "support/sync.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
@@ -153,8 +154,10 @@ struct SharedTree {
   const MilpSolver::Options& opt;
   bool minimize = true;
   std::vector<double> base_lb, base_ub;
-  std::shared_ptr<const lp::sparse::CscMatrix> csc;  ///< shared by every node solve
   Deadline deadline;
+  /// One CSC build per tree, shared by every node solve: node LPs differ
+  /// only in bounds.
+  const lp::sparse::CscMatrix csc;
 
   std::vector<std::unique_ptr<NodePool>> pools;
   std::atomic<long> next_seq{0};
@@ -197,7 +200,10 @@ struct SharedTree {
   ReplayHash replay;
 
   SharedTree(const lp::Model& m, const MilpSolver::Options& o)
-      : model(m), opt(o), deadline(o.time_limit_seconds) {}
+      : model(m),
+        opt(o),
+        deadline(o.time_limit_seconds),
+        csc(lp::sparse::CscMatrix::fromModel(m)) {}
 
   [[nodiscard]] double signedObj(double user) const { return minimize ? user : -user; }
   [[nodiscard]] double userObj(double internal) const { return minimize ? internal : -internal; }
@@ -271,7 +277,6 @@ struct SharedTree {
         ++exchange.adopted;
       }
       telemetry::adoption(opt.telemetry, "milp", "objective", userObj(obj));
-      if (opt.log_progress) RFP_LOG_INFO("milp: adopted external incumbent " << userObj(obj));
     }
   }
 
@@ -324,15 +329,8 @@ class Worker {
   Worker(int id, SharedTree& shared) : id_(id), shared_(shared), fold_(shared.opt.telemetry) {
     stats_.id = id;
     pseudo_costs_.assign(static_cast<std::size_t>(shared.model.numVars()), PseudoCost{});
-    if (shared.opt.lp_warm_start && shared.opt.lp.dual_reopt) {
-      lp::sparse::DualSimplexSolver::Options dopt;
-      dopt.core = shared.opt.lp.core;
-      if (!dopt.core.stop) dopt.core.stop = shared.opt.stop;
-      if (!dopt.core.telemetry) dopt.core.telemetry = shared.opt.telemetry;
-      dopt.refactor_interval = shared.opt.lp.refactor_interval;
-      dopt.lu = shared.opt.lp.lu;
-      reopt_.emplace(shared.model, shared.csc, dopt);
-    }
+    if (shared.opt.lp_warm_start)
+      reopt_.emplace(shared.model, shared.csc, cappedLpOptions(shared.opt, 0.0));
     if (shared.opt.telemetry != nullptr) {
       trace_ = shared.opt.telemetry->trace;
       if (shared.opt.telemetry->metrics != nullptr) {
@@ -492,14 +490,11 @@ class Worker {
       root_span = telemetry::Span(shared_.opt.telemetry, "lp", "root_lp");
     lp::LpResult rel;
     bool solved = false;
-    if (reopt_ && shared_.opt.lp_warm_start && node.start_basis) {
-      // The node deadline: per-LP limit capped by the tree's remaining
-      // time, merged exactly as cappedLpOptions does for the primal path.
-      const double limit =
-          cappedLpOptions(shared_.opt, clampedRemaining(shared_.deadline)).core.time_limit_seconds;
+    if (reopt_ && node.start_basis) {
+      // The node's time limit is the tree's remaining time, as below.
       lp::LpResult declined;
-      if (std::optional<lp::LpResult> dual =
-              reopt_->reoptimize(lb, ub, node.start_basis, limit, &declined)) {
+      if (std::optional<lp::LpResult> dual = reopt_->reoptimize(
+              lb, ub, *node.start_basis, clampedRemaining(shared_.deadline), &declined)) {
         rel = *std::move(dual);
         solved = true;
       } else {
@@ -510,11 +505,12 @@ class Worker {
       }
     }
     if (!solved) {
-      lp::LpSolver::Options lopt = cappedLpOptions(shared_.opt, clampedRemaining(shared_.deadline));
-      lopt.dual_reopt = false;  // the dual fast path already had its chance
-      rel = lp::LpSolver(lopt).solve(shared_.model, lb, ub,
-                                     shared_.opt.lp_warm_start ? node.start_basis.get() : nullptr,
-                                     shared_.csc.get());
+      // The dual fast path already had its chance: straight to the primal.
+      const lp::sparse::RevisedSimplexSolver primal(
+          cappedLpOptions(shared_.opt, clampedRemaining(shared_.deadline)));
+      rel = primal.solve(shared_.model, lb, ub,
+                         shared_.opt.lp_warm_start ? node.start_basis.get() : nullptr,
+                         &shared_.csc);
     }
     node.start_basis.reset();
     fold_.add(counters, rel);
@@ -572,9 +568,7 @@ class Worker {
       // Integral LP optimum: offer it as the shared incumbent.
       std::vector<double> x = std::move(rel.x);
       roundIntegers(shared_.model, x);
-      if (shared_.offerIncumbent(std::move(x), bound, false) && shared_.opt.log_progress)
-        RFP_LOG_INFO("milp: incumbent " << shared_.userObj(bound) << " at node "
-                                        << shared_.total_nodes.load(std::memory_order_relaxed));
+      shared_.offerIncumbent(std::move(x), bound, false);
       finishNode();
       return std::nullopt;
     }
@@ -608,8 +602,7 @@ class Worker {
     roundIntegers(shared_.model, cand);
     if (!shared_.model.isFeasible(cand, shared_.opt.int_tol)) return;
     const double obj = shared_.signedObj(shared_.model.evalObjective(cand));
-    if (shared_.offerIncumbent(std::move(cand), obj, false) && shared_.opt.log_progress)
-      RFP_LOG_INFO("milp: rounding incumbent " << shared_.userObj(obj));
+    shared_.offerIncumbent(std::move(cand), obj, false);
   }
 
   const int id_;
@@ -644,9 +637,6 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
     shared.base_lb[static_cast<std::size_t>(j)] = model.var(j).lb;
     shared.base_ub[static_cast<std::size_t>(j)] = model.var(j).ub;
   }
-  // One CSC build per tree: every node solve differs only in bounds.
-  shared.csc =
-      std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(model));
 
   if (warm_start && model.isFeasible(*warm_start, opt.int_tol)) {
     std::vector<double> x = *std::move(warm_start);

@@ -1,27 +1,24 @@
-#include "lp/simplex.hpp"
+#include "oracle/simplex.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
 #include "support/check.hpp"
+#include "support/timer.hpp"
 
 namespace rfp::lp {
-
-const char* toString(LpStatus s) noexcept {
-  switch (s) {
-    case LpStatus::kOptimal: return "optimal";
-    case LpStatus::kInfeasible: return "infeasible";
-    case LpStatus::kUnbounded: return "unbounded";
-    case LpStatus::kIterLimit: return "iteration-limit";
-    case LpStatus::kTimeLimit: return "time-limit";
-  }
-  return "?";
-}
 
 namespace {
 
 constexpr double kInf = kInfinity;
+// The oracle's own tolerances, kept apart from the sparse engines'
+// constants so its answers never move with them.
+constexpr double kCostTol = 1e-7;   ///< reduced-cost optimality tolerance
+constexpr double kPivotTol = 1e-9;  ///< minimum |pivot| magnitude
+/// Bland's rule takes over after this many consecutive degenerate pivots.
+constexpr int kBlandAfterDegenerate = 40;
 
 /// Dense working tableau for the two-phase bounded simplex.
 ///
@@ -31,7 +28,7 @@ constexpr double kInf = kInfinity;
 class Tableau {
  public:
   Tableau(const Model& model, std::span<const double> lb, std::span<const double> ub,
-          const SimplexSolver::Options& opt)
+          const LpSolver::Options& opt)
       : opt_(opt), model_(model) {
     n_ = model.numVars();
     m_ = model.numConstrs();
@@ -204,7 +201,7 @@ class Tableau {
       if (!is_artificial_[static_cast<std::size_t>(b)]) continue;
       const double* tr = rowPtr(i + 1);
       int pivot_col = -1;
-      double best = opt_.pivot_tol;
+      double best = kPivotTol;
       for (int j = 0; j < n_ + m_; ++j) {
         if (isBasic(j)) continue;
         if (col_upper_[static_cast<std::size_t>(j)] <= 0.0) continue;  // fixed column
@@ -267,12 +264,12 @@ class Tableau {
            (opt_.stop && opt_.stop->load(std::memory_order_relaxed))))
         return LpStatus::kTimeLimit;
 
-      const bool bland = degenerate_streak > opt_.bland_after_degenerate;
+      const bool bland = degenerate_streak > kBlandAfterDegenerate;
       const double* z = rowPtr(0);
 
       // ---- pricing ----
       int e = -1;
-      double best = -opt_.cost_tol;
+      double best = -kCostTol;
       for (int j = 0; j < ncols_; ++j) {
         if (in_basis[static_cast<std::size_t>(j)]) continue;
         if (ban_artificials && is_artificial_[static_cast<std::size_t>(j)]) continue;
@@ -295,7 +292,7 @@ class Tableau {
         const double* tr = rowPtr(i);
         const double a = tr[e];
         const int bi = basis_[static_cast<std::size_t>(i - 1)];
-        if (a > opt_.pivot_tol) {
+        if (a > kPivotTol) {
           const double t = std::max(0.0, tr[ncols_]) / a;
           if (t < t_best - 1e-12 ||
               (t < t_best + 1e-12 && leave_row >= 0 && std::abs(a) > best_pivot_mag)) {
@@ -304,7 +301,7 @@ class Tableau {
             leave_at_upper = false;
             best_pivot_mag = std::abs(a);
           }
-        } else if (a < -opt_.pivot_tol) {
+        } else if (a < -kPivotTol) {
           const double ub = col_upper_[static_cast<std::size_t>(bi)];
           if (ub >= kInf / 2) continue;
           const double t = (ub - tr[ncols_]) / (-a);
@@ -336,7 +333,7 @@ class Tableau {
     }
   }
 
-  SimplexSolver::Options opt_;
+  LpSolver::Options opt_;
   const Model& model_;
   int n_ = 0;      ///< structural variables
   int m_ = 0;      ///< rows

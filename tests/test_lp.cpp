@@ -9,8 +9,8 @@
 
 #include "lp/lp_solver.hpp"
 #include "lp/model.hpp"
+#include "oracle/simplex.hpp"
 #include "support/check.hpp"
-#include "lp/simplex.hpp"
 #include "support/rng.hpp"
 
 namespace rfp::lp {

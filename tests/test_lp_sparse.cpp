@@ -11,7 +11,6 @@
 #include "device/builders.hpp"
 #include "fp/formulation.hpp"
 #include "lp/lp_solver.hpp"
-#include "lp/simplex.hpp"
 #include "lp/sparse/csc.hpp"
 #include "lp/sparse/dual_simplex.hpp"
 #include "lp/sparse/lu.hpp"
@@ -19,6 +18,7 @@
 #include "milp/bb.hpp"
 #include "milp_oracle.hpp"
 #include "model/generator.hpp"
+#include "oracle/simplex.hpp"
 #include "partition/columnar.hpp"
 #include "support/rng.hpp"
 
@@ -27,7 +27,7 @@ namespace {
 
 using sparse::BasisLu;
 using sparse::CscMatrix;
-using sparse::DualSimplexSolver;
+using sparse::DualReoptimizer;
 using sparse::RevisedSimplexSolver;
 
 // ---- LU kernel -------------------------------------------------------------
@@ -763,6 +763,14 @@ TEST(SparseSimplex, StaleBasisShapeFallsBackToColdStart) {
 
 // ---- dual simplex ----------------------------------------------------------
 
+/// One dual reoptimization from `warm` on a fresh reoptimizer, as
+/// LpSolver's warm path runs it: nullopt when no dual-feasible start exists.
+std::optional<LpResult> dualReoptimize(const Model& m, std::span<const double> lb,
+                                       std::span<const double> ub, const sparse::Basis& warm) {
+  const CscMatrix csc = CscMatrix::fromModel(m);
+  return DualReoptimizer(m, csc, {}).reoptimize(lb, ub, warm, 0);
+}
+
 TEST(DualSimplexProperty, AgreesWithDenseAndPrimalAfterBoundTightening) {
   // The branch & bound pattern: solve, tighten one bound, reoptimize from
   // the (dual-feasible) optimal basis. The dual engine must accept the warm
@@ -818,8 +826,7 @@ TEST(DualSimplexProperty, AgreesWithDenseAndPrimalAfterBoundTightening) {
       ub[static_cast<std::size_t>(k)] = m.var(k).ub;
     }
 
-    const std::optional<LpResult> dual =
-        DualSimplexSolver().solve(m, lb, ub, *first.basis);
+    const std::optional<LpResult> dual = dualReoptimize(m, lb, ub, *first.basis);
     const LpResult dense = SimplexSolver().solve(m);
     const LpResult cold = RevisedSimplexSolver().solve(m);
     ASSERT_EQ(dense.status, cold.status) << "trial " << trial;
@@ -865,7 +872,7 @@ TEST(DualSimplex, ReoptimizesWithFewPivotsAfterSingleTightening) {
       lb[static_cast<std::size_t>(k)] = m.var(k).lb;
       ub[static_cast<std::size_t>(k)] = m.var(k).ub;
     }
-    const std::optional<LpResult> dual = DualSimplexSolver().solve(m, lb, ub, *first.basis);
+    const std::optional<LpResult> dual = dualReoptimize(m, lb, ub, *first.basis);
     ASSERT_TRUE(dual.has_value()) << "trial " << trial;
     if (dual->status != LpStatus::kOptimal) continue;
     const LpResult cold = RevisedSimplexSolver().solve(m);
@@ -896,7 +903,7 @@ TEST(DualSimplex, GivesUpOnDualInfeasibleWarmBasis) {
   m2.setObjective(LinExpr(x) + 2.0 * y, ObjSense::kMaximize);  // now unbounded-ish
   const std::vector<double> lb{0.0, 0.0};
   const std::vector<double> ub{kInfinity, kInfinity};
-  EXPECT_FALSE(DualSimplexSolver().solve(m2, lb, ub, *first.basis).has_value());
+  EXPECT_FALSE(dualReoptimize(m2, lb, ub, *first.basis).has_value());
 }
 
 TEST(DualSimplex, AntiCyclingOnDegenerateReopt) {
@@ -917,7 +924,7 @@ TEST(DualSimplex, AntiCyclingOnDegenerateReopt) {
   m.setVarBounds(0, 0.0, 0.5);  // x <= 0.5
   const std::vector<double> lb{0.0, 0.0};
   const std::vector<double> ub{0.5, kInfinity};
-  const std::optional<LpResult> dual = DualSimplexSolver().solve(m, lb, ub, *first.basis);
+  const std::optional<LpResult> dual = dualReoptimize(m, lb, ub, *first.basis);
   const LpResult dense = SimplexSolver().solve(m);
   ASSERT_EQ(dense.status, LpStatus::kOptimal);
   ASSERT_TRUE(dual.has_value());
@@ -927,11 +934,14 @@ TEST(DualSimplex, AntiCyclingOnDegenerateReopt) {
 
 TEST(DualReopt, BreakerCoolsDownAndReArmsInsteadOfDisablingForever) {
   // Regression: the circuit breaker used to be a kill switch — once
-  // `breaker_strikes` consecutive give-ups tripped it, the strike counter
+  // kBreakerStrikes consecutive give-ups tripped it, the strike counter
   // could never reset (the reset lived behind the tripped check), so one
   // hyper-degenerate subtree disabled the dual warm path for the entire
-  // rest of the tree. It is now a cool-down: after `breaker_cooldown`
+  // rest of the tree. It is now a cool-down: after kBreakerCooldown
   // declined calls one probe runs, and a completed probe re-arms the path.
+  constexpr int kStrikes = DualReoptimizer::kBreakerStrikes;
+  constexpr int kCooldown = DualReoptimizer::kBreakerCooldown;
+  static_assert(kStrikes == 3 && kCooldown == 16, "the breaker's pinned settings");
   Model m;
   const Var x = m.addContinuous(0, kInfinity, "x");
   const Var y = m.addContinuous(0, kInfinity, "y");
@@ -949,23 +959,20 @@ TEST(DualReopt, BreakerCoolsDownAndReArmsInsteadOfDisablingForever) {
   swapped.setObjective(LinExpr(x) + 2.0 * y, ObjSense::kMinimize);
   const LpResult bad_src = RevisedSimplexSolver().solve(swapped);
   ASSERT_EQ(bad_src.status, LpStatus::kOptimal);
-  const std::shared_ptr<const sparse::Basis> bad = bad_src.basis;
-  const std::shared_ptr<const sparse::Basis> fine = good.basis;
+  const sparse::Basis& bad = *bad_src.basis;
+  const sparse::Basis& fine = *good.basis;
 
-  DualSimplexSolver::Options opt;
-  opt.breaker_strikes = 2;
-  opt.breaker_cooldown = 3;
-  const auto csc = std::make_shared<const CscMatrix>(CscMatrix::fromModel(m));
-  sparse::DualReoptimizer reopt(m, csc, opt);
+  const CscMatrix csc = CscMatrix::fromModel(m);
+  DualReoptimizer reopt(m, csc, {});
   const std::vector<double> lb{0.0, 0.0};
   const std::vector<double> ub{kInfinity, kInfinity};
 
-  // Two genuine give-ups trip the breaker...
-  EXPECT_FALSE(reopt.reoptimize(lb, ub, bad, 0).has_value());
-  EXPECT_FALSE(reopt.reoptimize(lb, ub, bad, 0).has_value());
+  // Three genuine give-ups trip the breaker...
+  for (int i = 0; i < kStrikes; ++i)
+    EXPECT_FALSE(reopt.reoptimize(lb, ub, bad, 0).has_value()) << "give-up " << i;
   // ...and while tripped even a perfectly good warm basis is declined for
-  // `breaker_cooldown` calls (the declines cost nothing — that is the point).
-  for (int i = 0; i < 3; ++i)
+  // 16 calls (the declines cost nothing — that is the point).
+  for (int i = 0; i < kCooldown; ++i)
     EXPECT_FALSE(reopt.reoptimize(lb, ub, fine, 0).has_value()) << "cooldown call " << i;
   // The cool-down has elapsed: the next call is the probe, it completes,
   // and the warm path is fully re-armed — this is what the old kill-switch
@@ -980,15 +987,15 @@ TEST(DualReopt, BreakerCoolsDownAndReArmsInsteadOfDisablingForever) {
 
   // And a fresh run of give-ups can trip it again: the re-arm restored the
   // breaker, not just one probe.
-  EXPECT_FALSE(reopt.reoptimize(lb, ub, bad, 0).has_value());
-  EXPECT_FALSE(reopt.reoptimize(lb, ub, bad, 0).has_value());
+  for (int i = 0; i < kStrikes; ++i)
+    EXPECT_FALSE(reopt.reoptimize(lb, ub, bad, 0).has_value()) << "second give-up " << i;
   EXPECT_FALSE(reopt.reoptimize(lb, ub, fine, 0).has_value());  // tripped again
 }
 
 TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
   // Through the LpSolver entry point: warm solves take the dual fast path
-  // (dual_reopt flag set) and still agree with the dense oracle; with
-  // dual_reopt off the same solves run primal.
+  // and still agree with the dense oracle; the primal engine alone, from
+  // the same warm basis, agrees too.
   Rng rng(8642);
   int dual_hits = 0, exercised = 0;
   for (int trial = 0; trial < 30; ++trial) {
@@ -1007,9 +1014,7 @@ TEST(LpSolverReopt, DualFirstWithPrimalFallbackProducesCorrectResults) {
       ub[static_cast<std::size_t>(k)] = m.var(k).ub;
     }
     const LpResult warm = LpSolver().solve(m, lb, ub, first.basis.get());
-    LpSolver::Options primal_only;
-    primal_only.dual_reopt = false;
-    const LpResult primal = LpSolver(primal_only).solve(m, lb, ub, first.basis.get());
+    const LpResult primal = RevisedSimplexSolver().solve(m, lb, ub, first.basis.get());
     const LpResult dense = SimplexSolver().solve(m);
     ASSERT_EQ(warm.status, dense.status) << "trial " << trial;
     ASSERT_EQ(primal.status, dense.status) << "trial " << trial;
@@ -1236,8 +1241,7 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
   fp::MilpFormulation formulation(*problem, *part, {});
   const lp::Model& m = formulation.model();
 
-  const auto csc =
-      std::make_shared<const lp::sparse::CscMatrix>(lp::sparse::CscMatrix::fromModel(m));
+  const lp::sparse::CscMatrix csc = lp::sparse::CscMatrix::fromModel(m);
   const lp::LpResult root = lp::LpSolver().solve(m);
   ASSERT_EQ(root.status, lp::LpStatus::kOptimal);
   ASSERT_NE(root.basis, nullptr);
@@ -1273,7 +1277,7 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
       ub[static_cast<std::size_t>(frac_var)] = std::floor(v);
     else
       lb[static_cast<std::size_t>(frac_var)] = std::floor(v) + 1.0;
-    const std::optional<lp::LpResult> r = reopt.reoptimize(lb, ub, basis, 30);
+    const std::optional<lp::LpResult> r = reopt.reoptimize(lb, ub, *basis, 30);
     ASSERT_TRUE(r.has_value()) << "node " << dive.size()
                                << ": dual fast path declined a parent-optimal warm start";
     dive.push_back({lb, ub, basis, r->status, r->objective});
@@ -1291,13 +1295,11 @@ TEST(SparseFormulation, DegenerateDiveStaysOnDualPathUnderSteepestEdge) {
   EXPECT_GT(dual.ftran_sparse + dual.btran_sparse, 0)
       << "warm reopts never took the hyper-sparse FTRAN/BTRAN path";
 
-  lp::LpSolver::Options primal_opt;
-  primal_opt.dual_reopt = false;
-  const lp::LpSolver primal_warm(primal_opt);
+  const lp::sparse::RevisedSimplexSolver primal_warm;
   lp::LpCounters primal;
   for (std::size_t i = 0; i < dive.size(); ++i) {
     const Node& node = dive[i];
-    const lp::LpResult r = primal_warm.solve(m, node.lb, node.ub, node.parent.get(), csc.get());
+    const lp::LpResult r = primal_warm.solve(m, node.lb, node.ub, node.parent.get(), &csc);
     ASSERT_EQ(r.status, node.status) << "node " << i;
     if (r.status == lp::LpStatus::kOptimal) {
       EXPECT_NEAR(r.objective, node.objective, 1e-5 * (1 + std::abs(node.objective)))

@@ -2,15 +2,19 @@
 // cross-check on random binary programs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <optional>
 #include <string>
 
 #include "device/builders.hpp"
 #include "fp/formulation.hpp"
+#include "fp/milp_floorplanner.hpp"
 #include "milp/bb.hpp"
 #include "milp_oracle.hpp"
+#include "model/generator.hpp"
 #include "partition/columnar.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/telemetry/trace.hpp"
@@ -450,6 +454,94 @@ TEST(MilpWarmRoot, PresolveInfeasibleReportsRootTime) {
   EXPECT_EQ(res.status, MipStatus::kInfeasible);
   EXPECT_EQ(res.lp.solves, 0);  // presolve proved it: no LP ran
   EXPECT_GT(res.seconds, 0.0);
+}
+
+/// The pinned work of one single-threaded solve: its answer, its tree size
+/// and every LP counter (in kLpCounterFields order). The LP layer's
+/// tolerances, factorization settings and refactorization cap all steer
+/// these numbers, so a change to any of them shows up here; a change that
+/// alters the work on purpose re-records the pins and says why.
+struct PinnedMilpWork {
+  std::string status;
+  double objective;
+  long nodes;
+  std::array<long, lp::kLpCounterFields.size()> lp;
+};
+
+void expectMilpWork(const std::string& status, double objective, long nodes,
+                    const lp::LpCounters& lp, const PinnedMilpWork& want) {
+  EXPECT_EQ(status, want.status);
+  EXPECT_DOUBLE_EQ(objective, want.objective);
+  EXPECT_EQ(nodes, want.nodes);
+  for (std::size_t i = 0; i < lp::kLpCounterFields.size(); ++i)
+    EXPECT_EQ(lp.*lp::kLpCounterFields[i].field, want.lp[i]) << lp::kLpCounterFields[i].name;
+}
+
+/// MILP-O (the paper's formulation, Eq. 14 objective or lexicographic) on
+/// one worker.
+void expectMilpOWork(const model::FloorplanProblem& p, bool lexicographic, long node_limit,
+                     const PinnedMilpWork& want) {
+  fp::MilpFloorplannerOptions opt;
+  opt.algorithm = fp::Algorithm::kO;
+  opt.lexicographic = lexicographic;
+  opt.milp.node_limit = node_limit;
+  const fp::FpResult res = fp::MilpFloorplanner(opt).solve(p);
+  expectMilpWork(model::toString(res.status), res.costs.objective, res.nodes, res.lp, want);
+}
+
+model::FloorplanProblem generatedProblem(const device::Device& dev, int regions, double slack,
+                                         int fc, std::uint64_t seed) {
+  model::GeneratorOptions g;
+  g.num_regions = regions;
+  g.max_region_width = 4;
+  g.max_region_height = 3;
+  g.requirement_slack = slack;
+  g.fc_per_region = fc;
+  g.seed = seed;
+  std::optional<model::FloorplanProblem> p = model::generateProblem(dev, g);
+  RFP_CHECK(p.has_value());
+  return *std::move(p);
+}
+
+TEST(MilpSolver, WorkIsUnchanged) {
+  {
+    // Both lexicographic stages proved: warm dual dives under a cold root.
+    SCOPED_TRACE("two regions, lexicographic");
+    const device::Device dev = device::columnarFromPattern("t", "CCBCC", 3);
+    model::FloorplanProblem p(&dev);
+    p.addRegion(model::RegionSpec{"a", {2, 1, 0}});
+    p.addRegion(model::RegionSpec{"b", {2, 0, 0}});
+    p.addNet(model::Net{{0, 1}, 1.0, "n"});
+    expectMilpOWork(p, true, 0,
+                    {"optimal", 0.1875, 198,
+                     {200, 1484, 198, 148, 49, 1183, 61, 1232, 198, 99, 2753, 1113, 611, 1232}});
+  }
+  {
+    // A dive the dual engine gives up on: one primal fallback.
+    SCOPED_TRACE("primal fallback");
+    const device::Device dev = device::columnarFromPattern("f", "CBCDCCBCDCB", 4);
+    expectMilpOWork(generatedProblem(dev, 2, 0.2, 0, 18), true, 60,
+                    {"feasible", 0.2, 61,
+                     {63, 1790, 61, 37, 259, 1457, 229, 1716, 60, 179, 3295, 1603, 732, 1716}});
+  }
+  {
+    // milp-root's shape (three regions, one FC area, Eq. 14 objective;
+    // 6.8k rows): a cold root long enough to hit the refactorization cap,
+    // then a short tree.
+    SCOPED_TRACE("three regions, one FC area");
+    const device::Device dev = device::columnarFromPattern("w", "CBCDCCBCDCB", 6);
+    expectMilpOWork(generatedProblem(dev, 3, 0.2, 1, 1), false, 20,
+                    {"feasible", 0.16289592760180996, 20,
+                     {21, 1266, 20, 19, 416, 824, 59, 1240, 20, 290, 1876, 1463, 631, 1224}});
+  }
+  {
+    // Cover cuts found in several rounds: the warm cut-round chain.
+    SCOPED_TRACE("cover-heavy knapsack");
+    const MipResult res = MilpSolver().solve(coverHeavyKnapsack());
+    expectMilpWork(toString(res.status), res.objective, res.nodes, res.lp,
+                   {"optimal", 172, 73,
+                    {77, 257, 76, 40, 3, 171, 34, 174, 76, 1, 530, 174, 126, 174}});
+  }
 }
 
 }  // namespace
