@@ -147,7 +147,10 @@ struct IncumbentStats {
   std::string source = "-";  ///< engine that published the final shared best
   long publishes = 0;        ///< publish attempts on the channel
   long adoptions = 0;        ///< improving publishes the channel adopted
-  long cutoff_prunes = 0;    ///< prover nodes pruned against an external cutoff
+  /// Prover nodes pruned against an external cutoff. The exact search
+  /// bounds a child before its FC check, so a child counts here whenever
+  /// its bound fails, whether or not its FC check would have passed.
+  long cutoff_prunes = 0;
   bool staged = false;       ///< staged deadline splitting was in effect
   double stage1_seconds = 0.0;  ///< wall clock of the incomplete first stage
   /// Stage 1 was cut short because the channel went quiet (see

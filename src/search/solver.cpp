@@ -57,11 +57,9 @@ struct Instance {
   /// occupancy starts as a copy, so its overlap tests cover forbidden areas
   /// without a separate check.
   Occupancy forbidden{1, 1};
-  // Nets flattened for the wire-length bound: net e's pins are
-  // net_pins[net_start[e] .. net_start[e+1]), and region n's nets are
-  // region_nets[region_net_start[n] .. region_net_start[n+1]).
-  std::vector<int> net_start;
-  std::vector<int> net_pins;
+  // Nets for the wire-length bound: region n is a pin of the nets
+  // region_nets[region_net_start[n] .. region_net_start[n+1]), in net order
+  // (a net that lists n twice appears twice).
   std::vector<double> net_weight;
   std::vector<int> region_net_start;
   std::vector<int> region_nets;
@@ -213,26 +211,21 @@ void adoptExternalIncumbent(const Instance& inst, Shared& shared, std::uint64_t*
                         static_cast<double>(costs.wasted_frames));
 }
 
-/// A region's contribution to a net's bounding box: its center while it is
-/// placed, and the empty box (the identity of min/max) while it is not.
-struct PinBox {
+/// Bounding box of a net's placed pin centres; the default is the empty box
+/// (the identity of min/max). min/max are exact, so a box grown one centre
+/// at a time, in any order, holds the values model::evaluate's scan picks.
+struct NetBox {
   double min_x = 1e30, max_x = -1e30, min_y = 1e30, max_y = -1e30;
-};
 
-/// Weighted half-perimeter of net e over its placed pins (at least one must
-/// be placed). Unplaced pins carry the empty box, so the min/max run without
-/// a branch and pick exactly the values model::evaluate's arithmetic picks.
-double netTerm(const Instance& inst, const std::vector<PinBox>& pins, std::size_t e) {
-  PinBox box;
-  for (int i = inst.net_start[e]; i < inst.net_start[e + 1]; ++i) {
-    const PinBox& pin = pins[static_cast<std::size_t>(inst.net_pins[static_cast<std::size_t>(i)])];
-    box.min_x = std::min(box.min_x, pin.min_x);
-    box.max_x = std::max(box.max_x, pin.max_x);
-    box.min_y = std::min(box.min_y, pin.min_y);
-    box.max_y = std::max(box.max_y, pin.max_y);
+  /// This box grown by the centre (x, y).
+  [[nodiscard]] NetBox with(double x, double y) const {
+    return {std::min(min_x, x), std::max(max_x, x), std::min(min_y, y), std::max(max_y, y)};
   }
-  return inst.net_weight[e] * ((box.max_x - box.min_x) + (box.max_y - box.min_y));
-}
+  /// The net's weighted half-perimeter (the box must not be empty).
+  [[nodiscard]] double term(double weight) const {
+    return weight * ((max_x - min_x) + (max_y - min_y));
+  }
+};
 
 class Worker {
  public:
@@ -245,8 +238,7 @@ class Worker {
         deadline_(deadline),
         occ_(inst.forbidden),
         rects_(static_cast<std::size_t>(inst.prob().numRegions())),
-        pins_(rects_.size()),
-        net_term_(inst.net_weight.size(), 0.0),
+        net_box_(inst.net_weight.size()),
         net_live_(inst.net_weight.size(), 0),
         region_placed_(rects_.size(), 0),
         row_bits_((rects_.size() + 1) * static_cast<std::size_t>(occ_.wordsPerColumn())),
@@ -329,18 +321,19 @@ class Worker {
       const int n = inst_.region_order[d];
       const Shape& s = inst_.candidates[static_cast<std::size_t>(n)]
                            .shapes[static_cast<std::size_t>(task.prefix[d].first)];
-      const int y = task.prefix[d].second;
-      if (occ_.overlaps(Rect{s.x, y, s.w, s.h}) || !tryPlace(n, s, y)) {
+      const Rect r{s.x, task.prefix[d].second, s.w, s.h};
+      if (occ_.overlaps(r) || !supplyAllows(n, s)) {
         viable = false;
         break;
       }
-      ++placed;
-      if (!quickFcCheckAll(n) ||
-          !boundBelow(static_cast<int>(d) + 1, shared_.best_key.load(std::memory_order_relaxed))) {
-        if (shared_.best_is_external.load(std::memory_order_relaxed))
-          ++local_external_prunes_;
+      countNode();
+      if (!admitChild(static_cast<int>(d), n, s, r)) {
         viable = false;
+        break;
       }
+      place(n, s, r);
+      ++placed;
+      viable = quickFcCheckAll(n);
     }
     if (viable && !aborted()) {
       prefix_ = task.prefix;
@@ -370,37 +363,55 @@ class Worker {
   }
 
   /// Weighted-HPWL over nets counting only placed pins — admissible lower
-  /// bound (adding pins can only grow a bounding box). Each net's term is
-  /// kept current at place time; the sum runs over all nets in net order,
-  /// as model::evaluate's does.
-  [[nodiscard]] double wireLengthLowerBound() const {
+  /// bound (adding pins can only grow a bounding box) — with region `child`
+  /// (when >= 0, and not placed) counted at (cx, cy) as well: the bound its
+  /// placement would have, without placing it. The sum runs over all nets
+  /// in net order, as model::evaluate's does, so both give the same bits.
+  [[nodiscard]] double wireLengthLowerBound(int child, double cx, double cy) const {
+    int i = 0;
+    int end = 0;
+    if (child >= 0) {
+      i = inst_.region_net_start[static_cast<std::size_t>(child)];
+      end = inst_.region_net_start[static_cast<std::size_t>(child) + 1];
+    }
     double total = 0;
-    for (std::size_t e = 0; e < net_term_.size(); ++e)
-      if (net_live_[e] > 0) total += net_term_[e];
+    const auto childNet = [&](std::size_t e) {
+      return i < end && static_cast<std::size_t>(inst_.region_nets[static_cast<std::size_t>(i)]) == e;
+    };
+    for (std::size_t e = 0; e < net_box_.size(); ++e) {
+      if (childNet(e)) {
+        total += net_box_[e].with(cx, cy).term(inst_.net_weight[e]);
+        do ++i; while (childNet(e));
+      } else if (net_live_[e] > 0) {
+        total += net_box_[e].term(inst_.net_weight[e]);
+      }
+    }
     return total;
   }
 
-  /// True when the admissible cost-key lower bound of the current partial
-  /// assignment (regions region_order[0..depth) placed) is below `cutoff`.
-  /// In lexicographic mode the waste word (lexKey's high 32 bits) decides
-  /// alone unless it ties the cutoff's, so the wire-length bound is only
-  /// computed on ties.
-  [[nodiscard]] bool boundBelow(int depth, std::uint64_t cutoff) const {
-    const long waste_lb =
-        waste_ + inst_.suffix_min_waste[static_cast<std::size_t>(depth)];
+  /// True when the admissible cost-key lower bound of a partial assignment
+  /// is below `cutoff`: regions region_order[0..depth) placed, `waste` and
+  /// `perim` their totals, and region `child` (when >= 0) among them at
+  /// centre (cx, cy) without being placed yet. The one formula for placed
+  /// nodes (boundBelow) and for children (admitChild). In lexicographic mode
+  /// the waste word (lexKey's high 32 bits) decides alone unless it ties the
+  /// cutoff's, so the wire-length bound is only computed on ties.
+  [[nodiscard]] bool keyBelow(int depth, std::uint64_t cutoff, long waste, double perim,
+                              int child, double cx, double cy) const {
+    const long waste_lb = waste + inst_.suffix_min_waste[static_cast<std::size_t>(depth)];
     if (inst_.opt.mode == ObjectiveMode::kLexicographic) {
       const std::uint64_t waste_key = lexKey(waste_lb, 0.0);
       if (!inst_.opt.optimize_wirelength || (waste_key >> 32) != (cutoff >> 32))
         return waste_key < cutoff;
-      return lexKey(waste_lb, wireLengthLowerBound()) < cutoff;
+      return lexKey(waste_lb, wireLengthLowerBound(child, cx, cy)) < cutoff;
     }
     // Weighted (Eq. 14): perimeter of placed regions + per-region minima;
     // unplaced FC areas are assumed placeable (RL lower bound 0 + committed
     // skips).
-    double perim_lb = perim_;
+    double perim_lb = perim;
     for (int d = depth; d < inst_.prob().numRegions(); ++d)
       perim_lb += inst_.min_perimeter[static_cast<std::size_t>(inst_.region_order[static_cast<std::size_t>(d)])];
-    const double wl_lb = wireLengthLowerBound();
+    const double wl_lb = wireLengthLowerBound(child, cx, cy);
     const model::ObjectiveWeights& q = inst_.prob().weights();
     const double obj = q.q1_wirelength * wl_lb / inst_.wl_max +
                        q.q2_perimeter * perim_lb / inst_.p_max +
@@ -409,43 +420,66 @@ class Worker {
     return weightedKey(obj) < cutoff;
   }
 
-  /// Supply prune + state mutation. Returns false — with no state touched —
-  /// when the placement is already ruled out. Per-type supply/demand prune:
-  /// covered tiles of placed regions plus a lower bound on the demand still
-  /// outstanding (unplaced regions at their bare requirement, hard FC slots
-  /// at their region's footprint) must fit in the device's usable tiles.
-  /// This is what makes the Sec. VI infeasibility proofs (matched filter /
-  /// video decoder) cheap: DSP supply is tight, so wasteful shapes die
-  /// immediately.
-  bool tryPlace(int n, const Shape& s, int y) {
-    const std::size_t nt = slack_.size();
+  /// keyBelow for the current assignment of regions region_order[0..depth).
+  [[nodiscard]] bool boundBelow(int depth, std::uint64_t cutoff) const {
+    return keyBelow(depth, cutoff, waste_, perim_, -1, 0, 0);
+  }
+
+  /// Bound test of the child that places region n = region_order[depth] at
+  /// r, decided before placing it: its key has the bits boundBelow(depth +
+  /// 1) would compute after place(n, s, r). A rejected child is counted as
+  /// an external-cutoff prune when the incumbent came from the channel —
+  /// whether or not its FC check, which never runs, would have passed.
+  [[nodiscard]] bool admitChild(int depth, int n, const Shape& s, const Rect& r) {
+    const bool below = keyBelow(depth + 1, shared_.best_key.load(std::memory_order_relaxed),
+                                waste_ + s.waste, perim_ + 2.0 * (r.w + r.h), n, r.centerX(),
+                                r.centerY());
+    if (!below && shared_.best_is_external.load(std::memory_order_relaxed))
+      ++local_external_prunes_;
+    return below;
+  }
+
+  /// Per-type supply/demand prune: covered tiles of placed regions plus a
+  /// lower bound on the demand still outstanding (unplaced regions at their
+  /// bare requirement, hard FC slots at their region's footprint) must fit
+  /// in the device's usable tiles. This is what makes the Sec. VI
+  /// infeasibility proofs (matched filter / video decoder) cheap: DSP
+  /// supply is tight, so wasteful shapes die immediately. Independent of
+  /// the shape's row.
+  [[nodiscard]] bool supplyAllows(int n, const Shape& s) const {
     const long k_fc = inst_.hard_fc[static_cast<std::size_t>(n)];
     const std::vector<int>& req = inst_.req[static_cast<std::size_t>(n)];
     // Placing s turns the region's bare requirement, and that of each of
     // its k_fc hard FC slots, into s's footprint.
-    for (std::size_t t = 0; t < nt; ++t)
+    for (std::size_t t = 0; t < slack_.size(); ++t)
       if ((1 + k_fc) * (s.covered[t] - req[t]) > slack_[t]) return false;
+    return true;
+  }
 
+  /// Counts an expanded node: every placement that passes supplyAllows.
+  void countNode() {
     ++local_nodes_;
     --poll_countdown_;
     if ((local_nodes_ & 1023) == 0) flushNodes();
+  }
 
-    const Rect r{s.x, y, s.w, s.h};
+  void place(int n, const Shape& s, const Rect& r) {
+    const long k_fc = inst_.hard_fc[static_cast<std::size_t>(n)];
+    const std::vector<int>& req = inst_.req[static_cast<std::size_t>(n)];
     occ_.fill(r);
     rects_[static_cast<std::size_t>(n)] = r;
-    pins_[static_cast<std::size_t>(n)] = PinBox{r.centerX(), r.centerX(), r.centerY(), r.centerY()};
     for (int i = inst_.region_net_start[static_cast<std::size_t>(n)];
          i < inst_.region_net_start[static_cast<std::size_t>(n) + 1]; ++i) {
       const auto e = static_cast<std::size_t>(inst_.region_nets[static_cast<std::size_t>(i)]);
-      saved_terms_.push_back(net_term_[e]);
+      saved_boxes_.push_back(net_box_[e]);
       ++net_live_[e];
-      net_term_[e] = netTerm(inst_, pins_, e);
+      net_box_[e] = net_box_[e].with(r.centerX(), r.centerY());
     }
     region_placed_[static_cast<std::size_t>(n)] = 1;
     waste_ += s.waste;
     perim_ += 2.0 * (r.w + r.h);
-    for (std::size_t t = 0; t < nt; ++t) slack_[t] -= (1 + k_fc) * (s.covered[t] - req[t]);
-    return true;
+    for (std::size_t t = 0; t < slack_.size(); ++t)
+      slack_[t] -= (1 + k_fc) * (s.covered[t] - req[t]);
   }
 
   void unplace(int n, const Shape& s) {
@@ -457,28 +491,31 @@ class Worker {
     perim_ -= 2.0 * (r.w + r.h);
     waste_ -= s.waste;
     region_placed_[static_cast<std::size_t>(n)] = 0;
-    pins_[static_cast<std::size_t>(n)] = PinBox{};
     for (int i = inst_.region_net_start[static_cast<std::size_t>(n) + 1];
          i-- > inst_.region_net_start[static_cast<std::size_t>(n)];) {
       const auto e = static_cast<std::size_t>(inst_.region_nets[static_cast<std::size_t>(i)]);
-      net_term_[e] = saved_terms_.back();
-      saved_terms_.pop_back();
+      net_box_[e] = saved_boxes_.back();
+      saved_boxes_.pop_back();
       --net_live_[e];
     }
     occ_.clear(r);
   }
 
+  /// Expands the child placing region n (at depth) as shape s at row y;
+  /// the caller has checked its overlap and supply. The bound is decided
+  /// before the placement, so the ~all children it rejects never touch the
+  /// occupancy, the net boxes or the FC witnesses. FC check and bound are
+  /// both pure filters, so descending iff both pass is order-free.
   void placeRegion(int depth, int n, const Shape& s, std::size_t shape_index, int y) {
     if (aborted()) return;
-    if (!tryPlace(n, s, y)) return;
+    countNode();
+    const Rect r{s.x, y, s.w, s.h};
+    if (!admitChild(depth, n, s, r)) return;
+    place(n, s, r);
     if (quickFcCheckAll(n)) {
-      if (boundBelow(depth + 1, shared_.best_key.load(std::memory_order_relaxed))) {
-        prefix_.emplace_back(static_cast<int>(shape_index), y);
-        descendRegions(depth + 1);
-        prefix_.pop_back();
-      } else if (shared_.best_is_external.load(std::memory_order_relaxed)) {
-        ++local_external_prunes_;
-      }
+      prefix_.emplace_back(static_cast<int>(shape_index), y);
+      descendRegions(depth + 1);
+      prefix_.pop_back();
     }
     unplace(n, s);
   }
@@ -585,6 +622,7 @@ class Worker {
           ++local_external_prunes_;
         break;
       }
+      if (!supplyAllows(n, s)) continue;
       // placeRegion restores the occupancy before the next y, so one column
       // OR per shape serves every y.
       occ_.orColumns(s.x, s.w, rows);
@@ -780,11 +818,10 @@ class Worker {
   std::vector<std::pair<int, int>> prefix_;
   Occupancy occ_;  ///< forbidden tiles plus the placed regions and FC areas
   std::vector<Rect> rects_;
-  std::vector<PinBox> pins_;  ///< per region, set at place time
-  std::vector<double> net_term_;  ///< netTerm(e) while net e has a placed pin
-  std::vector<int> net_live_;     ///< placed pins per net
-  /// net_term_ values that placements overwrote, restored LIFO by unplace.
-  std::vector<double> saved_terms_;
+  std::vector<NetBox> net_box_;  ///< per net, over its placed pins' centres
+  std::vector<int> net_live_;    ///< placed pins per net
+  /// net_box_ values that placements overwrote, restored LIFO by unplace.
+  std::vector<NetBox> saved_boxes_;
   std::vector<unsigned char> region_placed_;
   std::vector<std::uint64_t> row_bits_;  ///< orColumns scratch, see rowBits()
   /// Per placed region with hard FC slots, the free placements its last
@@ -892,23 +929,19 @@ Instance buildInstance(const model::FloorplanProblem& problem, const SearchOptio
   inst.forbidden = Occupancy(problem.dev().width(), problem.dev().height());
   for (const Rect& f : problem.dev().forbidden()) inst.forbidden.fill(f);
 
-  inst.net_start.push_back(0);
-  for (const model::Net& net : problem.nets()) {
-    inst.net_pins.insert(inst.net_pins.end(), net.regions.begin(), net.regions.end());
-    inst.net_start.push_back(static_cast<int>(inst.net_pins.size()));
-    inst.net_weight.push_back(net.weight);
-  }
   inst.region_net_start.assign(static_cast<std::size_t>(problem.numRegions()) + 1, 0);
-  for (const int r : inst.net_pins) ++inst.region_net_start[static_cast<std::size_t>(r) + 1];
+  for (const model::Net& net : problem.nets()) {
+    inst.net_weight.push_back(net.weight);
+    for (const int r : net.regions) ++inst.region_net_start[static_cast<std::size_t>(r) + 1];
+  }
   for (int n = 0; n < problem.numRegions(); ++n)
     inst.region_net_start[static_cast<std::size_t>(n) + 1] +=
         inst.region_net_start[static_cast<std::size_t>(n)];
-  inst.region_nets.resize(inst.net_pins.size());
+  inst.region_nets.resize(static_cast<std::size_t>(inst.region_net_start.back()));
   std::vector<int> next_net(inst.region_net_start.begin(), inst.region_net_start.end() - 1);
-  for (std::size_t e = 0; e < inst.net_weight.size(); ++e)
-    for (int i = inst.net_start[e]; i < inst.net_start[e + 1]; ++i)
-      inst.region_nets[static_cast<std::size_t>(
-          next_net[static_cast<std::size_t>(inst.net_pins[static_cast<std::size_t>(i)])]++)] =
+  for (std::size_t e = 0; e < problem.nets().size(); ++e)
+    for (const int r : problem.nets()[e].regions)
+      inst.region_nets[static_cast<std::size_t>(next_net[static_cast<std::size_t>(r)]++)] =
           static_cast<int>(e);
 
   // Column-span table for the FC checks (only needed when FC slots exist).

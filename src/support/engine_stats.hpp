@@ -47,7 +47,10 @@ struct WorkerStats {
 struct ExchangeStats {
   long published = 0;      ///< improving incumbents offered to the channel
   long adopted = 0;        ///< external incumbents adopted as the cutoff
-  long cutoff_prunes = 0;  ///< nodes pruned against an external cutoff
+  /// Nodes pruned against an external cutoff, at most one per node. The
+  /// exact search counts a child whose bound fails before its FC check
+  /// runs, so a child that would also have failed that check counts too.
+  long cutoff_prunes = 0;
 
   ExchangeStats& operator+=(const ExchangeStats& o) noexcept {
     published += o.published;

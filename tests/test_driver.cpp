@@ -374,6 +374,27 @@ TEST(SharedIncumbentChannel, SearchProvesASeededIncumbentOptimal) {
   model::FloorplanCosts chan_costs;
   ASSERT_TRUE(channel.best(nullptr, &chan_costs));
   EXPECT_FALSE(model::strictlyBetter(p, ref.costs, chan_costs));
+  // Each prune against the adopted cutoff is charged to its own node: a
+  // child the bound rejected (bounded before its FC check runs), or a node
+  // whose remaining shapes the waste bound cut off.
+  EXPECT_GT(res.exchange.cutoff_prunes, 0);
+  EXPECT_LE(res.exchange.cutoff_prunes, res.nodes);
+
+  // Through the driver, the response's metrics carry the engine's counts.
+  SharedIncumbent seeded(p);
+  ASSERT_TRUE(seeded.publish(ref.plan, ref.costs, "annealer"));
+  const Driver drv;
+  SolveRequest req;
+  req.backend = Backend::kSearch;
+  req.use_cache = false;
+  req.search.incumbent = &seeded;
+  const SolveResponse via_driver = drv.solve(p, req);
+  ASSERT_EQ(via_driver.status, model::SolveStatus::kOptimal) << via_driver.detail;
+  EXPECT_GT(via_driver.exchange.cutoff_prunes, 0) << via_driver.detail;
+  EXPECT_LE(via_driver.exchange.cutoff_prunes, via_driver.nodes) << via_driver.detail;
+  EXPECT_EQ(via_driver.metrics.at("incumbent.cutoff_prunes"),
+            static_cast<double>(via_driver.exchange.cutoff_prunes));
+  EXPECT_EQ(via_driver.metrics.at("nodes"), static_cast<double>(via_driver.nodes));
 }
 
 TEST(DriverCancellation, CancelledExactBackendsNeverClaimProofs) {

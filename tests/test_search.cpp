@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -345,6 +347,41 @@ TEST(Solver, ParallelMatchesSerial) {
   EXPECT_NEAR(traced.costs.wire_length, b.costs.wire_length, 1e-9);
 }
 
+TEST(Solver, WorkerCountAndSeedingAgreeOnTheOptimum) {
+  // Children are bounded against the shared cutoff before they are placed,
+  // whoever set it: 1 and 4 workers, and 1- and 4-worker runs seeded with
+  // the optimum through the channel, return the same answer.
+  const device::Device dev = device::virtex5FX70T();
+  model::FloorplanProblem sdr2 = model::makeSdrProblem(dev);
+  model::addSdrRelocations(sdr2, 2);
+  SearchOptions opt;
+  opt.num_threads = 1;
+  const SearchResult serial = ColumnarSearchSolver(opt).solve(sdr2);
+  ASSERT_EQ(serial.status, model::SolveStatus::kOptimal);
+  const auto expectSame = [&](const SearchResult& res, const std::string& label) {
+    EXPECT_EQ(res.status, serial.status) << label;
+    EXPECT_EQ(res.costs.wasted_frames, serial.costs.wasted_frames) << label;
+    EXPECT_DOUBLE_EQ(res.costs.wire_length, serial.costs.wire_length) << label;
+    EXPECT_EQ(model::check(sdr2, res.plan), "") << label;
+  };
+  opt.num_threads = 4;
+  expectSame(ColumnarSearchSolver(opt).solve(sdr2), "4 workers");
+  for (const int threads : {1, 4}) {
+    driver::SharedIncumbent channel(sdr2);
+    ASSERT_TRUE(channel.publish(serial.plan, serial.costs, "seed"));
+    opt.num_threads = threads;
+    opt.incumbent = &channel;
+    const SearchResult seeded = ColumnarSearchSolver(opt).solve(sdr2);
+    expectSame(seeded, "seeded, " + std::to_string(threads) + " workers");
+    EXPECT_EQ(seeded.exchange.adopted, 1);
+    EXPECT_GT(seeded.exchange.cutoff_prunes, 0);
+    EXPECT_LE(seeded.exchange.cutoff_prunes, seeded.nodes);
+    if (threads == 1) {
+      EXPECT_LT(seeded.nodes, serial.nodes);
+    }
+  }
+}
+
 TEST(Solver, WorkStealingTelemetryIsConsistent) {
   const device::Device dev = device::virtex5FX70T();
   model::FloorplanProblem sdr2 = model::makeSdrProblem(dev);
@@ -558,6 +595,131 @@ TEST(Solver, WorkIsUnchanged) {
     p.addRelocation(model::RelocationRequest{2, 1, true, 1.0});
     expectWork(p, {}, {model::SolveStatus::kOptimal, 5319, 184, 33.5}, "70-row device");
   }
+}
+
+/// FNV-1a over the bytes of 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// `p` with every net re-weighted to a multiple of 0.1, after two random
+/// multi-pin nets are added when `multi_pin`. Non-dyadic weights make the
+/// wire-length sums round differently when summed in different orders.
+model::FloorplanProblem withDecimalNets(const model::FloorplanProblem& p, std::uint64_t seed,
+                                        bool multi_pin) {
+  model::FloorplanProblem q(&p.dev());
+  for (int n = 0; n < p.numRegions(); ++n) q.addRegion(p.region(n));
+  Rng rng(seed);
+  std::vector<model::Net> nets = p.nets();
+  for (int k = 0; multi_pin && k < 2; ++k) {
+    model::Net net;
+    for (int r = 0; r < p.numRegions(); ++r)
+      if (rng.nextBelow(3) != 0) net.regions.push_back(r);
+    if (net.regions.size() < 2) net.regions = {k, k + 1};
+    nets.push_back(net);
+  }
+  for (model::Net& net : nets) {
+    net.weight = 0.1 * static_cast<double>(1 + rng.nextBelow(30));
+    q.addNet(net);
+  }
+  for (const model::RelocationRequest& r : p.relocations()) q.addRelocation(r);
+  q.setLexicographic(true);
+  q.setWeights(model::ObjectiveWeights{40.0, 0.3, 1.0, 0.7});
+  return q;
+}
+
+TEST(Solver, GeneratedWorkIsPinned) {
+  // The work of many small single-threaded solves, folded into one hash:
+  // a change to a bound's arithmetic that moves a prune at an exact tie
+  // moves some node count here.
+  const device::Device wide = device::columnarFromPattern("wide", "CCBCCDCCCCBC", 6);
+  const device::Device small = device::columnarFromPattern("small", "CCBCDCCB", 4);
+  struct Config {
+    const char* label;
+    const device::Device* dev;
+    int num_regions;
+    int fc_per_region;
+    bool soft;
+    bool multi_pin;
+    ObjectiveMode mode;
+    bool optimize_wirelength;
+    int seeds;
+  };
+  const Config configs[] = {
+      {"lexicographic", &wide, 5, 0, false, false, ObjectiveMode::kLexicographic, true, 10},
+      {"waste only, hard FC", &wide, 4, 1, false, false, ObjectiveMode::kLexicographic, false, 10},
+      {"hard FC", &wide, 4, 1, false, true, ObjectiveMode::kLexicographic, true, 10},
+      {"multi-pin nets", &wide, 5, 0, false, true, ObjectiveMode::kLexicographic, true, 10},
+      {"weighted, soft FC", &small, 3, 1, true, true, ObjectiveMode::kWeighted, true, 30},
+      {"weighted, no FC", &small, 3, 0, false, true, ObjectiveMode::kWeighted, true, 10},
+  };
+  Fnv1a hash;
+  int solved = 0;
+  for (const Config& c : configs) {
+    model::GeneratorOptions gopt;
+    gopt.num_regions = c.num_regions;
+    gopt.max_region_width = 3;
+    gopt.max_region_height = 2;
+    gopt.num_nets = 3;
+    gopt.fc_per_region = c.fc_per_region;
+    gopt.soft_relocation = c.soft;
+    for (gopt.seed = 1; gopt.seed <= static_cast<std::uint64_t>(c.seeds); ++gopt.seed) {
+      const std::optional<model::FloorplanProblem> gen = model::generateProblem(*c.dev, gopt);
+      if (!gen) continue;
+      const model::FloorplanProblem p = withDecimalNets(*gen, gopt.seed, c.multi_pin);
+      SearchOptions opt;
+      opt.num_threads = 1;
+      opt.mode = c.mode;
+      opt.optimize_wirelength = c.optimize_wirelength;
+      const SearchResult res = ColumnarSearchSolver(opt).solve(p);
+      hash.add(static_cast<std::uint64_t>(res.status));
+      hash.add(static_cast<std::uint64_t>(res.nodes));
+      hash.add(static_cast<std::uint64_t>(res.costs.wasted_frames));
+      hash.add(std::bit_cast<std::uint64_t>(res.costs.wire_length));
+      if (res.hasSolution()) {
+        ++solved;
+        EXPECT_EQ(model::check(p, res.plan), "") << c.label << ", seed " << gopt.seed;
+      }
+    }
+  }
+  EXPECT_EQ(solved, 78);
+  EXPECT_EQ(hash.h, 0xb54183f036e8be08ull);
+}
+
+TEST(Solver, ARegionListedTwiceInANetCountsOnce) {
+  // A net may name a region twice; its bounding box, and so the whole
+  // search, is that of the net naming it once. Regions are placed in the
+  // order b, a, c, d (fewest placements first), so "a" is placed with
+  // later regions still to come and its second net already live.
+  const device::Device dev = device::columnarFromPattern("d", "CCBCCDCCBCCC", 6);
+  model::FloorplanProblem once(&dev);
+  once.addRegion(model::RegionSpec{"a", {3, 0, 0}});
+  once.addRegion(model::RegionSpec{"b", {4, 1, 0}});
+  once.addRegion(model::RegionSpec{"c", {2, 0, 0}});
+  once.addRegion(model::RegionSpec{"d", {1, 0, 0}});
+  model::FloorplanProblem twice = once;
+  once.addNet(model::Net{{0, 2}, 2.0, "ac"});
+  twice.addNet(model::Net{{0, 2, 0}, 2.0, "ac"});
+  for (model::FloorplanProblem* p : {&once, &twice}) {
+    p->addNet(model::Net{{1, 0}, 3.0, "ba"});
+    p->addNet(model::Net{{2, 3}, 1.0, "cd"});
+    p->addNet(model::Net{{3, 1}, 1.0, "db"});
+  }
+  SearchOptions opt;
+  opt.num_threads = 1;
+  const SearchResult a = ColumnarSearchSolver(opt).solve(once);
+  const SearchResult b = ColumnarSearchSolver(opt).solve(twice);
+  ASSERT_EQ(a.status, model::SolveStatus::kOptimal);
+  EXPECT_EQ(b.status, a.status);
+  EXPECT_EQ(b.nodes, a.nodes);
+  EXPECT_EQ(b.costs.wasted_frames, a.costs.wasted_frames);
+  EXPECT_DOUBLE_EQ(b.costs.wire_length, a.costs.wire_length);
 }
 
 TEST(Solver, StopFlagIsSeenAtTheFirstPoll) {
