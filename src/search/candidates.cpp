@@ -2,10 +2,32 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstddef>
+#include <cstdint>
 
 #include "support/check.hpp"
 
 namespace rfp::search {
+
+namespace {
+
+/// The one definition of valid rows: appends to `ys`, ascending, every top
+/// row y whose h-row window is clear in `span_or`, an orColumns result of
+/// `grid` (left as it is). `windows` is wordsPerColumn() words of scratch.
+/// Returns the number of rows appended.
+std::size_t appendFreeRows(const Occupancy& grid, const std::uint64_t* span_or, int h,
+                           std::uint64_t* windows, std::vector<int>& ys) {
+  const int words = grid.wordsPerColumn();
+  std::copy_n(span_or, words, windows);
+  grid.freeWindows(windows, h);
+  const std::size_t before = ys.size();
+  for (int k = 0; k < words; ++k)
+    for (std::uint64_t bits = windows[k]; bits != 0; bits &= bits - 1)
+      ys.push_back(64 * k + __builtin_ctzll(bits));
+  return ys.size() - before;
+}
+
+}  // namespace
 
 RegionCandidates enumerateCandidates(const model::FloorplanProblem& problem, int n,
                                      long max_waste, bool min_height_only) {
@@ -13,67 +35,88 @@ RegionCandidates enumerateCandidates(const model::FloorplanProblem& problem, int
   RFP_CHECK_MSG(dev.isColumnar(), "exact search requires a columnar device");
   const int W = dev.width();
   const int H = dev.height();
-  const int T = dev.numTileTypes();
+  const auto T = static_cast<std::size_t>(dev.numTileTypes());
   const model::RegionSpec& spec = problem.region(n);
 
-  // Prefix sums of column counts per type: cols[t][x] = #columns of type t
-  // in [0, x).
-  std::vector<std::vector<int>> cols(static_cast<std::size_t>(T),
-                                     std::vector<int>(static_cast<std::size_t>(W) + 1, 0));
+  // Prefix sums of column counts per type: cols[x * T + t] = #columns of
+  // type t in [0, x).
+  std::vector<int> cols((static_cast<std::size_t>(W) + 1) * T, 0);
   for (int x = 0; x < W; ++x) {
-    const int t = dev.columnType(x);
-    for (int tt = 0; tt < T; ++tt)
-      cols[static_cast<std::size_t>(tt)][static_cast<std::size_t>(x) + 1] =
-          cols[static_cast<std::size_t>(tt)][static_cast<std::size_t>(x)] + (tt == t ? 1 : 0);
+    const auto at = static_cast<std::size_t>(x) * T;
+    std::copy_n(cols.begin() + static_cast<std::ptrdiff_t>(at), T,
+                cols.begin() + static_cast<std::ptrdiff_t>(at + T));
+    ++cols[at + T + static_cast<std::size_t>(dev.columnType(x))];
   }
 
+  const Occupancy forbidden = forbiddenGrid(dev);
+  const auto words = static_cast<std::size_t>(forbidden.wordsPerColumn());
+  // span_or[x * words, (x + 1) * words) is the OR of columns [x, x + w) for
+  // the current w: each pass over x widens every span by one column, so all
+  // spans cost O(W²) words in all.
+  std::vector<std::uint64_t> span_or(static_cast<std::size_t>(W) * words, 0);
+  std::vector<std::uint64_t> column(words);
+  std::vector<std::uint64_t> windows(words);
+  std::vector<int> count(T);  // columns of each type in the span
+  std::vector<int> need(T);   // the region's required tiles per type
+  std::vector<long> frames(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    need[t] = spec.required(static_cast<int>(t));
+    frames[t] = dev.tileType(static_cast<int>(t)).frames;
+  }
+
+  // One record per shape, its ys and covered at pool_[at, at + rows + T).
+  struct Record {
+    long waste;
+    int x, w, h;
+    std::size_t at, rows;
+  };
+  std::vector<Record> records;
   RegionCandidates out;
   out.min_waste = LONG_MAX / 4;
+  std::vector<int>& pool = out.pool_;
   for (int w = 1; w <= W; ++w) {
     for (int x = 0; x + w <= W; ++x) {
+      std::uint64_t* span = span_or.data() + static_cast<std::size_t>(x) * words;
+      forbidden.orColumns(x + w - 1, 1, column.data());
+      for (std::size_t k = 0; k < words; ++k) span[k] |= column[k];
       // Tiles of type t covered = colsOfType(t) * h. Find the minimal h that
       // covers every requirement; all h >= that are candidates too (they may
       // trade waste for geometry, e.g. when relocation needs taller areas).
       int min_h = 1;
       bool possible = true;
-      for (int t = 0; t < T && possible; ++t) {
-        const int c = cols[static_cast<std::size_t>(t)][static_cast<std::size_t>(x + w)] -
-                      cols[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)];
-        const int need = spec.required(t);
-        if (need == 0) continue;
-        if (c == 0) {
-          possible = false;
-          break;
-        }
-        min_h = std::max(min_h, (need + c - 1) / c);
+      for (std::size_t t = 0; t < T && possible; ++t) {
+        count[t] = cols[static_cast<std::size_t>(x + w) * T + t] -
+                   cols[static_cast<std::size_t>(x) * T + t];
+        if (need[t] == 0) continue;
+        if (count[t] == 0) possible = false;
+        else min_h = std::max(min_h, (need[t] + count[t] - 1) / count[t]);
       }
       if (!possible || min_h > H) continue;
       const int max_h = min_height_only ? min_h : H;
       for (int h = min_h; h <= max_h; ++h) {
         long waste = 0;
-        std::vector<int> covered(static_cast<std::size_t>(T), 0);
-        for (int t = 0; t < T; ++t) {
-          const int c = cols[static_cast<std::size_t>(t)][static_cast<std::size_t>(x + w)] -
-                        cols[static_cast<std::size_t>(t)][static_cast<std::size_t>(x)];
-          covered[static_cast<std::size_t>(t)] = c * h;
-          waste += static_cast<long>(c * h - spec.required(t)) * dev.tileType(t).frames;
-        }
+        for (std::size_t t = 0; t < T; ++t)
+          waste += static_cast<long>(count[t] * h - need[t]) * frames[t];
         if (max_waste >= 0 && waste > max_waste) break;  // waste grows with h
-        Shape s;
-        s.x = x;
-        s.w = w;
-        s.h = h;
-        s.waste = waste;
-        s.ys = validRows(dev, x, w, h);
-        s.covered = std::move(covered);
-        if (s.ys.empty()) continue;
+        const std::size_t at = pool.size();
+        const std::size_t rows = appendFreeRows(forbidden, span, h, windows.data(), pool);
+        if (rows == 0) continue;
+        for (std::size_t t = 0; t < T; ++t) pool.push_back(count[t] * h);
         out.min_waste = std::min(out.min_waste, waste);
-        out.shapes.push_back(std::move(s));
+        records.push_back(Record{waste, x, w, h, at, rows});
       }
     }
   }
-  std::sort(out.shapes.begin(), out.shapes.end(),
-            [](const Shape& a, const Shape& b) { return a.waste < b.waste; });
+  // std::sort's moves follow from the comparison outcomes alone, so sorting
+  // the records with the shapes' comparator orders the shapes as sorting
+  // the shapes themselves would, ties included.
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.waste < b.waste; });
+  // The pool is complete: the views taken below stay valid for its life.
+  out.shapes.reserve(records.size());
+  for (const Record& r : records)
+    out.shapes.push_back(Shape{r.x, r.w, r.h, r.waste, {pool.data() + r.at, r.rows},
+                               {pool.data() + r.at + r.rows, T}});
   return out;
 }
 
@@ -114,10 +157,20 @@ ColumnSpanTable::ColumnSpanTable(const device::Device& dev) : width_(dev.width()
   eachMatch([&](std::size_t i, std::size_t b) { xs_[next[i]++] = static_cast<int>(b); });
 }
 
+Occupancy forbiddenGrid(const device::Device& dev) {
+  Occupancy grid(dev.width(), dev.height());
+  for (const device::Rect& f : dev.forbidden()) grid.fill(f);
+  return grid;
+}
+
 std::vector<int> validRows(const device::Device& dev, int x, int w, int h) {
+  RFP_CHECK(x >= 0 && w >= 1 && x + w <= dev.width() && h >= 1);
+  const Occupancy forbidden = forbiddenGrid(dev);
+  const auto words = static_cast<std::size_t>(forbidden.wordsPerColumn());
+  std::vector<std::uint64_t> span_or(2 * words);
+  forbidden.orColumns(x, w, span_or.data());
   std::vector<int> ys;
-  for (int y = 0; y + h <= dev.height(); ++y)
-    if (!dev.rectHitsForbidden(device::Rect{x, y, w, h})) ys.push_back(y);
+  appendFreeRows(forbidden, span_or.data(), h, span_or.data() + words, ys);
   return ys;
 }
 

@@ -9,26 +9,38 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "device/device.hpp"
 #include "model/problem.hpp"
+#include "search/occupancy.hpp"
 
 namespace rfp::search {
 
 /// A placement shape for one region: column span and height, with the
-/// (y-independent) wasted frames, plus the valid top rows.
+/// (y-independent) wasted frames, plus the valid top rows. `ys` and `covered`
+/// view the pool of the RegionCandidates that holds the shape.
 struct Shape {
   int x = 0;
   int w = 0;
   int h = 0;
-  long waste = 0;             ///< wasted frames of any placement of this shape
-  std::vector<int> ys;        ///< valid top rows (forbidden areas excluded)
-  std::vector<int> covered;   ///< tiles covered per type id (c_t · h)
+  long waste = 0;                ///< wasted frames of any placement of this shape
+  std::span<const int> ys;       ///< valid top rows, ascending (forbidden areas excluded)
+  std::span<const int> covered;  ///< tiles covered per type id (c_t · h)
 };
 
-/// All shapes for one region, sorted by ascending waste.
+/// All shapes for one region, sorted by ascending waste. Every shape's rows
+/// and coverage sit in one pool owned here, so the set is move-only: a move
+/// keeps the pool's buffer and with it the shapes' views, a copy would leave
+/// them pointing into the source.
 struct RegionCandidates {
+  RegionCandidates() = default;
+  RegionCandidates(RegionCandidates&&) noexcept = default;
+  RegionCandidates& operator=(RegionCandidates&&) noexcept = default;
+  RegionCandidates(const RegionCandidates&) = delete;
+  RegionCandidates& operator=(const RegionCandidates&) = delete;
+
   std::vector<Shape> shapes;
   long min_waste = 0;  ///< waste of the cheapest shape (0 shapes: LONG_MAX/4)
 
@@ -37,7 +49,15 @@ struct RegionCandidates {
     for (const Shape& s : shapes) n += s.ys.size();
     return n;
   }
+
+ private:
+  friend RegionCandidates enumerateCandidates(const model::FloorplanProblem&, int, long, bool);
+  /// Per shape, in enumeration order: its ys, then its covered counts.
+  std::vector<int> pool_;
 };
+static_assert(!std::is_copy_constructible_v<RegionCandidates> &&
+                  std::is_nothrow_move_constructible_v<RegionCandidates>,
+              "shapes view pool_: a copy would alias the source's pool");
 
 /// Enumerates all shapes whose coverage satisfies region `n` of `problem`,
 /// with waste at most `max_waste` (< 0: unlimited). Requires a columnar
@@ -83,8 +103,12 @@ class ColumnSpanTable {
   std::vector<int> xs_;
 };
 
-/// Valid top rows for an h-tall rect at columns [x, x+w) avoiding forbidden
-/// areas.
+/// The device's forbidden tiles as an occupancy grid.
+[[nodiscard]] Occupancy forbiddenGrid(const device::Device& dev);
+
+/// Valid top rows, ascending, for an h-tall rect at columns [x, x+w)
+/// avoiding forbidden areas: the free h-row windows of forbiddenGrid(dev),
+/// found as enumerateCandidates finds a shape's rows.
 [[nodiscard]] std::vector<int> validRows(const device::Device& dev, int x, int w, int h);
 
 }  // namespace rfp::search

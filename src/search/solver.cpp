@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -97,13 +98,16 @@ struct Shared {
   std::atomic<long> adopted{0};
 };
 
+/// One placement of a region: (shape index, top row).
+using Placement = std::pair<int, int>;
+
 /// A stealable unit of work: the subtree where region_order[0..k-1] are
-/// fixed to these (shape_index, y) choices. Executing a task replays the
-/// prefix placements (re-running every prune against the *current*
-/// incumbent, so tasks packaged before an improvement die cheaply) and then
-/// explores the remaining depths.
+/// fixed to these placements. Executing a task replays the prefix
+/// placements (re-running every prune against the *current* incumbent, so
+/// tasks packaged before an improvement die cheaply) and then explores the
+/// remaining depths.
 struct Task {
-  std::vector<std::pair<int, int>> prefix;
+  std::vector<Placement> prefix;
 };
 
 /// Finely-locked work deque. The owner pushes and pops at the back (keeping
@@ -143,7 +147,13 @@ class TaskDeque {
 /// Work-stealing scheduler state shared by all workers of one solve.
 struct Scheduler {
   std::vector<std::unique_ptr<TaskDeque>> deques;  ///< one per worker
-  /// Tasks in deques plus tasks being executed; zero = tree exhausted.
+  /// The root tasks: every placement of region_order[0], in waste order.
+  /// Workers claim them in that order through `next_root`, once their own
+  /// deque is empty and before they steal; deques hold only split subtrees.
+  std::vector<Placement> roots;
+  std::atomic<std::size_t> next_root{0};
+  /// Unfinished roots plus tasks in deques or being executed; zero = tree
+  /// exhausted.
   std::atomic<long> outstanding{0};
   /// Workers currently sleeping on an empty deque — the adaptive-splitting
   /// signal: busy workers only pay the task-packaging overhead while a peer
@@ -257,10 +267,10 @@ class Worker {
     }
   }
 
-  /// Main loop: drain the own deque, steal when dry, exit when every task
-  /// is done or the solve stopped. Deques can all be momentarily empty
-  /// while a peer still expands a task that will spawn more, so "no loot"
-  /// alone is not termination — the outstanding count is.
+  /// Main loop: drain the own deque, then claim a root, steal when both are
+  /// dry, exit when every task is done or the solve stopped. Deques can all
+  /// be momentarily empty while a peer still expands a task that will spawn
+  /// more, so "no loot" alone is not termination — the outstanding count is.
   void runLoop() {
     if (trace_ != nullptr) {
       char label[32];
@@ -272,12 +282,10 @@ class Worker {
     while (true) {
       if (shared_.stop.load(std::memory_order_relaxed)) break;
       if (deque().popBack(task)) {
-        ++stats_.tasks;
-        runTask(task);
-        sched_.outstanding.fetch_sub(1, std::memory_order_acq_rel);
+        execute(task.prefix);
         continue;
       }
-      if (trySteal()) continue;
+      if (claimRoot() || trySteal()) continue;
       if (sched_.outstanding.load(std::memory_order_acquire) == 0) break;
       sched_.idle.fetch_add(1, std::memory_order_relaxed);
       const Stopwatch idle;
@@ -291,6 +299,24 @@ class Worker {
 
  private:
   TaskDeque& deque() { return *sched_.deques[static_cast<std::size_t>(id_)]; }
+
+  /// Runs one task and retires it from the outstanding count.
+  void execute(std::span<const Placement> prefix) {
+    ++stats_.tasks;
+    runTask(prefix);
+    sched_.outstanding.fetch_sub(1, std::memory_order_acq_rel);
+  }
+
+  /// Claims and runs the next unclaimed root; false once all are claimed.
+  /// A lone worker claims them in ascending order, the sequential traversal.
+  /// The load first keeps idle polls from running the cursor up.
+  bool claimRoot() {
+    if (sched_.next_root.load(std::memory_order_relaxed) >= sched_.roots.size()) return false;
+    const std::size_t i = sched_.next_root.fetch_add(1, std::memory_order_relaxed);
+    if (i >= sched_.roots.size()) return false;
+    execute({&sched_.roots[i], 1});
+    return true;
+  }
 
   /// Scans victims in a fixed ring order from this worker's successor and
   /// moves half of the first non-empty deque into its own.
@@ -314,14 +340,14 @@ class Worker {
   /// Replays the task's fixed prefix and explores the remaining subtree.
   /// Worker state is fully unwound afterwards, so tasks run back-to-back on
   /// one clean worker.
-  void runTask(const Task& task) {
+  void runTask(std::span<const Placement> prefix) {
     int placed = 0;
     bool viable = true;
-    for (std::size_t d = 0; d < task.prefix.size() && viable; ++d) {
+    for (std::size_t d = 0; d < prefix.size() && viable; ++d) {
       const int n = inst_.region_order[d];
       const Shape& s = inst_.candidates[static_cast<std::size_t>(n)]
-                           .shapes[static_cast<std::size_t>(task.prefix[d].first)];
-      const Rect r{s.x, task.prefix[d].second, s.w, s.h};
+                           .shapes[static_cast<std::size_t>(prefix[d].first)];
+      const Rect r{s.x, prefix[d].second, s.w, s.h};
       if (occ_.overlaps(r) || !supplyAllows(n, s)) {
         viable = false;
         break;
@@ -336,14 +362,14 @@ class Worker {
       viable = quickFcCheckAll(n);
     }
     if (viable && !aborted()) {
-      prefix_ = task.prefix;
+      prefix_.assign(prefix.begin(), prefix.end());
       descendRegions(placed);
       prefix_.clear();
     }
     for (int d = placed - 1; d >= 0; --d) {
       const int n = inst_.region_order[static_cast<std::size_t>(d)];
       unplace(n, inst_.candidates[static_cast<std::size_t>(n)]
-                     .shapes[static_cast<std::size_t>(task.prefix[static_cast<std::size_t>(d)].first)]);
+                     .shapes[static_cast<std::size_t>(prefix[static_cast<std::size_t>(d)].first)]);
     }
   }
   /// Cheap on every call; the deadline, the external stop flag and the
@@ -815,7 +841,7 @@ class Worker {
   WorkerStats stats_;
   /// (shape_index, y) of the current path's placements — the prefix a
   /// spawned task needs to replay this position.
-  std::vector<std::pair<int, int>> prefix_;
+  std::vector<Placement> prefix_;
   Occupancy occ_;  ///< forbidden tiles plus the placed regions and FC areas
   std::vector<Rect> rects_;
   std::vector<NetBox> net_box_;  ///< per net, over its placed pins' centres
@@ -870,12 +896,14 @@ Instance buildInstance(const model::FloorplanProblem& problem, const SearchOptio
         enumerateCandidates(problem, n, opt.waste_budget, min_height_only));
 
   // Most-constrained-first ordering (fewest placements).
-  inst.region_order.resize(static_cast<std::size_t>(problem.numRegions()));
-  for (int n = 0; n < problem.numRegions(); ++n)
-    inst.region_order[static_cast<std::size_t>(n)] = n;
+  std::vector<std::size_t> placements(static_cast<std::size_t>(problem.numRegions()));
+  inst.region_order.resize(placements.size());
+  for (std::size_t n = 0; n < placements.size(); ++n) {
+    placements[n] = inst.candidates[n].totalPlacements();
+    inst.region_order[n] = static_cast<int>(n);
+  }
   std::stable_sort(inst.region_order.begin(), inst.region_order.end(), [&](int a, int b) {
-    return inst.candidates[static_cast<std::size_t>(a)].totalPlacements() <
-           inst.candidates[static_cast<std::size_t>(b)].totalPlacements();
+    return placements[static_cast<std::size_t>(a)] < placements[static_cast<std::size_t>(b)];
   });
 
   inst.suffix_min_waste.assign(static_cast<std::size_t>(problem.numRegions()) + 1, 0);
@@ -926,8 +954,7 @@ Instance buildInstance(const model::FloorplanProblem& problem, const SearchOptio
     }
   }
 
-  inst.forbidden = Occupancy(problem.dev().width(), problem.dev().height());
-  for (const Rect& f : problem.dev().forbidden()) inst.forbidden.fill(f);
+  inst.forbidden = forbiddenGrid(problem.dev());
 
   inst.region_net_start.assign(static_cast<std::size_t>(problem.numRegions()) + 1, 0);
   for (const model::Net& net : problem.nets()) {
@@ -985,21 +1012,7 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
   std::uint64_t root_seen = 0;
   adoptExternalIncumbent(inst, shared, &root_seen);
 
-  // Root decomposition: one task per candidate placement of the first
-  // region in the order.
-  const int first = inst.region_order.empty() ? -1 : inst.region_order[0];
-  std::vector<Task> roots;
-  if (first >= 0) {
-    const RegionCandidates& c = inst.candidates[static_cast<std::size_t>(first)];
-    for (std::size_t si = 0; si < c.shapes.size(); ++si)
-      for (const int y : c.shapes[si].ys) {
-        Task t;
-        t.prefix.emplace_back(static_cast<int>(si), y);
-        roots.push_back(std::move(t));
-      }
-  }
-
-  if (first < 0) {
+  if (inst.region_order.empty()) {
     // No regions: trivially feasible empty plan.
     result.plan.fc_areas = model::expandFcRequests(problem);
     result.costs = model::evaluate(problem, result.plan);
@@ -1012,12 +1025,13 @@ SearchResult ColumnarSearchSolver::solve(const model::FloorplanProblem& problem)
   Scheduler sched;
   sched.deques.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) sched.deques.push_back(std::make_unique<TaskDeque>());
-  // Deal root tasks round-robin, back-to-front: each worker's popBack then
-  // walks its share in the original waste-sorted order (a single worker
-  // reproduces the sequential traversal exactly).
-  sched.outstanding.store(static_cast<long>(roots.size()), std::memory_order_relaxed);
-  for (std::size_t i = roots.size(); i-- > 0;)
-    sched.deques[i % static_cast<std::size_t>(threads)]->pushBack(std::move(roots[i]));
+  // Root decomposition: one root per placement of the first region in the
+  // order, claimed by the workers through the scheduler's cursor.
+  const RegionCandidates& first = inst.candidates[static_cast<std::size_t>(inst.region_order[0])];
+  sched.roots.reserve(first.totalPlacements());
+  for (std::size_t si = 0; si < first.shapes.size(); ++si)
+    for (const int y : first.shapes[si].ys) sched.roots.emplace_back(static_cast<int>(si), y);
+  sched.outstanding.store(static_cast<long>(sched.roots.size()), std::memory_order_relaxed);
 
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(static_cast<std::size_t>(threads));

@@ -14,7 +14,7 @@ namespace rfp {
 struct WorkerStats {
   int id = 0;
   long nodes = 0;         ///< nodes this worker expanded
-  long tasks = 0;         ///< search: stealable subtree tasks it executed
+  long tasks = 0;         ///< search: tasks it executed (claimed roots and split subtrees)
   long splits = 0;        ///< search: subtrees it deferred as stealable tasks
   long steals = 0;        ///< successful steal operations it performed
   long stolen = 0;        ///< work items (tasks / nodes) those steals acquired

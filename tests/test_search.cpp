@@ -2,8 +2,10 @@
 // optimality, relocation constraints and the feasibility analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <climits>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -233,6 +235,103 @@ TEST(Candidates, ColumnSpanTableMatchesPerQueryScan) {
   EXPECT_EQ(std::vector<int>(got.begin(), got.end()), (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
+/// A shape as the per-row scan enumerates it: owned rows and coverage.
+struct ScannedShape {
+  int x = 0;
+  int w = 0;
+  int h = 0;
+  long waste = 0;
+  std::vector<int> ys;
+  std::vector<int> covered;
+};
+
+/// The reference enumeration: every (x, w, h) tested row by row against the
+/// device's forbidden rects, the shapes sorted by waste with the library's
+/// comparator (so ties come out in the library's order).
+std::vector<ScannedShape> scanCandidates(const model::FloorplanProblem& problem, int n,
+                                         long max_waste, bool min_height_only,
+                                         long* min_waste) {
+  const device::Device& dev = problem.dev();
+  const model::RegionSpec& spec = problem.region(n);
+  const int T = dev.numTileTypes();
+  std::vector<ScannedShape> out;
+  *min_waste = LONG_MAX / 4;
+  for (int w = 1; w <= dev.width(); ++w)
+    for (int x = 0; x + w <= dev.width(); ++x) {
+      std::vector<int> count(static_cast<std::size_t>(T), 0);
+      for (int i = 0; i < w; ++i) ++count[static_cast<std::size_t>(dev.columnType(x + i))];
+      int min_h = 1;
+      bool possible = true;
+      for (int t = 0; t < T; ++t) {
+        const int need = spec.required(t);
+        const int c = count[static_cast<std::size_t>(t)];
+        if (need == 0) continue;
+        if (c == 0) possible = false;
+        else min_h = std::max(min_h, (need + c - 1) / c);
+      }
+      if (!possible || min_h > dev.height()) continue;
+      for (int h = min_h; h <= (min_height_only ? min_h : dev.height()); ++h) {
+        ScannedShape s{x, w, h, 0, {}, {}};
+        for (int t = 0; t < T; ++t) {
+          const int c = count[static_cast<std::size_t>(t)];
+          s.covered.push_back(c * h);
+          s.waste += static_cast<long>(c * h - spec.required(t)) * dev.tileType(t).frames;
+        }
+        if (max_waste >= 0 && s.waste > max_waste) break;
+        for (int y = 0; y + h <= dev.height(); ++y)
+          if (!dev.rectHitsForbidden(Rect{x, y, w, h})) s.ys.push_back(y);
+        if (s.ys.empty()) continue;
+        *min_waste = std::min(*min_waste, s.waste);
+        out.push_back(std::move(s));
+      }
+    }
+  std::sort(out.begin(), out.end(),
+            [](const ScannedShape& a, const ScannedShape& b) { return a.waste < b.waste; });
+  return out;
+}
+
+TEST(Candidates, MatchRowScanOracle) {
+  // The bit-grid enumeration lists exactly the row scan's shapes, field by
+  // field and in the same order, on the paper's device and on a device
+  // taller than one 64-row word whose forbidden blocks straddle row 64.
+  const device::Device fx = device::virtex5FX70T();
+  const model::FloorplanProblem sdr = model::makeSdrProblem(fx);
+  device::Device tall = device::columnarFromPattern("tall", "CCBCCDCCBCCD", 90);
+  tall.addForbidden(Rect{2, 60, 3, 8}, "straddle");
+  tall.addForbidden(Rect{7, 63, 2, 2}, "boundary");
+  tall.addForbidden(Rect{0, 20, 1, 50}, "long");
+  tall.addForbidden(Rect{10, 64, 2, 26}, "top");
+  model::FloorplanProblem tall_problem(&tall);
+  tall_problem.addRegion(model::RegionSpec{"a", {40, 4, 0}});
+  tall_problem.addRegion(model::RegionSpec{"b", {90, 0, 6}});
+  tall_problem.addRegion(model::RegionSpec{"c", {3, 1, 1}});
+  const model::FloorplanProblem* const problems[] = {&sdr, &tall_problem};
+  for (const model::FloorplanProblem* p : problems)
+    for (int n = 0; n < p->numRegions(); ++n)
+      for (const bool min_height_only : {false, true})
+        for (const long max_waste : {-1L, 200L}) {
+          SCOPED_TRACE(p->dev().name() + " region " + std::to_string(n) + " min_height_only " +
+                       std::to_string(min_height_only) + " max_waste " +
+                       std::to_string(max_waste));
+          long want_min = 0;
+          const std::vector<ScannedShape> want =
+              scanCandidates(*p, n, max_waste, min_height_only, &want_min);
+          const RegionCandidates got = enumerateCandidates(*p, n, max_waste, min_height_only);
+          EXPECT_EQ(got.min_waste, want_min);
+          ASSERT_EQ(got.shapes.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            const Shape& g = got.shapes[i];
+            const ScannedShape& e = want[i];
+            ASSERT_EQ(std::vector<int>({g.x, g.w, g.h}), std::vector<int>({e.x, e.w, e.h}))
+                << "shape " << i;
+            EXPECT_EQ(g.waste, e.waste) << "shape " << i;
+            EXPECT_EQ(std::vector<int>(g.ys.begin(), g.ys.end()), e.ys) << "shape " << i;
+            EXPECT_EQ(std::vector<int>(g.covered.begin(), g.covered.end()), e.covered)
+                << "shape " << i;
+          }
+        }
+}
+
 TEST(Solver, FindsOptimalWasteOnTinyInstance) {
   const device::Device dev = device::columnarFromPattern("t", "CCBCC", 4);
   model::FloorplanProblem p(&dev);
@@ -399,10 +498,17 @@ TEST(Solver, WorkStealingTelemetryIsConsistent) {
     stolen += w.stolen;
   }
   EXPECT_EQ(nodes, res.nodes);
-  // A completed solve executed every task: the roots plus every split.
-  EXPECT_GE(tasks, splits);
-  // Stolen tasks were all spawned by someone (roots are dealt, not stolen,
-  // but may be re-stolen — the bound is tasks, not splits).
+  // A completed solve executed every task exactly once: each root (claimed
+  // through the cursor, and counted as a task by the one worker of a serial
+  // run, which never splits) plus every split.
+  opt.num_threads = 1;
+  const SearchResult serial = ColumnarSearchSolver(opt).solve(sdr2);
+  ASSERT_EQ(serial.workers.size(), 1u);
+  EXPECT_EQ(serial.workers[0].splits, 0);
+  EXPECT_GT(serial.workers[0].tasks, 0);
+  EXPECT_EQ(tasks - splits, serial.workers[0].tasks);
+  // Only split tasks sit in deques, so only they are stolen — but a stolen
+  // task may be stolen again, so the bound is tasks, not splits.
   EXPECT_LE(stolen, tasks);
 }
 
