@@ -94,15 +94,6 @@ bool Device::rectHitsForbidden(const Rect& r) const noexcept {
                      [&](const Rect& f) { return f.overlaps(r); });
 }
 
-int Device::tilesInRect(const Rect& r, int type_id) const {
-  const Rect c = r.intersect(bounds());
-  int count = 0;
-  for (int y = c.y; y < c.y2(); ++y)
-    for (int x = c.x; x < c.x2(); ++x)
-      if (typeAt(x, y) == type_id) ++count;
-  return count;
-}
-
 std::vector<int> Device::tileHistogram(const Rect& r) const {
   std::vector<int> hist(static_cast<std::size_t>(numTileTypes()), 0);
   const Rect c = r.intersect(bounds());

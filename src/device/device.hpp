@@ -77,8 +77,6 @@ class Device {
   [[nodiscard]] bool rectHitsForbidden(const Rect& r) const noexcept;
 
   // ---- accounting ----------------------------------------------------------
-  /// Number of tiles of type `type_id` inside `r` (clipped to the device).
-  [[nodiscard]] int tilesInRect(const Rect& r, int type_id) const;
   /// Per-type tile histogram inside `r`.
   [[nodiscard]] std::vector<int> tileHistogram(const Rect& r) const;
   /// Configuration frames spanned by `r` (sum of frames of covered tiles).

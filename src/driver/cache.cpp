@@ -285,13 +285,10 @@ Fingerprint fingerprintProblem(const model::FloorplanProblem& problem,
     case Backend::kMilpO:
     case Backend::kMilpHO: {
       const fp::MilpFloorplannerOptions& m = request.milp;
-      s += "milp{gap=" + fmt(m.milp.gap_tol) + ";int=" + fmt(m.milp.int_tol) +
-           ";gib=" + fmt(m.max_lp_gib) + ";off=" + std::to_string(static_cast<int>(m.formulation.offset)) +
+      s += "milp{gib=" + fmt(m.max_lp_gib) +
+           ";off=" + std::to_string(static_cast<int>(m.formulation.offset)) +
            ";tm=" + std::to_string(static_cast<int>(m.formulation.type_match)) +
-           ";ob=" + std::to_string(static_cast<int>(m.formulation.objective)) +
-           ";pre=" + std::to_string(m.milp.enable_presolve ? 1 : 0) +
-           ";cut=" + std::to_string(m.milp.enable_cover_cuts ? 1 : 0) +
-           ";cr=" + std::to_string(m.milp.cut_rounds) + "}";
+           ";ob=" + std::to_string(static_cast<int>(m.formulation.objective)) + "}";
       if (backend == Backend::kMilpHO)
         s += "heur{r=" + std::to_string(m.heuristic.restarts) +
              ";s=" + std::to_string(m.heuristic.seed) +

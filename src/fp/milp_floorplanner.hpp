@@ -75,8 +75,6 @@ class MilpFloorplanner {
 
   [[nodiscard]] FpResult solve(const model::FloorplanProblem& problem) const;
 
-  [[nodiscard]] const MilpFloorplannerOptions& options() const noexcept { return options_; }
-
  private:
   MilpFloorplannerOptions options_;
 };

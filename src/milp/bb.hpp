@@ -6,11 +6,10 @@
 //  * child nodes reoptimize from the parent node's optimal basis instead of
 //    solving each relaxation cold (the tree solves thousands of
 //    near-identical LPs; a warm solve is typically a handful of pivots),
-//  * root cover-cut rounds chained warm: each round re-solves from the
-//    previous round's basis, and the last basis warm-starts the root node,
+//  * root presolve (bound tightening, presolve.hpp), then one cold root LP,
 //  * hybrid node selection: best-bound with depth-first "plunging", in
 //    one work-stealing tree search whose single-worker case is sequential,
-//  * most-fractional / pseudo-cost branching,
+//  * pseudo-cost branching,
 //  * rounding primal heuristic to find incumbents early,
 //  * MIP-gap, node-limit and wall-clock termination,
 //  * optional warm-start incumbent (used by the HO flow, Sec. II-A).
@@ -51,8 +50,8 @@ struct MipResult {
   double gap = lp::kInfinity;  ///< |obj - bound| / max(1, |obj|)
   long nodes = 0;
   double seconds = 0.0;
-  /// LP work summed over every relaxation this solve ran: cut rounds, root
-  /// and nodes (declined dual attempts add their pivots, not a solve).
+  /// LP work summed over every relaxation this solve ran: the root and the
+  /// nodes (declined dual attempts add their pivots, not a solve).
   lp::LpCounters lp;
   /// Incumbent exchange through the poll/publish callbacks below (zero
   /// without them).
@@ -71,6 +70,9 @@ struct MipResult {
 
 class MilpSolver {
  public:
+  static constexpr double kGapTol = 1e-6;  ///< relative MIP gap for optimality
+  static constexpr double kIntTol = 1e-6;  ///< integrality tolerance
+
   struct Options {
     double time_limit_seconds = 0.0;  ///< <= 0: none
     /// <= 0: none. The limit is checked only when a worker takes a
@@ -78,14 +80,7 @@ class MilpSolver {
     /// MipResult::nodes can exceed node_limit by at most plunge_depth (at
     /// every thread count: past the limit only one plunge keeps going).
     long node_limit = 0;
-    double gap_tol = 1e-6;            ///< relative MIP gap for optimality
-    double int_tol = 1e-6;            ///< integrality tolerance
-    int plunge_depth = 64;            ///< DFS dives from each best-bound node
-    bool enable_rounding_heuristic = true;
-    bool enable_presolve = true;      ///< root bound tightening (presolve.hpp)
-    bool enable_cover_cuts = true;    ///< root knapsack cover cuts
-    int cut_rounds = 5;               ///< max root separation rounds
-    bool pseudo_cost_branching = true;  ///< reliability-style var selection
+    int plunge_depth = 64;  ///< DFS dives from each best-bound node
     /// In-solve parallelism: branch & bound workers over one tree. <= 1 runs
     /// one worker inline on the calling thread. Workers own private
     /// best-bound node pools (and private dual reoptimizers) and steal the
@@ -119,13 +114,13 @@ class MilpSolver {
     /// Called with every improving incumbent the search itself finds
     /// (integral LP optima and rounding-heuristic hits).
     std::function<void(const std::vector<double>&)> incumbent_publish;
-    /// Chain the root cut rounds and reoptimize child nodes from the
-    /// parent's optimal basis. Off solves every relaxation cold: the
-    /// oracle the tests compare the warm path against (results are
-    /// identical either way). Warm node solves go through the dual simplex
-    /// first with the primal engine as fallback.
+    /// Reoptimize child nodes from the parent's optimal basis (the root
+    /// is always cold). Off solves every relaxation cold: the oracle the
+    /// tests compare the warm path against (results are identical either
+    /// way). Warm node solves go through the dual simplex first with the
+    /// primal engine as fallback.
     bool lp_warm_start = true;
-    /// Solve-scoped observability (support/telemetry): presolve/cut/root-LP
+    /// Solve-scoped observability (support/telemetry): presolve and root-LP
     /// spans, sampled dual-reopt vs primal-fallback instants, live node
     /// counters. Null keeps every instrumentation site branch-only.
     const telemetry::Context* telemetry = nullptr;
@@ -138,8 +133,6 @@ class MilpSolver {
   /// is a feasible point it becomes the initial incumbent.
   [[nodiscard]] MipResult solve(const lp::Model& model,
                                 std::optional<std::vector<double>> warm_start = {}) const;
-
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
   Options options_;

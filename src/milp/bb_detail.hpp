@@ -1,4 +1,4 @@
-// Internal helpers of the branch & bound: the root phase (bb.cpp) and the
+// Internal helpers of the branch & bound: the entry point (bb.cpp) and the
 // tree search (bb_parallel.cpp) share LP option derivation and the LP
 // counter fold; the tree search's workers share branching variable
 // selection, pseudo-cost bookkeeping and integer rounding.
@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,10 +48,10 @@ inline lp::LpSolver::Options cappedLpOptions(const MilpSolver::Options& opt,
   return deadline.limit() > 0 ? std::max(0.01, deadline.remaining()) : 0.0;
 }
 
-/// The single fold point of a MILP solve's LP work. The pure-LP path, cut
-/// rounds, node LPs and declined dual attempts all add their counters
-/// through `add`, which feeds both the result and the live registry's
-/// `lp.<name>` counters (resolved once from the name table).
+/// The single fold point of a MILP solve's LP work. The pure-LP path, node
+/// LPs (the root among them) and declined dual attempts all add their
+/// counters through `add`, which feeds both the result and the live
+/// registry's `lp.<name>` counters (resolved once from the name table).
 class LpFold {
  public:
   explicit LpFold(const telemetry::Context* ctx) {
@@ -73,40 +72,14 @@ class LpFold {
   std::array<telemetry::Counter*, lp::kLpCounterFields.size()> registry_{};
 };
 
-/// Most-fractional selection (binaries first), the pseudo-cost fallback.
-inline int mostFractional(const lp::Model& model, const MilpSolver::Options& opt,
-                          const std::vector<double>& x) {
-  int best_bin = -1, best_int = -1;
-  double bin_score = opt.int_tol, int_score = opt.int_tol;
-  for (int j = 0; j < model.numVars(); ++j) {
-    const lp::VarType type = model.var(j).type;
-    if (type == lp::VarType::kContinuous) continue;
-    const double v = x[static_cast<std::size_t>(j)];
-    const double dist = std::min(v - std::floor(v), std::ceil(v) - v);
-    if (dist <= opt.int_tol) continue;
-    if (type == lp::VarType::kBinary) {
-      if (dist > bin_score) {
-        bin_score = dist;
-        best_bin = j;
-      }
-    } else if (dist > int_score) {
-      int_score = dist;
-      best_int = j;
-    }
-  }
-  return best_bin >= 0 ? best_bin : best_int;
-}
-
-/// Branching variable selection. With pseudo-cost branching, fractional
-/// variables are scored by the product of their estimated up/down objective
-/// degradations (reliability falls back to fractionality while a variable
-/// has no observations). Binaries always outrank general integers — they
+/// Branching variable selection: fractional variables are scored by the
+/// product of their estimated up/down objective degradations (pseudo-costs;
+/// reliability falls back to fractionality while a variable has no
+/// observations). Binaries always outrank general integers — they
 /// drive the big-M structure of floorplanning models. Returns -1 when the
 /// point is integral.
-inline int selectBranchVar(const lp::Model& model, const MilpSolver::Options& opt,
-                           const std::vector<PseudoCost>& pseudo_costs,
+inline int selectBranchVar(const lp::Model& model, const std::vector<PseudoCost>& pseudo_costs,
                            const std::vector<double>& x) {
-  if (!opt.pseudo_cost_branching) return mostFractional(model, opt, x);
   int best = -1;
   bool best_binary = false;
   double best_score = -1.0;
@@ -116,7 +89,7 @@ inline int selectBranchVar(const lp::Model& model, const MilpSolver::Options& op
     const double v = x[static_cast<std::size_t>(j)];
     const double f = v - std::floor(v);
     const double dist = std::min(f, 1.0 - f);
-    if (dist <= opt.int_tol) continue;
+    if (dist <= MilpSolver::kIntTol) continue;
     const PseudoCost& pc = pseudo_costs[static_cast<std::size_t>(j)];
     // Unobserved directions fall back to the fractionality itself, so an
     // unscored variable competes as if it were most-fractional branching.
@@ -160,12 +133,8 @@ inline void roundIntegers(const lp::Model& model, std::vector<double>& x) {
 /// instances, cooperating through an atomic incumbent cutoff. With
 /// `opt.deterministic` several workers run lock-step on one OS thread and
 /// the result carries a replay hash over the node order and steal schedule.
-/// `root_basis` (null: cold root) is the cut loop's final basis, which
-/// worker 0 warm-starts the root from; `res` carries the root phase's LP
-/// counters, to which the tree's are added.
+/// Worker 0 solves the root node's LP cold.
 [[nodiscard]] MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
-                                  std::optional<std::vector<double>> warm_start,
-                                  std::shared_ptr<const lp::sparse::Basis> root_basis,
-                                  MipResult res);
+                                  std::optional<std::vector<double>> warm_start);
 
 }  // namespace rfp::milp::detail

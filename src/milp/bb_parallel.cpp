@@ -214,7 +214,7 @@ struct SharedTree {
   [[nodiscard]] bool interrupted() const { return deadline.expired() || externallyStopped(); }
   [[nodiscard]] double absGapSlack() const {
     if (!has_incumbent.load(std::memory_order_acquire)) return 0.0;
-    return opt.gap_tol * std::max(1.0, std::abs(cutoff.load(std::memory_order_relaxed)));
+    return MilpSolver::kGapTol * std::max(1.0, std::abs(cutoff.load(std::memory_order_relaxed)));
   }
   /// Cutoff test against the shared incumbent (counts the prunes an
   /// external incumbent caused).
@@ -254,11 +254,11 @@ struct SharedTree {
   }
 
   /// Polls the incumbent-exchange callback and adopts its point as the
-  /// objective cutoff when it is integer-feasible for this (possibly cut-
-  /// and presolve-augmented) model and beats the current incumbent. Cover
-  /// cuts and presolve preserve every integer-feasible point, so a genuinely
-  /// feasible external plan passes; HO's sequence-pair rows legitimately
-  /// reject plans outside the restricted space. try_lock: if a peer is
+  /// objective cutoff when it is integer-feasible for this (presolved)
+  /// model and beats the current incumbent. Presolve preserves every
+  /// integer-feasible point, so a genuinely feasible external plan passes;
+  /// HO's sequence-pair rows legitimately reject plans outside the
+  /// restricted space. try_lock: if a peer is
   /// already polling, this worker skips — one reader per version suffices.
   void pollExternal() {
     if (!opt.incumbent_poll) return;
@@ -268,7 +268,7 @@ struct SharedTree {
       const sync::AdoptLock cb(callback_mu, std::adopt_lock);
       x = opt.incumbent_poll();
     }
-    if (!x || !model.isFeasible(*x, opt.int_tol)) return;
+    if (!x || !model.isFeasible(*x, MilpSolver::kIntTol)) return;
     const double obj = signedObj(model.evalObjective(*x));
     roundIntegers(model, *x);
     if (offerIncumbent(std::move(*x), obj, true)) {
@@ -559,11 +559,10 @@ class Worker {
     // the objective degradation of the branch that created it. The tables
     // are worker-local: no cross-worker synchronization, at the cost of
     // each worker learning branching scores from its own subtrees only.
-    if (shared_.opt.pseudo_cost_branching && node.path && node.lp_bound > -lp::kInfinity / 2 &&
-        node.branch_frac > 0)
+    if (node.path && node.lp_bound > -lp::kInfinity / 2 && node.branch_frac > 0)
       updatePseudoCost(pseudo_costs_, node.path->change, node.lp_bound, node.branch_frac, bound);
 
-    const int frac = selectBranchVar(shared_.model, shared_.opt, pseudo_costs_, rel.x);
+    const int frac = selectBranchVar(shared_.model, pseudo_costs_, rel.x);
     if (frac < 0) {
       // Integral LP optimum: offer it as the shared incumbent.
       std::vector<double> x = std::move(rel.x);
@@ -573,7 +572,7 @@ class Worker {
       return std::nullopt;
     }
 
-    if (shared_.opt.enable_rounding_heuristic) tryRounding(rel.x);
+    tryRounding(rel.x);
 
     // Down child (ub := floor) and up child (lb := ceil); both reoptimize
     // from this node's optimal basis (one shared snapshot).
@@ -600,7 +599,7 @@ class Worker {
   void tryRounding(const std::vector<double>& x) {
     std::vector<double> cand = x;
     roundIntegers(shared_.model, cand);
-    if (!shared_.model.isFeasible(cand, shared_.opt.int_tol)) return;
+    if (!shared_.model.isFeasible(cand, MilpSolver::kIntTol)) return;
     const double obj = shared_.signedObj(shared_.model.evalObjective(cand));
     shared_.offerIncumbent(std::move(cand), obj, false);
   }
@@ -623,9 +622,9 @@ class Worker {
 }  // namespace
 
 MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
-                    std::optional<std::vector<double>> warm_start,
-                    std::shared_ptr<const lp::sparse::Basis> root_basis, MipResult res) {
+                    std::optional<std::vector<double>> warm_start) {
   const Stopwatch watch;
+  MipResult res;
   const int W = std::max(1, opt.threads);
   SharedTree shared(model, opt);
   shared.minimize = model.objSense() == lp::ObjSense::kMinimize;
@@ -638,7 +637,7 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
     shared.base_ub[static_cast<std::size_t>(j)] = model.var(j).ub;
   }
 
-  if (warm_start && model.isFeasible(*warm_start, opt.int_tol)) {
+  if (warm_start && model.isFeasible(*warm_start, MilpSolver::kIntTol)) {
     std::vector<double> x = *std::move(warm_start);
     const double obj = shared.signedObj(model.evalObjective(x));
     roundIntegers(model, x);
@@ -655,8 +654,7 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
   for (int i = 0; i < W; ++i) workers.push_back(std::make_unique<Worker>(i, shared));
 
   shared.outstanding.store(1, std::memory_order_relaxed);
-  PNode root;
-  root.start_basis = std::move(root_basis);  // worker 0 warm-starts the root
+  PNode root;  // no start basis: worker 0 solves the root cold
   root.seq = shared.next_seq.fetch_add(1, std::memory_order_relaxed);
   shared.pools[0]->push(std::move(root));
 
@@ -742,7 +740,7 @@ MipResult runSearch(const lp::Model& model, const MilpSolver::Options& opt,
     res.best_bound = shared.userObj(bound);
     res.gap = std::abs(inc_obj - bound) / std::max(1.0, std::abs(inc_obj));
     res.status =
-        (!truncated || res.gap <= opt.gap_tol) ? MipStatus::kOptimal : MipStatus::kFeasible;
+        (!truncated || res.gap <= MilpSolver::kGapTol) ? MipStatus::kOptimal : MipStatus::kFeasible;
   } else {
     res.status = truncated ? MipStatus::kNoSolution : MipStatus::kInfeasible;
     res.best_bound = shared.userObj(bound);

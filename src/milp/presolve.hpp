@@ -3,17 +3,14 @@
 //
 // Commercial branch-and-cut solvers (the substrate the paper outsources to,
 // DESIGN.md §3 substitution 1) owe much of their speed to root-node
-// reductions. This module implements the two with the best effort/benefit
-// ratio for big-M floorplanning models:
+// reductions:
 //
 //  * Bound tightening — each row's minimal activity implies per-variable
-//    bounds; iterated to a fixed point. Big-M rows become much tighter once
-//    a few binaries are fixed, so this also runs per node cheaply on the
-//    changed columns' rows.
+//    bounds; iterated to a fixed point. MilpSolver runs it once at the root.
 //  * Cover cuts — for knapsack rows Σ a_j x_j ≤ b over binaries with
 //    a_j > 0, a *cover* C (Σ_{j∈C} a_j > b) yields the valid inequality
-//    Σ_{j∈C} x_j ≤ |C| − 1, often violated by LP points that round-trip
-//    through big-M constraints.
+//    Σ_{j∈C} x_j ≤ |C| − 1. MilpSolver does not separate them: no
+//    floorplanning formulation ever yielded one.
 #pragma once
 
 #include <string>
@@ -46,6 +43,8 @@ struct CoverCut {
 /// Separates violated minimal-cover inequalities from knapsack-shaped rows
 /// (≤ rows whose support is all-binary with positive coefficients) at the
 /// fractional point `x`. Returns up to `max_cuts` cuts ordered by violation.
+/// No solver calls this: its one caller is perfbench, which times it as the
+/// per-layer metric `milp.cuts_ms` (ROADMAP item 1(c)).
 [[nodiscard]] std::vector<CoverCut> separateCoverCuts(const lp::Model& model,
                                                       std::span<const double> x,
                                                       int max_cuts = 16,

@@ -1,5 +1,6 @@
 #include "support/telemetry/metrics.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace rfp::telemetry {
@@ -72,13 +73,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const sync::MutexLock lk(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   const sync::MutexLock lk(mu_);
   auto& slot = histograms_[name];
@@ -93,12 +87,6 @@ std::map<std::string, MetricValue> MetricsRegistry::snapshot() const {
     MetricValue v;
     v.kind = MetricValue::Kind::kCounter;
     v.value = static_cast<double>(c->total());
-    out.emplace(name, v);
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricValue v;
-    v.kind = MetricValue::Kind::kGauge;
-    v.value = g->value();
     out.emplace(name, v);
   }
   for (const auto& [name, h] : histograms_) {

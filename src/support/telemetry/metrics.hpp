@@ -1,4 +1,4 @@
-// MetricsRegistry: named counters, gauges, and log-bucketed histograms with
+// MetricsRegistry: named counters and log-bucketed histograms with
 // per-thread sharded accumulation.
 //
 // Six PRs of engine work each grew a private counter struct (`LpStats`,
@@ -14,14 +14,13 @@
 // support anyway — and monotonically fresh while they run, which is all the
 // progress ticker needs.
 //
-// Instrument handles returned by `counter()` / `gauge()` / `histogram()`
+// Instrument handles returned by `counter()` / `histogram()`
 // are stable for the registry's lifetime (instruments are never removed),
 // so callers resolve names once at solve start and bump through the pointer
 // afterwards. Name lookup takes the registry mutex; updates never do.
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -63,21 +62,6 @@ class Counter {
   detail::PaddedCount shards_[detail::kShards];
 };
 
-/// Last-writer-wins instantaneous value (doubles stored bit-cast so set/get
-/// stay lock-free on every target).
-class Gauge {
- public:
-  void set(double v) noexcept {
-    bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-  }
-
- private:
-  std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
-};
-
 /// Log2-bucketed histogram of non-negative samples. Bucket k holds samples
 /// in [2^(k-1), 2^k) (bucket 0 holds [0, 1)), so 48 buckets cover anything
 /// from a sub-microsecond pivot to hours expressed in microseconds. Sum and
@@ -111,9 +95,9 @@ class Histogram {
 
 /// One flattened metric value in a snapshot.
 struct MetricValue {
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   Kind kind = Kind::kCounter;
-  double value = 0.0;  // counter total or gauge value; histogram mean
+  double value = 0.0;  // counter total; histogram mean
   Histogram::Snapshot hist;  // populated for histograms only
 };
 
@@ -125,16 +109,15 @@ class MetricsRegistry {
 
   /// Find-or-create by name. The returned reference stays valid for the
   /// registry's lifetime. Kind mismatches (a counter name reused as a
-  /// gauge) create independent instruments per kind namespace.
+  /// histogram) create independent instruments per kind namespace.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   /// Point-in-time aggregation of every instrument, keyed by name.
   [[nodiscard]] std::map<std::string, MetricValue> snapshot() const;
 
   /// Snapshot flattened to name -> number for export surfaces
-  /// (`SolveResponse::metrics`, JSON): counters and gauges map directly;
+  /// (`SolveResponse::metrics`, JSON): counters map directly;
   /// a histogram `h` contributes `h.count`, `h.mean`, and `h.max`.
   [[nodiscard]] std::map<std::string, double> flatten() const;
 
@@ -145,7 +128,6 @@ class MetricsRegistry {
   // nothing else may be acquired while this is held.
   mutable sync::Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_ RFP_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ RFP_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ RFP_GUARDED_BY(mu_);
 };
 

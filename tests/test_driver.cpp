@@ -92,8 +92,8 @@ TEST(DriverSingle, ExhaustiveBackendsAgreeOnTheOptimum) {
   ASSERT_EQ(exact.status, model::SolveStatus::kOptimal);
   ASSERT_EQ(milp.status, model::SolveStatus::kOptimal) << milp.detail;
   EXPECT_EQ(exact.costs.wasted_frames, milp.costs.wasted_frames);
-  // MILP optimality holds within gap_tol, so equally-optimal plans may
-  // differ in the last bits of the wire length.
+  // MILP optimality holds within MilpSolver::kGapTol, so equally-optimal
+  // plans may differ in the last bits of the wire length.
   EXPECT_NEAR(exact.costs.wire_length, milp.costs.wire_length,
               1e-4 * std::max(1.0, exact.costs.wire_length));
 }
@@ -1580,7 +1580,7 @@ TEST(DriverOutput, ResponseSurfaceIsPinned) {
     long lp_solves = 0;
     for (std::size_t i = 0; i < res.workers.size(); ++i)
       lp_solves += static_cast<long>(jsonNumber(s, "workers[].lp_solves", i));
-    EXPECT_LE(lp_solves, res.lp.solves);  // the root's cut rounds run before the tree
+    EXPECT_EQ(lp_solves, res.lp.solves);  // every LP, the root among them, runs in a worker
   }
   {
     SCOPED_TRACE("staged portfolio");

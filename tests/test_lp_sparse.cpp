@@ -1108,14 +1108,9 @@ TEST(MilpSparse, WarmStartedTreeIsDeterministicAndCheaper) {
   int compared = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const Model m = randomBinaryProgram(rng);
-    MilpSolver::Options base;
-    // Heuristics off so both runs expand the same tree deterministically.
-    base.enable_rounding_heuristic = false;
-    MilpSolver::Options warm_opt = base;
-    warm_opt.lp_warm_start = true;
-    MilpSolver::Options cold_opt = base;
+    MilpSolver::Options cold_opt;
     cold_opt.lp_warm_start = false;
-    const MipResult warm = MilpSolver(warm_opt).solve(m);
+    const MipResult warm = MilpSolver().solve(m);
     const MipResult cold = MilpSolver(cold_opt).solve(m);
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     if (warm.status != MipStatus::kOptimal) continue;
@@ -1172,10 +1167,8 @@ TEST(MilpSparse, CscMatrixBuiltExactlyOncePerTree) {
   m.addConstr(cap, Sense::kLessEqual, 11);
   m.setObjective(obj, ObjSense::kMaximize);
 
-  MilpSolver::Options opt;
-  opt.enable_cover_cuts = false;  // cut rounds re-solve a mutating model
   const long before = lp::sparse::CscMatrix::buildCount();
-  const MipResult res = MilpSolver(opt).solve(m);
+  const MipResult res = MilpSolver().solve(m);
   const long built = lp::sparse::CscMatrix::buildCount() - before;
   ASSERT_EQ(res.status, MipStatus::kOptimal);
   EXPECT_GT(res.nodes, 1);  // the instance must actually branch

@@ -111,7 +111,6 @@ TEST(Milp, NodeLimitReportsTruncation) {
   for (const int threads : {1, 4}) {
     MilpSolver::Options opt;
     opt.node_limit = 1;
-    opt.enable_rounding_heuristic = false;
     opt.threads = threads;
     const MipResult r = MilpSolver(opt).solve(m);
     EXPECT_TRUE(r.status == MipStatus::kFeasible || r.status == MipStatus::kNoSolution ||
@@ -285,12 +284,11 @@ TEST(MilpParallel, WarmStartSeedsSharedIncumbent) {
   EXPECT_NEAR(r.objective, 2.0, 1e-6);
 }
 
-// ---- warm root chain -------------------------------------------------------
+// ---- cold root, warm tree ---------------------------------------------------
 
 /// Three knapsack rows over 16 binaries with correlated weights: the root LP
-/// is fractional on every row, so round 1 separates cover cuts and round 2
-/// re-solves the grown model.
-Model coverHeavyKnapsack() {
+/// is fractional on every row, so the solve branches.
+Model threeRowKnapsack() {
   Model m;
   Rng rng(2024);
   std::vector<Var> items;
@@ -312,7 +310,7 @@ Model coverHeavyKnapsack() {
 }
 
 /// Root-only solve (no plunge below the first node): lp.solves counts the
-/// cut rounds plus the root.
+/// root LP alone.
 MipResult solveRootOnly(const Model& m, MilpSolver::Options opt) {
   opt.node_limit = 1;
   opt.plunge_depth = 0;
@@ -332,38 +330,12 @@ void expectSameAnswerAsColdPath(const Model& m, const MilpSolver::Options& warm_
   }
 }
 
-TEST(MilpWarmRoot, CutRoundsAndRootReuseTheChainedBasis) {
-  const Model m = coverHeavyKnapsack();
-  const MipResult root = solveRootOnly(m, {});
-  const long rounds = root.lp.solves - 1;
-  ASSERT_GE(rounds, 2) << "round 1 must separate cuts for a second round to run";
-  // Only round 1 is cold: every later round and the root adopt a basis.
-  EXPECT_EQ(root.lp.warm_start_hits, rounds);
-  expectSameAnswerAsColdPath(m, {});
-
-  // Round budget spent with cuts just appended: the root starts from the
-  // grown basis and repairs the violated cuts itself.
-  MilpSolver::Options one_round;
-  one_round.cut_rounds = 1;
-  const MipResult grown = solveRootOnly(m, one_round);
-  EXPECT_EQ(grown.lp.solves, 2);
-  EXPECT_EQ(grown.lp.warm_start_hits, 1);
-  EXPECT_GT(grown.lp.dual_pivots, 0);
-  expectSameAnswerAsColdPath(m, one_round);
-}
-
-TEST(MilpWarmRoot, ParallelDeterministicRootReusesTheChainedBasis) {
-  const Model m = coverHeavyKnapsack();
+TEST(MilpWarmRoot, ParallelDeterministicSolveReplays) {
+  const Model m = threeRowKnapsack();
   for (const int threads : {2, 4}) {
     MilpSolver::Options opt;
     opt.threads = threads;
     opt.deterministic = true;
-    const MipResult root = solveRootOnly(m, opt);
-    const long rounds = root.lp.solves - 1;
-    ASSERT_GE(rounds, 2) << threads << " threads";
-    EXPECT_EQ(root.lp.warm_start_hits, rounds) << threads << " threads";
-    EXPECT_EQ(root.workers.at(0).lp_warm_hits, 1) << threads << " threads";
-    expectSameAnswerAsColdPath(m, opt);
     const MipResult a = MilpSolver(opt).solve(m);
     const MipResult b = MilpSolver(opt).solve(m);
     EXPECT_EQ(a.replay_hash, b.replay_hash) << threads << " threads";
@@ -382,12 +354,10 @@ Model pureLp() {
   return m;
 }
 
-TEST(MilpWarmRoot, RegistryTotalsMatchTheResultAcrossCutRounds) {
-  // Every LP — cut rounds, nodes, declined dual attempts and the pure-LP
+TEST(MilpWarmRoot, RegistryTotalsMatchTheResult) {
+  // Every LP — the root, nodes, declined dual attempts and the pure-LP
   // path — must reach the live registry too, not only the result.
-  const Model knapsack = coverHeavyKnapsack();
-  ASSERT_GE(solveRootOnly(knapsack, {}).lp.solves - 1, 2);  // >= 2 cut rounds
-  for (const Model& m : {knapsack, pureLp()}) {
+  for (const Model& m : {threeRowKnapsack(), pureLp()}) {
     for (const int threads : {1, 2}) {
       SCOPED_TRACE(std::to_string(m.numVars()) + " vars, " + std::to_string(threads) +
                    " threads");
@@ -407,7 +377,7 @@ TEST(MilpWarmRoot, RegistryTotalsMatchTheResultAcrossCutRounds) {
   }
 }
 
-TEST(MilpWarmRoot, FloorplanRootWithoutCutsSolvesColdOnce) {
+TEST(MilpWarmRoot, FloorplanRootSolvesColdOnce) {
   const device::Device dev = device::columnarFromPattern("t", "CCBCC", 3);
   model::FloorplanProblem p(&dev);
   p.addRegion(model::RegionSpec{"a", {2, 1, 0}});
@@ -417,17 +387,18 @@ TEST(MilpWarmRoot, FloorplanRootWithoutCutsSolvesColdOnce) {
   const Model& m = formulation.model();
 
   const MipResult root = solveRootOnly(m, {});
-  ASSERT_EQ(root.lp.solves, 2) << "one cut round that finds no cuts, then the root";
-  EXPECT_EQ(root.lp.warm_start_hits, 1);
+  ASSERT_EQ(root.lp.solves, 1) << "the root LP, solved once";
+  EXPECT_EQ(root.lp.warm_start_hits, 0);
   const MipResult full = MilpSolver().solve(m);
   EXPECT_EQ(full.lp.solves - full.lp.warm_start_hits, 1) << "exactly one cold LP per solve";
   expectSameAnswerAsColdPath(m, {});
 }
 
 TEST(MilpWarmRoot, AgreesWithColdPathOnPresolveKnapsacks) {
-  // test_presolve's random-knapsack fixture shape: warm cut rounds plus
-  // the warm root reproduce the cold path's answer.
+  // test_presolve's random-knapsack fixture shape: the warm tree
+  // reproduces the cold path's answer.
   Rng rng(4242);
+  int branched = 0;
   for (int trial = 0; trial < 12; ++trial) {
     Model m;
     LinExpr weight_row, value;
@@ -439,9 +410,14 @@ TEST(MilpWarmRoot, AgreesWithColdPathOnPresolveKnapsacks) {
     m.addConstr(weight_row, Sense::kLessEqual, 17);
     m.setObjective(value, ObjSense::kMaximize);
     SCOPED_TRACE(trial);
-    EXPECT_GT(MilpSolver().solve(m).lp.warm_start_hits, 0);
+    const MipResult warm = MilpSolver().solve(m);
+    if (warm.nodes > 1) {
+      ++branched;
+      EXPECT_GT(warm.lp.warm_start_hits, 0);  // children start warm
+    }
     expectSameAnswerAsColdPath(m, {});
   }
+  EXPECT_GT(branched, 0);
 }
 
 TEST(MilpWarmRoot, PresolveInfeasibleReportsRootTime) {
@@ -514,7 +490,7 @@ TEST(MilpSolver, WorkIsUnchanged) {
     p.addNet(model::Net{{0, 1}, 1.0, "n"});
     expectMilpOWork(p, true, 0,
                     {"optimal", 0.1875, 198,
-                     {200, 1484, 198, 148, 49, 1183, 61, 1232, 198, 99, 2753, 1113, 611, 1232}});
+                     {198, 1482, 196, 147, 49, 1183, 61, 1232, 196, 99, 2749, 1113, 608, 1232}});
   }
   {
     // A dive the dual engine gives up on: one primal fallback.
@@ -522,7 +498,7 @@ TEST(MilpSolver, WorkIsUnchanged) {
     const device::Device dev = device::columnarFromPattern("f", "CBCDCCBCDCB", 4);
     expectMilpOWork(generatedProblem(dev, 2, 0.2, 0, 18), true, 60,
                     {"feasible", 0.2, 61,
-                     {63, 1790, 61, 37, 259, 1457, 229, 1716, 60, 179, 3295, 1603, 732, 1716}});
+                     {61, 1788, 59, 36, 259, 1457, 229, 1716, 58, 179, 3291, 1603, 729, 1716}});
   }
   {
     // milp-root's shape (three regions, one FC area, Eq. 14 objective;
@@ -532,15 +508,7 @@ TEST(MilpSolver, WorkIsUnchanged) {
     const device::Device dev = device::columnarFromPattern("w", "CBCDCCBCDCB", 6);
     expectMilpOWork(generatedProblem(dev, 3, 0.2, 1, 1), false, 20,
                     {"feasible", 0.16289592760180996, 20,
-                     {21, 1266, 20, 19, 416, 824, 59, 1240, 20, 290, 1876, 1463, 631, 1224}});
-  }
-  {
-    // Cover cuts found in several rounds: the warm cut-round chain.
-    SCOPED_TRACE("cover-heavy knapsack");
-    const MipResult res = MilpSolver().solve(coverHeavyKnapsack());
-    expectMilpWork(toString(res.status), res.objective, res.nodes, res.lp,
-                   {"optimal", 172, 73,
-                    {77, 257, 76, 40, 3, 171, 34, 174, 76, 1, 530, 174, 126, 174}});
+                     {20, 1265, 19, 19, 416, 824, 59, 1240, 19, 290, 1874, 1463, 630, 1224}});
   }
 }
 

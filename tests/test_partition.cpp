@@ -1,11 +1,10 @@
-// Tests for columnar partitioning (Sec. III-B), the general 2-D
-// partitioning of [10], and area compatibility (Definitions .1/.2, Fig. 1).
+// Tests for columnar partitioning (Sec. III-B) and area compatibility
+// (Definitions .1/.2, Fig. 1).
 #include <gtest/gtest.h>
 
 #include "device/builders.hpp"
 #include "partition/columnar.hpp"
 #include "partition/compatibility.hpp"
-#include "partition/partition2d.hpp"
 
 namespace rfp::partition {
 namespace {
@@ -68,20 +67,6 @@ TEST(Columnar, PortionAtLocatesColumns) {
   EXPECT_EQ(part->portionAt(2), 1);
   EXPECT_EQ(part->portionAt(3), 2);
   EXPECT_EQ(part->portionAt(7), -1);
-}
-
-TEST(Partition2D, TilesNonColumnarDevices) {
-  const Device dev = device::brokenColumnDevice();
-  const auto portions = partition2D(dev);
-  EXPECT_EQ(validatePartition2D(dev, portions), "");
-  EXPECT_GT(portions.size(), 1u);
-}
-
-TEST(Partition2D, SinglePortionForUniformDevice) {
-  const Device dev = device::uniformDevice(5, 4);
-  const auto portions = partition2D(dev);
-  ASSERT_EQ(portions.size(), 1u);
-  EXPECT_EQ(portions[0].rect, (Rect{0, 0, 5, 4}));
 }
 
 // ---- compatibility (Fig. 1) -----------------------------------------------

@@ -1,11 +1,14 @@
 // Presolve: activity-based bound tightening, integer rounding, infeasibility
-// detection, and knapsack cover-cut separation; plus feature-flag
-// equivalence of the branch & bound.
+// detection, and knapsack cover-cut separation; plus the branch & bound
+// (presolve at its root) against a brute-force oracle.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "lp/model.hpp"
 #include "milp/bb.hpp"
 #include "milp/presolve.hpp"
+#include "milp_oracle.hpp"
 #include "support/rng.hpp"
 
 namespace rfp::milp {
@@ -190,9 +193,9 @@ TEST(CoverCuts, CutsNeverExcludeIntegerFeasiblePoints) {
   }
 }
 
-// ---- feature-flag equivalence -------------------------------------------------
+// ---- branch & bound against brute force ---------------------------------------
 
-TEST(MilpFeatures, AllFlagCombinationsAgreeOnRandomKnapsacks) {
+TEST(MilpFeatures, MatchesBruteForceOnRandomKnapsacks) {
   Rng rng(99);
   for (int trial = 0; trial < 12; ++trial) {
     Model m;
@@ -206,21 +209,11 @@ TEST(MilpFeatures, AllFlagCombinationsAgreeOnRandomKnapsacks) {
     m.addConstr(weight_row, Sense::kLessEqual, 15);
     m.setObjective(value, lp::ObjSense::kMaximize);
 
-    double reference = -1;
-    for (const bool presolve : {false, true})
-      for (const bool cuts : {false, true})
-        for (const bool pseudo : {false, true}) {
-          MilpSolver::Options opt;
-          opt.enable_presolve = presolve;
-          opt.enable_cover_cuts = cuts;
-          opt.pseudo_cost_branching = pseudo;
-          const MipResult res = MilpSolver(opt).solve(m);
-          ASSERT_EQ(res.status, MipStatus::kOptimal);
-          if (reference < 0) reference = res.objective;
-          EXPECT_NEAR(res.objective, reference, 1e-6)
-              << "trial " << trial << " presolve=" << presolve << " cuts=" << cuts
-              << " pseudo=" << pseudo;
-        }
+    const std::optional<double> expected = testutil::bruteForceBest(m);
+    ASSERT_TRUE(expected.has_value()) << "trial " << trial;
+    const MipResult res = MilpSolver().solve(m);
+    ASSERT_EQ(res.status, MipStatus::kOptimal) << "trial " << trial;
+    EXPECT_NEAR(res.objective, *expected, 1e-6) << "trial " << trial;
   }
 }
 

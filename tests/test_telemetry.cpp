@@ -46,14 +46,6 @@ TEST(Metrics, RegistryReturnsStableInstrumentIdentity) {
   EXPECT_EQ(a.total(), 7);
 }
 
-TEST(Metrics, GaugeHoldsLastValue) {
-  MetricsRegistry reg;
-  Gauge& g = reg.gauge("test.gauge");
-  g.set(2.5);
-  g.set(-7.25);
-  EXPECT_DOUBLE_EQ(g.value(), -7.25);
-}
-
 TEST(Metrics, HistogramCountsSumsAndBucketsUnderThreads) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("test.hist");
