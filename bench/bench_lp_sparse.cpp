@@ -41,8 +41,8 @@
 #include "lp/sparse/csc.hpp"
 #include "lp/sparse/dual_simplex.hpp"
 #include "lp/sparse/revised_simplex.hpp"
-#include "model/generator.hpp"
 #include "model/problem.hpp"
+#include "oracle/generator.hpp"
 #include "oracle/simplex.hpp"
 #include "partition/columnar.hpp"
 #include "support/timer.hpp"

@@ -171,7 +171,6 @@ int cmdSolve(const std::string& device_spec, const std::string& problem_path,
   request.num_threads = args.threads;
   request.deadline_seconds = args.time_limit;
   request.incumbent_exchange = args.incumbent_exchange;
-  request.staged_deadlines = args.stage1_fraction > 0;
   request.stage1_fraction = args.stage1_fraction;
   request.use_cache = args.use_cache;
   // The MILP stages are open-ended without a budget; keep the CLI snappy.

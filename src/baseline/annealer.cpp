@@ -18,6 +18,9 @@ namespace {
 
 using device::Rect;
 
+constexpr double kInitialTemperature = 1.0;
+constexpr double kCooling = 0.9995;  ///< geometric cooling per iteration
+
 /// Re-places all FC areas greedily for the given region rects. Returns false
 /// when a hard request cannot be satisfied.
 bool placeFcAreas(const model::FloorplanProblem& problem, const std::vector<Rect>& regions,
@@ -48,16 +51,15 @@ bool placeFcAreas(const model::FloorplanProblem& problem, const std::vector<Rect
   return ok;
 }
 
-double costOf(const model::FloorplanProblem& problem, const model::Floorplan& fp,
-              const AnnealerOptions& opt) {
+/// waste/Rmax + WL/WLmax: both terms normalized to [0, 1], equally weighted.
+double costOf(const model::FloorplanProblem& problem, const model::Floorplan& fp) {
   const model::FloorplanCosts costs = model::evaluate(problem, fp);
   const double r_max = std::max<double>(1.0, static_cast<double>(problem.dev().totalFrames()));
   double wl_max = 0;
   for (const model::Net& net : problem.nets())
     wl_max += net.weight * (problem.dev().width() + problem.dev().height());
   wl_max = std::max(1.0, wl_max);
-  return opt.waste_weight * static_cast<double>(costs.wasted_frames) / r_max +
-         opt.wirelength_weight * costs.wire_length / wl_max;
+  return static_cast<double>(costs.wasted_frames) / r_max + costs.wire_length / wl_max;
 }
 
 }  // namespace
@@ -79,7 +81,7 @@ std::optional<AnnealResult> annealFloorplan(const model::FloorplanProblem& probl
 
   Rng rng(options.seed ^ 0x5eedu);
   model::Floorplan current = *start;
-  double current_cost = costOf(problem, current, options);
+  double current_cost = costOf(problem, current);
   model::Floorplan best = current;
   double best_cost = current_cost;
 
@@ -99,8 +101,8 @@ std::optional<AnnealResult> annealFloorplan(const model::FloorplanProblem& probl
   };
   publishBest();  // the greedy start is already a feasible incumbent
 
-  double temperature = options.initial_temperature;
-  for (long it = 0; it < options.iterations; ++it, temperature *= options.cooling) {
+  double temperature = kInitialTemperature;
+  for (long it = 0; it < options.iterations; ++it, temperature *= kCooling) {
     if ((it & 255) == 0) {
       if (deadline.expired() || (options.stop && options.stop->load(std::memory_order_relaxed)))
         break;
@@ -125,7 +127,7 @@ std::optional<AnnealResult> annealFloorplan(const model::FloorplanProblem& probl
     if (overlap) continue;
     if (!placeFcAreas(problem, trial.regions, trial.fc_areas)) continue;
 
-    const double trial_cost = costOf(problem, trial, options);
+    const double trial_cost = costOf(problem, trial);
     const double delta = trial_cost - current_cost;
     if (delta <= 0 || rng.nextDouble() < std::exp(-delta / std::max(1e-9, temperature))) {
       current = std::move(trial);

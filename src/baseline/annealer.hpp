@@ -23,10 +23,6 @@ namespace rfp::baseline {
 struct AnnealerOptions {
   std::uint64_t seed = 1;
   long iterations = 200000;
-  double initial_temperature = 1.0;
-  double cooling = 0.9995;        ///< geometric cooling per iteration
-  double waste_weight = 1.0;      ///< cost = waste_weight·waste/Rmax +
-  double wirelength_weight = 1.0; ///<        wirelength_weight·WL/WLmax
   double time_limit_seconds = 0.0;  ///< wall-clock budget; <= 0: none
   /// Cooperative external cancellation, polled every few hundred iterations;
   /// the best floorplan found so far is still returned. The pointee must
@@ -50,10 +46,12 @@ struct AnnealResult {
   long published = 0;  ///< incumbents offered to the exchange channel
 };
 
-/// Runs SA starting from a greedy construction. Returns std::nullopt when no
-/// feasible starting floorplan exists. Relocation requests are honored by
-/// re-placing FC areas greedily after every accepted region move (hard
-/// requests keep moves that break them from being accepted).
+/// Runs SA starting from a greedy construction, minimizing waste/Rmax +
+/// WL/WLmax under geometric cooling from temperature 1 by 0.9995 per
+/// iteration. Returns std::nullopt when no feasible starting floorplan
+/// exists. Relocation requests are honored by re-placing FC areas greedily
+/// after every accepted region move (hard requests keep moves that break
+/// them from being accepted).
 [[nodiscard]] std::optional<AnnealResult> annealFloorplan(
     const model::FloorplanProblem& problem, const AnnealerOptions& options = {});
 

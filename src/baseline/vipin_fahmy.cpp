@@ -5,7 +5,6 @@
 
 #include "search/candidates.hpp"
 #include "search/occupancy.hpp"
-#include "support/check.hpp"
 
 namespace rfp::baseline {
 
@@ -19,15 +18,14 @@ struct Candidate {
   long waste = 0;
 };
 
-std::vector<Candidate> candidatesFor(const model::FloorplanProblem& problem, int n,
-                                     int granularity) {
+std::vector<Candidate> candidatesFor(const model::FloorplanProblem& problem, int n) {
   const device::Device& dev = problem.dev();
   std::vector<Candidate> out;
   for (const search::Shape& s :
        search::enumerateCandidates(problem, n, /*max_waste=*/-1).shapes) {
-    if (s.h % granularity != 0) continue;
+    if (s.h % kClockRegionRows != 0) continue;
     for (const int y : s.ys) {
-      if (y % granularity != 0) continue;  // aligned to clock-region bands
+      if (y % kClockRegionRows != 0) continue;  // aligned to clock-region bands
       Candidate c;
       c.rect = Rect{s.x, y, s.w, s.h};
       c.frames = dev.framesInRect(c.rect);
@@ -46,9 +44,7 @@ std::vector<Candidate> candidatesFor(const model::FloorplanProblem& problem, int
 
 }  // namespace
 
-std::optional<model::Floorplan> vipinFahmyFloorplan(const model::FloorplanProblem& problem,
-                                                    const VipinFahmyOptions& options) {
-  RFP_CHECK_MSG(options.clock_region_granularity >= 1, "granularity must be >= 1");
+std::optional<model::Floorplan> vipinFahmyFloorplan(const model::FloorplanProblem& problem) {
   const device::Device& dev = problem.dev();
 
   std::vector<int> order(static_cast<std::size_t>(problem.numRegions()));
@@ -62,7 +58,7 @@ std::optional<model::Floorplan> vipinFahmyFloorplan(const model::FloorplanProble
   fp.regions.resize(static_cast<std::size_t>(problem.numRegions()));
   for (const int n : order) {
     bool placed = false;
-    for (const Candidate& c : candidatesFor(problem, n, options.clock_region_granularity)) {
+    for (const Candidate& c : candidatesFor(problem, n)) {
       if (occ.overlaps(c.rect)) continue;
       occ.fill(c.rect);
       fp.regions[static_cast<std::size_t>(n)] = c.rect;

@@ -11,9 +11,10 @@
 //
 // Reconstruction rules (from the ARC'12 description):
 //  1. regions are processed in decreasing frame demand;
-//  2. allocation heights are whole multiples of `clock_region_granularity`
-//     tile rows (default 2 — clock-region pairs, the Virtex-5 partial-
-//     reconfiguration alignment guideline), widths are whole columns;
+//  2. allocations start and end on clock-region boundaries: heights and
+//     start rows are whole multiples of `kClockRegionRows` = 2 tile rows
+//     (clock-region pairs, the Virtex-5 partial-reconfiguration alignment
+//     guideline), widths are whole columns;
 //  3. candidates are scored by covered frames (partial-bitstream size),
 //     ties by wasted frames, then leftmost/topmost;
 //  4. the first non-overlapping candidate wins (greedy, no backtracking).
@@ -26,15 +27,13 @@
 
 namespace rfp::baseline {
 
-struct VipinFahmyOptions {
-  /// Allocation height granularity in tile rows (clock regions).
-  int clock_region_granularity = 2;
-};
+/// Allocation height granularity in tile rows (clock regions).
+inline constexpr int kClockRegionRows = 2;
 
 /// Runs the heuristic. Returns std::nullopt when it cannot fit all regions.
 /// Relocation requests are ignored (the baseline is relocation-unaware);
 /// FC slots are returned unplaced.
 [[nodiscard]] std::optional<model::Floorplan> vipinFahmyFloorplan(
-    const model::FloorplanProblem& problem, const VipinFahmyOptions& options = {});
+    const model::FloorplanProblem& problem);
 
 }  // namespace rfp::baseline

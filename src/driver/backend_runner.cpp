@@ -42,15 +42,9 @@ SolveResponse runMilp(const model::FloorplanProblem& problem, const SolveRequest
                       SharedIncumbent* channel) {
   fp::MilpFloorplannerOptions opt = request.milp;
   opt.algorithm = backend == Backend::kMilpO ? fp::Algorithm::kO : fp::Algorithm::kHO;
-  opt.lexicographic = problem.lexicographic();
   opt.milp.threads = std::max({1, opt.milp.threads, request.num_threads});
   opt.time_limit_seconds = cappedLimit(opt.time_limit_seconds, request.deadline_seconds);
-  if (external_stop) {
-    // Override both stage flags: a caller-set heuristic.stop would otherwise
-    // shadow the portfolio's cancellation in the warm-start stage.
-    opt.milp.stop = external_stop;
-    opt.heuristic.stop = external_stop;
-  }
+  if (external_stop) opt.milp.stop = external_stop;
   if (channel) opt.incumbent = channel;
   if (!opt.milp.telemetry) opt.milp.telemetry = request.telemetry;
 

@@ -283,29 +283,12 @@ Fingerprint fingerprintProblem(const model::FloorplanProblem& problem,
            ";ow=" + std::to_string(request.search.optimize_wirelength ? 1 : 0) + "}";
       break;
     case Backend::kMilpO:
-    case Backend::kMilpHO: {
-      const fp::MilpFloorplannerOptions& m = request.milp;
-      s += "milp{gib=" + fmt(m.max_lp_gib) +
-           ";off=" + std::to_string(static_cast<int>(m.formulation.offset)) +
-           ";tm=" + std::to_string(static_cast<int>(m.formulation.type_match)) +
-           ";ob=" + std::to_string(static_cast<int>(m.formulation.objective)) + "}";
-      if (backend == Backend::kMilpHO)
-        s += "heur{r=" + std::to_string(m.heuristic.restarts) +
-             ";s=" + std::to_string(m.heuristic.seed) +
-             ";fc=" + std::to_string(m.heuristic.place_fc_areas ? 1 : 0) + "}";
-      break;
-    }
+    case Backend::kMilpHO: s += "milp{gib=" + fmt(request.milp.max_lp_gib) + "}"; break;
     case Backend::kHeuristic:
       s += "heur{r=" + std::to_string(request.heuristic.restarts) +
-           ";s=" + std::to_string(request.heuristic.seed) +
-           ";fc=" + std::to_string(request.heuristic.place_fc_areas ? 1 : 0) + "}";
+           ";s=" + std::to_string(request.heuristic.seed) + "}";
       break;
-    case Backend::kAnnealer:
-      s += "sa{s=" + std::to_string(request.annealer.seed) +
-           ";T=" + fmt(request.annealer.initial_temperature) +
-           ";c=" + fmt(request.annealer.cooling) + ";ww=" + fmt(request.annealer.waste_weight) +
-           ";wl=" + fmt(request.annealer.wirelength_weight) + "}";
-      break;
+    case Backend::kAnnealer: s += "sa{s=" + std::to_string(request.annealer.seed) + "}"; break;
   }
   fp.structural = std::move(s);
   fp.hash = fnv1a(fp.structural);
@@ -322,8 +305,7 @@ Fingerprint fingerprintProblem(const model::FloorplanProblem& problem,
     case Backend::kMilpHO:
       b += "tl=" + fmt(request.milp.time_limit_seconds) +
            ";mtl=" + fmt(request.milp.milp.time_limit_seconds) +
-           ";nl=" + std::to_string(request.milp.milp.node_limit) +
-           ";htl=" + fmt(request.milp.heuristic.time_limit_seconds);
+           ";nl=" + std::to_string(request.milp.milp.node_limit);
       break;
     case Backend::kHeuristic: b += "tl=" + fmt(request.heuristic.time_limit_seconds); break;
     case Backend::kAnnealer:
@@ -551,8 +533,7 @@ bool stopRaised(const SolveRequest& request, Backend backend,
   switch (backend) {
     case Backend::kSearch: return raised(request.search.stop);
     case Backend::kMilpO:
-    case Backend::kMilpHO:
-      return raised(request.milp.milp.stop) || raised(request.milp.heuristic.stop);
+    case Backend::kMilpHO: return raised(request.milp.milp.stop);
     case Backend::kHeuristic: return raised(request.heuristic.stop);
     case Backend::kAnnealer: return raised(request.annealer.stop);
   }

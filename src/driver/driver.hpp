@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "baseline/annealer.hpp"
+#include "fp/heuristic.hpp"
 #include "fp/milp_floorplanner.hpp"
 #include "lp/counters.hpp"
 #include "model/floorplan.hpp"
@@ -86,21 +87,15 @@ struct SolveRequest {
   /// result is never worse than the blind race — an adopted incumbent only
   /// tightens pruning and arbitration already ranked published plans.
   bool incumbent_exchange = true;
-  /// Portfolio: staged deadline splitting. With a deadline, an exchange
-  /// channel, and a portfolio mixing incomplete engines with provers, the
-  /// incomplete engines run first on `stage1_fraction * deadline_seconds`
-  /// (they typically finish earlier on their own limits), their best
-  /// incumbent seeds the provers' cutoff, and the provers inherit the whole
-  /// remaining budget. Without a deadline (or with the fraction at 0) every
-  /// backend races concurrently.
-  bool staged_deadlines = true;
-  /// Fraction of `deadline_seconds` granted to the incomplete first stage.
+  /// Portfolio: staged deadline splitting. With a deadline, a positive
+  /// fraction, an exchange channel, and a portfolio mixing incomplete
+  /// engines with provers, the incomplete engines run first on
+  /// `stage1_fraction * deadline_seconds`, capped at 10 s (they typically
+  /// finish earlier on their own limits), their best incumbent seeds the
+  /// provers' cutoff, and the provers inherit the whole remaining budget.
+  /// Without a deadline, or with the fraction at 0, every backend races
+  /// concurrently.
   double stage1_fraction = 0.25;
-  /// Absolute cap on the first stage's slice (<= 0: none). Members like HO
-  /// rarely finish before their slice expires, so without a cap a generous
-  /// deadline imposes `stage1_fraction * deadline` of latency before any
-  /// prover starts — even on instances the provers settle in seconds.
-  double stage1_max_seconds = 10.0;
   /// Staged portfolios: end stage 1 as soon as the incumbent channel has
   /// gone *quiet* (no adopted publish) for this fraction of the stage-1
   /// slice. Members like HO rarely finish before the slice expires, yet the
@@ -247,9 +242,9 @@ class Driver {
   /// SolveRequest::incumbent_exchange). A proven result (optimal/infeasible
   /// from an exhaustive backend) cancels the others; otherwise everyone runs
   /// to its limit and the best incumbent under the problem's objective wins.
-  /// With a deadline the race is staged (see SolveRequest::staged_deadlines):
-  /// incomplete engines first on a short slice, provers on the remainder
-  /// with the stage-1 incumbent as their cutoff.
+  /// With a deadline and a positive SolveRequest::stage1_fraction the race
+  /// is staged: incomplete engines first on a slice of at most 10 s,
+  /// provers on the remainder with the stage-1 incumbent as their cutoff.
   [[nodiscard]] SolveResponse solvePortfolio(const model::FloorplanProblem& problem,
                                              const SolveRequest& request) const;
 

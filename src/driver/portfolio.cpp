@@ -7,20 +7,21 @@
 // (optimal or infeasible, exhaustive engines only) sets the flag, which the
 // other engines observe at their next poll point and unwind from — so each
 // stage's wall clock tracks its fastest prover, not its slowest member
-// (a staged run additionally pays stage 1's slice, capped by
-// SolveRequest::stage1_max_seconds, before the provers start).
+// (a staged run additionally pays stage 1's slice, capped at
+// kStage1MaxSeconds, before the provers start).
 // Without a proof, everyone runs to its own limit and the best incumbent
 // under the problem's objective wins.
 //
-// With a deadline, the race is staged instead of flat: the incomplete
-// engines (annealer, heuristic, HO) run first on a short slice of the
-// budget, their best incumbent seeds the provers' cutoff through the
-// channel, and the provers inherit the entire remaining budget — the
-// paper's fast-heuristic-feeds-exact-MILP combination as a scheduling
-// policy. The slice itself is adaptive: a watchdog ends stage 1 as soon as
-// the incumbent channel has gone quiet for a configurable fraction of the
-// slice (HO in particular rarely finishes on its own, yet stops improving
-// the channel early), handing the saved time to the provers.
+// With a deadline and a positive SolveRequest::stage1_fraction, the race
+// is staged instead of flat: the incomplete engines (annealer, heuristic,
+// HO) run first on a short slice of the budget, their best incumbent seeds
+// the provers' cutoff through the channel, and the provers inherit the
+// entire remaining budget — the paper's fast-heuristic-feeds-exact-MILP
+// combination as a scheduling policy. The slice itself is adaptive: a
+// watchdog ends stage 1 as soon as the incumbent channel has gone quiet for
+// a configurable fraction of the slice (HO in particular rarely finishes on
+// its own, yet stops improving the channel early), handing the saved time
+// to the provers.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -36,6 +37,12 @@
 namespace rfp::driver {
 
 namespace {
+
+/// Absolute cap on stage 1's slice. Members like HO rarely finish before
+/// their slice expires, so without a cap a generous deadline imposes
+/// `stage1_fraction * deadline` of latency before any prover starts — even
+/// on instances the provers settle in seconds.
+constexpr double kStage1MaxSeconds = 10.0;
 
 const std::vector<Backend>& defaultPortfolio() {
   // The heuristic is omitted: it is the annealer's and HO's first stage
@@ -95,9 +102,8 @@ SolveResponse Driver::solvePortfolio(const model::FloorplanProblem& problem,
   std::vector<std::size_t> incomplete, provers;
   for (std::size_t i = 0; i < backends.size(); ++i)
     (isExhaustive(backends[i]) ? provers : incomplete).push_back(i);
-  const bool staged = request.staged_deadlines && request.deadline_seconds > 0 &&
-                      request.stage1_fraction > 0 && chan != nullptr && !incomplete.empty() &&
-                      !provers.empty();
+  const bool staged = request.deadline_seconds > 0 && request.stage1_fraction > 0 &&
+                      chan != nullptr && !incomplete.empty() && !provers.empty();
 
   std::atomic<bool> stop{false};
   std::vector<SolveResponse> responses(backends.size());
@@ -109,10 +115,8 @@ SolveResponse Driver::solvePortfolio(const model::FloorplanProblem& problem,
     // shared stop flag stays untouched — stage 1 gets its *own* flag, which
     // the quiet watchdog below may raise without cancelling the provers.
     SolveRequest stage1 = request;
-    stage1.deadline_seconds =
-        request.deadline_seconds * std::min(1.0, request.stage1_fraction);
-    if (request.stage1_max_seconds > 0)
-      stage1.deadline_seconds = std::min(stage1.deadline_seconds, request.stage1_max_seconds);
+    stage1.deadline_seconds = std::min(
+        kStage1MaxSeconds, request.deadline_seconds * std::min(1.0, request.stage1_fraction));
 
     // Adaptive slice: members like HO rarely finish before the slice
     // expires, but the channel usually stops improving long before — once

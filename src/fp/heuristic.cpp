@@ -24,7 +24,6 @@ using device::Rect;
 std::optional<model::Floorplan> attempt(const model::FloorplanProblem& problem,
                                         const std::vector<int>& order,
                                         const std::vector<search::RegionCandidates>& cands,
-                                        bool place_fc,
                                         const std::vector<std::size_t>& shape_skip) {
   const device::Device& dev = problem.dev();
   search::Occupancy occ(dev.width(), dev.height());
@@ -54,14 +53,6 @@ std::optional<model::Floorplan> attempt(const model::FloorplanProblem& problem,
   model::Floorplan fp;
   fp.regions = rects;
   fp.fc_areas = model::expandFcRequests(problem);
-  if (!place_fc) {
-    // Hard slots unplaced ⇒ infeasible floorplan; only valid when there are
-    // no hard requests.
-    for (const model::FcArea& a : fp.fc_areas)
-      for (const model::RelocationRequest& req : problem.relocations())
-        if (req.region == a.region && req.hard) return std::nullopt;
-    return fp;
-  }
 
   // FC areas: enumerate compatible placements of each region footprint.
   std::size_t slot = 0;
@@ -123,7 +114,7 @@ std::optional<model::Floorplan> constructiveFloorplan(const model::FloorplanProb
         shape_skip[n] = rng.nextBool() ? 0 : rng.nextBelow(std::min<std::size_t>(num_shapes, 32));
       }
     }
-    auto fp = attempt(problem, order, cands, options.place_fc_areas, shape_skip);
+    auto fp = attempt(problem, order, cands, shape_skip);
     if (fp && model::check(problem, *fp).empty()) {
       const model::FloorplanCosts costs = model::evaluate(problem, *fp);
       if (options.incumbent) options.incumbent->publish(*fp, costs, "heuristic");

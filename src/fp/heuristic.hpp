@@ -26,7 +26,6 @@ namespace rfp::fp {
 struct HeuristicOptions {
   int restarts = 32;          ///< randomized region orders after the greedy one
   std::uint64_t seed = 1;     ///< RNG seed (deterministic)
-  bool place_fc_areas = true; ///< also place all requested FC areas
   double time_limit_seconds = 0.0;  ///< wall-clock budget, polled between
                                     ///< restarts; <= 0: none
   /// Cooperative external cancellation, polled between restarts; when set the

@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "driver/incumbent.hpp"
+#include "fp/formulation.hpp"
+#include "fp/heuristic.hpp"
 #include "fp/seqpair.hpp"
 #include "lp/lp_solver.hpp"
 #include "lp/sparse/csc.hpp"
@@ -58,13 +60,10 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
   // restricting the explored space — optimality claims are unaffected.
   std::optional<model::Floorplan> warm;
   std::optional<SequencePair> sp;
-  HeuristicOptions hopt = options_.heuristic;
-  if (!hopt.stop) hopt.stop = options_.milp.stop;  // one flag cancels all stages
+  HeuristicOptions hopt;
+  hopt.time_limit_seconds = options_.time_limit_seconds;
+  hopt.stop = options_.milp.stop;  // one flag cancels all stages
   hopt.incumbent = options_.incumbent;  // the construction is a publishable incumbent
-  if (options_.time_limit_seconds > 0)
-    hopt.time_limit_seconds = hopt.time_limit_seconds > 0
-                                  ? std::min(hopt.time_limit_seconds, options_.time_limit_seconds)
-                                  : options_.time_limit_seconds;
   {
     telemetry::Span heur_span(options_.milp.telemetry, "milp", "heuristic_stage");
     warm = constructiveFloorplan(problem, hopt);
@@ -118,9 +117,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
 
   const auto buildAndSolve = [&](ObjectiveKind objective, std::optional<long> waste_cap,
                                  std::optional<std::vector<double>> start) {
-    FormulationOptions fopt = options_.formulation;
-    fopt.objective = objective;
-    MilpFormulation formulation(problem, *part, fopt);
+    MilpFormulation formulation(problem, *part, FormulationOptions{.objective = objective});
     if (waste_cap) formulation.addWasteCap(*waste_cap);
     if (sp && static_cast<int>(sp->s1.size()) == formulation.numAreas())
       formulation.addSequencePairConstraints(sp->s1, sp->s2);
@@ -180,7 +177,7 @@ FpResult MilpFloorplanner::solve(const model::FloorplanProblem& problem) const {
     return std::make_pair(std::move(mip), std::move(formulation));
   };
 
-  if (!options_.lexicographic) {
+  if (!problem.lexicographic()) {
     auto [mip, formulation] = buildAndSolve(ObjectiveKind::kWeighted, std::nullopt, std::nullopt);
     accumulateStage(mip);
     result.status = fromMip(mip.status);

@@ -9,15 +9,14 @@
 //       areas too (Sec. II-A).
 //
 // Both algorithms support relocation as a constraint (Sec. IV) and as a
-// metrics (Sec. V), and the Sec. VI lexicographic objective (minimize
-// wasted frames, then wire length) via two-stage solving.
+// metrics (Sec. V). The objective is the problem's own: the Sec. VI
+// lexicographic mode (minimize wasted frames, then wire length) is solved
+// in two stages, the Eq. 14 weighted sum in one.
 #pragma once
 
 #include <optional>
 #include <string>
 
-#include "fp/formulation.hpp"
-#include "fp/heuristic.hpp"
 #include "lp/counters.hpp"
 #include "milp/bb.hpp"
 #include "model/floorplan.hpp"
@@ -34,15 +33,13 @@ enum class Algorithm { kO, kHO };
 
 struct MilpFloorplannerOptions {
   Algorithm algorithm = Algorithm::kO;
-  FormulationOptions formulation;
   milp::MilpSolver::Options milp;
-  bool lexicographic = true;  ///< two-stage (waste, then WL); else Eq. 14
-  HeuristicOptions heuristic; ///< HO first-solution settings
   /// Overall wall-clock budget across all stages (heuristic + both MILP
-  /// stages); <= 0: none. Each MILP stage receives the remaining budget (and
-  /// at most `milp.time_limit_seconds` when that is also set); when the
-  /// budget runs out between stages the best stage result so far is returned
-  /// as kFeasible. `milp.stop` cancels all stages cooperatively.
+  /// stages); <= 0: none. The warm-start heuristic runs on its default
+  /// settings within this budget. Each MILP stage receives the remaining
+  /// budget (and at most `milp.time_limit_seconds` when that is also set);
+  /// when the budget runs out between stages the best stage result so far
+  /// is returned as kFeasible. `milp.stop` cancels all stages cooperatively.
   double time_limit_seconds = 0.0;
   /// Declines to solve (kNoSolution, with a "declined:" detail note) when
   /// the LP engine's working set for this formulation would exceed this

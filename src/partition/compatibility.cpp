@@ -1,7 +1,5 @@
 #include "partition/compatibility.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace rfp::partition {
@@ -13,14 +11,6 @@ bool areCompatible(const device::Device& dev, const device::Rect& a, const devic
     for (int dx = 0; dx < a.w; ++dx)
       if (dev.typeAt(a.x + dx, a.y + dy) != dev.typeAt(b.x + dx, b.y + dy)) return false;
   return true;
-}
-
-bool isFreeCompatible(const device::Device& dev, const device::Rect& source,
-                      const device::Rect& area, const std::vector<device::Rect>& occupied) {
-  if (!areCompatible(dev, source, area)) return false;
-  if (dev.rectHitsForbidden(area)) return false;
-  return std::none_of(occupied.begin(), occupied.end(),
-                      [&](const device::Rect& o) { return o.overlaps(area); });
 }
 
 std::vector<device::Rect> enumerateCompatiblePlacements(const device::Device& dev,

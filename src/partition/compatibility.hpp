@@ -18,13 +18,6 @@ namespace rfp::partition {
 [[nodiscard]] bool areCompatible(const device::Device& dev, const device::Rect& a,
                                  const device::Rect& b);
 
-/// Definition .2 applied to a candidate: `area` is free-compatible w.r.t.
-/// `source` given the already-occupied rectangles (regions + other FC areas).
-/// Forbidden areas of the device are always treated as occupied.
-[[nodiscard]] bool isFreeCompatible(const device::Device& dev, const device::Rect& source,
-                                    const device::Rect& area,
-                                    const std::vector<device::Rect>& occupied);
-
 /// Enumerates every placement of a rectangle compatible with `source`
 /// (including `source` itself) that stays on the device and avoids forbidden
 /// areas. Ordered by (x, y).

@@ -42,19 +42,6 @@ double Histogram::Snapshot::maxEdge() const noexcept {
   return 0.0;
 }
 
-double Histogram::Snapshot::quantileEdge(double q) const noexcept {
-  if (count <= 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(count);
-  long seen = 0;
-  for (int k = 0; k < kBuckets; ++k) {
-    seen += buckets[k];
-    if (static_cast<double>(seen) >= target && buckets[k] > 0) return std::ldexp(1.0, k);
-  }
-  return maxEdge();
-}
-
 Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot out;
   for (const Shard& s : shards_) {

@@ -79,8 +79,6 @@ class Histogram {
     /// Upper edge (2^k) of the highest non-empty bucket, 0 when empty.
     [[nodiscard]] double maxEdge() const noexcept;
     [[nodiscard]] double mean() const noexcept { return count > 0 ? sum / count : 0.0; }
-    /// Upper edge of the bucket containing the q-quantile sample (0<=q<=1).
-    [[nodiscard]] double quantileEdge(double q) const noexcept;
   };
   [[nodiscard]] Snapshot snapshot() const noexcept;
 

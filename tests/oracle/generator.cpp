@@ -1,4 +1,4 @@
-#include "model/generator.hpp"
+#include "oracle/generator.hpp"
 
 #include <algorithm>
 #include <string>

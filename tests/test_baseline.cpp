@@ -38,9 +38,7 @@ TEST(VipinFahmy, WastesMoreThanTheExactFloorplanner) {
 TEST(VipinFahmy, HeightsAlignToClockRegionGranularity) {
   const device::Device dev = device::virtex5FX70T();
   const model::FloorplanProblem sdr = model::makeSdrProblem(dev);
-  VipinFahmyOptions opt;
-  opt.clock_region_granularity = 2;
-  const auto fp = vipinFahmyFloorplan(sdr, opt);
+  const auto fp = vipinFahmyFloorplan(sdr);
   ASSERT_TRUE(fp.has_value());
   for (const device::Rect& r : fp->regions) {
     EXPECT_EQ(r.h % 2, 0);

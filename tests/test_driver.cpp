@@ -8,6 +8,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,8 +25,8 @@
 #include "driver/response_json.hpp"
 #include "fp/formulation.hpp"
 #include "model/floorplan.hpp"
-#include "model/generator.hpp"
 #include "model/problem.hpp"
+#include "oracle/generator.hpp"
 #include "partition/columnar.hpp"
 #include "search/solver.hpp"
 #include "support/telemetry/metrics.hpp"
@@ -271,10 +272,8 @@ TEST(DriverPortfolio, ExchangeNeverWorseThanTheBlindRace) {
       req.deadline_seconds = 8.0;
       req.annealer.iterations = 20000;  // instances are tiny; keep races quick
       req.incumbent_exchange = false;
-      req.staged_deadlines = false;
       const SolveResponse blind = drv.solvePortfolio(*p, req);
       req.incumbent_exchange = true;
-      req.staged_deadlines = true;
       const SolveResponse coop = drv.solvePortfolio(*p, req);
 
       ASSERT_TRUE(blind.hasSolution()) << "seed " << seed << ": " << blind.detail;
@@ -670,6 +669,113 @@ TEST(CacheFingerprint, EveryStructuralMutationChangesTheKey) {
   EXPECT_EQ(fd.structural, ref.structural);
   EXPECT_EQ(fd.hash, ref.hash);
   EXPECT_NE(fd.budget, ref.budget);
+}
+
+TEST(CacheFingerprint, EveryRequestKnobLandsInItsTier) {
+  // Each request knob belongs to exactly one place: an answer-shaping knob
+  // changes the structural tier, a budget knob the budget tier only, and
+  // knobs that only change how fast a valid answer arrives (threads, stop
+  // flags, incumbent channels, telemetry) change neither.
+  const device::Device dev = device::columnarFromPattern("t", "CCBCCDCC", 4);
+  const model::FloorplanProblem p = threeRegionProblem(dev);
+  std::atomic<bool> stop{false};
+  SharedIncumbent channel(p);
+  const telemetry::Context ctx{};
+  struct Knob {
+    const char* name;
+    Backend backend;
+    std::function<void(SolveRequest&)> set;
+  };
+  const std::vector<Knob> structural = {
+      {"search.feasibility_only", Backend::kSearch,
+       [](SolveRequest& r) { r.search.feasibility_only = true; }},
+      {"search.waste_budget", Backend::kSearch,
+       [](SolveRequest& r) { r.search.waste_budget = 12; }},
+      {"search.optimize_wirelength", Backend::kSearch,
+       [](SolveRequest& r) { r.search.optimize_wirelength = false; }},
+      {"milp.max_lp_gib (O)", Backend::kMilpO,
+       [](SolveRequest& r) { r.milp.max_lp_gib = 0.5; }},
+      {"milp.max_lp_gib (HO)", Backend::kMilpHO,
+       [](SolveRequest& r) { r.milp.max_lp_gib = 0.5; }},
+      {"heuristic.restarts", Backend::kHeuristic,
+       [](SolveRequest& r) { r.heuristic.restarts = 5; }},
+      {"heuristic.seed", Backend::kHeuristic,
+       [](SolveRequest& r) { r.heuristic.seed = 99; }},
+      {"annealer.seed", Backend::kAnnealer,
+       [](SolveRequest& r) { r.annealer.seed = 99; }},
+  };
+  const std::vector<Knob> budget = {
+      {"search.time_limit_seconds", Backend::kSearch,
+       [](SolveRequest& r) { r.search.time_limit_seconds = 3.0; }},
+      {"search.node_limit", Backend::kSearch,
+       [](SolveRequest& r) { r.search.node_limit = 1000; }},
+      {"milp.time_limit_seconds", Backend::kMilpO,
+       [](SolveRequest& r) { r.milp.time_limit_seconds = 3.0; }},
+      {"milp.milp.time_limit_seconds", Backend::kMilpO,
+       [](SolveRequest& r) { r.milp.milp.time_limit_seconds = 3.0; }},
+      {"milp.milp.node_limit", Backend::kMilpHO,
+       [](SolveRequest& r) { r.milp.milp.node_limit = 1000; }},
+      {"heuristic.time_limit_seconds", Backend::kHeuristic,
+       [](SolveRequest& r) { r.heuristic.time_limit_seconds = 3.0; }},
+      {"annealer.time_limit_seconds", Backend::kAnnealer,
+       [](SolveRequest& r) { r.annealer.time_limit_seconds = 3.0; }},
+      {"annealer.iterations", Backend::kAnnealer,
+       [](SolveRequest& r) { r.annealer.iterations = 1000; }},
+  };
+  std::vector<Knob> neither = {
+      {"search.num_threads", Backend::kSearch,
+       [](SolveRequest& r) { r.search.num_threads = 4; }},
+      {"search.stop", Backend::kSearch, [&](SolveRequest& r) { r.search.stop = &stop; }},
+      {"search.incumbent", Backend::kSearch,
+       [&](SolveRequest& r) { r.search.incumbent = &channel; }},
+      {"search.telemetry", Backend::kSearch,
+       [&](SolveRequest& r) { r.search.telemetry = &ctx; }},
+      {"milp.milp.threads", Backend::kMilpO,
+       [](SolveRequest& r) { r.milp.milp.threads = 4; }},
+      {"milp.milp.stop", Backend::kMilpO, [&](SolveRequest& r) { r.milp.milp.stop = &stop; }},
+      {"milp.incumbent", Backend::kMilpHO,
+       [&](SolveRequest& r) { r.milp.incumbent = &channel; }},
+      {"milp.milp.telemetry", Backend::kMilpO,
+       [&](SolveRequest& r) { r.milp.milp.telemetry = &ctx; }},
+      {"heuristic.stop", Backend::kHeuristic,
+       [&](SolveRequest& r) { r.heuristic.stop = &stop; }},
+      {"heuristic.incumbent", Backend::kHeuristic,
+       [&](SolveRequest& r) { r.heuristic.incumbent = &channel; }},
+      {"heuristic.telemetry", Backend::kHeuristic,
+       [&](SolveRequest& r) { r.heuristic.telemetry = &ctx; }},
+      {"annealer.stop", Backend::kAnnealer,
+       [&](SolveRequest& r) { r.annealer.stop = &stop; }},
+      {"annealer.incumbent", Backend::kAnnealer,
+       [&](SolveRequest& r) { r.annealer.incumbent = &channel; }},
+      {"annealer.telemetry", Backend::kAnnealer,
+       [&](SolveRequest& r) { r.annealer.telemetry = &ctx; }},
+  };
+  for (const Backend b : allBackends()) {
+    neither.push_back({"num_threads", b, [](SolveRequest& r) { r.num_threads = 4; }});
+    neither.push_back({"telemetry", b, [&](SolveRequest& r) { r.telemetry = &ctx; }});
+  }
+
+  const SolveRequest base;
+  const auto keys = [&](const Knob& k) {
+    SolveRequest r = base;
+    k.set(r);
+    return std::make_pair(fingerprintProblem(p, base, k.backend),
+                          fingerprintProblem(p, r, k.backend));
+  };
+  for (const Knob& k : structural) {
+    const auto [ref, f] = keys(k);
+    EXPECT_NE(f.structural, ref.structural) << k.name;
+  }
+  for (const Knob& k : budget) {
+    const auto [ref, f] = keys(k);
+    EXPECT_EQ(f.structural, ref.structural) << k.name;
+    EXPECT_NE(f.budget, ref.budget) << k.name;
+  }
+  for (const Knob& k : neither) {
+    const auto [ref, f] = keys(k);
+    EXPECT_EQ(f.structural, ref.structural) << k.name << " on " << toString(k.backend);
+    EXPECT_EQ(f.budget, ref.budget) << k.name << " on " << toString(k.backend);
+  }
 }
 
 TEST(ResultCacheStore, ForcedHashCollisionNeverCrossReturns) {

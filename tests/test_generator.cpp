@@ -6,7 +6,7 @@
 #include "device/builders.hpp"
 #include "fp/milp_floorplanner.hpp"
 #include "model/floorplan.hpp"
-#include "model/generator.hpp"
+#include "oracle/generator.hpp"
 #include "search/solver.hpp"
 
 namespace rfp::model {

@@ -11,7 +11,7 @@
 #include "driver/driver.hpp"
 #include "io/problem_text.hpp"
 #include "model/floorplan.hpp"
-#include "model/generator.hpp"
+#include "oracle/generator.hpp"
 #include "reconfig/reconfig.hpp"
 #include "render/render.hpp"
 #include "search/solver.hpp"

@@ -17,7 +17,7 @@
 #include "lp/sparse/revised_simplex.hpp"
 #include "milp/bb.hpp"
 #include "milp_oracle.hpp"
-#include "model/generator.hpp"
+#include "oracle/generator.hpp"
 #include "oracle/simplex.hpp"
 #include "partition/columnar.hpp"
 #include "support/rng.hpp"

@@ -12,7 +12,7 @@
 #include "fp/milp_floorplanner.hpp"
 #include "milp/bb.hpp"
 #include "milp_oracle.hpp"
-#include "model/generator.hpp"
+#include "oracle/generator.hpp"
 #include "partition/columnar.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -457,11 +457,12 @@ void expectMilpWork(const std::string& status, double objective, long nodes,
 /// one worker.
 void expectMilpOWork(const model::FloorplanProblem& p, bool lexicographic, long node_limit,
                      const PinnedMilpWork& want) {
+  model::FloorplanProblem q = p;
+  q.setLexicographic(lexicographic);
   fp::MilpFloorplannerOptions opt;
   opt.algorithm = fp::Algorithm::kO;
-  opt.lexicographic = lexicographic;
   opt.milp.node_limit = node_limit;
-  const fp::FpResult res = fp::MilpFloorplanner(opt).solve(p);
+  const fp::FpResult res = fp::MilpFloorplanner(opt).solve(q);
   expectMilpWork(model::toString(res.status), res.costs.objective, res.nodes, res.lp, want);
 }
 

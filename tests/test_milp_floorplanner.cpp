@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "device/builders.hpp"
+#include "driver/driver.hpp"
+#include "fp/formulation.hpp"
+#include "fp/heuristic.hpp"
 #include "fp/milp_floorplanner.hpp"
 #include "partition/columnar.hpp"
 #include "search/solver.hpp"
@@ -113,14 +116,34 @@ TEST(MilpFloorplanner, WeightedObjectiveMode) {
   p.addRegion(model::RegionSpec{"a", {2, 0, 0}});
   p.addRelocation(model::RelocationRequest{0, 1, false, 1.0});
   p.setWeights(model::ObjectiveWeights{1, 0, 1, 1});
+  p.setLexicographic(false);
 
   MilpFloorplannerOptions opt;
   opt.algorithm = Algorithm::kO;
-  opt.lexicographic = false;
   const FpResult res = MilpFloorplanner(opt).solve(p);
   ASSERT_TRUE(res.hasSolution()) << res.detail;
   EXPECT_EQ(model::check(p, res.plan), "");
   EXPECT_EQ(res.plan.placedFcCount(), 1);  // room exists → placing is cheaper
+}
+
+TEST(MilpFloorplanner, WeightedProblemFollowsTheProblemByDefault) {
+  // The objective comes from the problem: a problem flagged weighted, solved
+  // with default options, runs the one Eq. 14 stage and lands on the same
+  // objective as the driver's MILP-O.
+  const device::Device dev = device::columnarFromPattern("t", "CCBCC", 3);
+  model::FloorplanProblem p = smallProblem(dev);
+  p.setLexicographic(false);
+
+  const FpResult res = MilpFloorplanner().solve(p);
+  ASSERT_TRUE(res.hasSolution()) << res.detail;
+  EXPECT_EQ(res.detail.rfind("weighted: ", 0), 0U) << res.detail;
+
+  driver::SolveRequest req;
+  req.backend = driver::Backend::kMilpO;
+  const driver::SolveResponse via_driver = driver::Driver().solve(p, req);
+  ASSERT_TRUE(via_driver.hasSolution()) << via_driver.detail;
+  EXPECT_EQ(res.status, via_driver.status);
+  EXPECT_DOUBLE_EQ(res.costs.objective, via_driver.costs.objective);
 }
 
 TEST(MilpFloorplanner, InfeasibleProblemReported) {
@@ -175,6 +198,7 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
   problems.back().addRegion(model::RegionSpec{"a", {2, 0, 0}});
   problems.back().addRelocation(model::RelocationRequest{0, 1, false, 1.0});
   problems.back().setWeights(model::ObjectiveWeights{1, 0, 1, 1});
+  problems.back().setLexicographic(false);  // the weighted fixture
   problems.emplace_back(&dev2);
   problems.back().addRegion(model::RegionSpec{"r", {4, 0, 0}});
   problems.back().addRelocation(model::RelocationRequest{0, 1, true, 1.0});
@@ -184,7 +208,6 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
     for (const Algorithm algo : {Algorithm::kO, Algorithm::kHO}) {
       MilpFloorplannerOptions warm;
       warm.algorithm = algo;
-      warm.lexicographic = i != 3;  // the weighted fixture
       MilpFloorplannerOptions cold = warm;
       cold.milp.lp_warm_start = false;
       const FpResult w = MilpFloorplanner(warm).solve(problems[i]);
@@ -194,7 +217,7 @@ TEST(MilpFloorplanner, WarmRootChainMatchesColdPath) {
       if (w.nodes > 1 && w.lp.warm_start_hits > 0 && w.lp.dual_reopts > 0) ++warm_branching_runs;
       if (!w.hasSolution()) continue;
       EXPECT_EQ(model::check(problems[i], w.plan), "") << "fixture " << i;
-      if (warm.lexicographic) {
+      if (problems[i].lexicographic()) {
         EXPECT_EQ(w.costs.wasted_frames, c.costs.wasted_frames) << "fixture " << i;
         EXPECT_NEAR(w.costs.wire_length, c.costs.wire_length, 1e-6) << "fixture " << i;
       } else {

@@ -94,17 +94,6 @@ TEST(Compatibility, SizeMismatchIsIncompatible) {
   EXPECT_FALSE(areCompatible(dev, Rect{0, 0, 2, 2}, Rect{3, 0, 2, 3}));
 }
 
-TEST(Compatibility, FreeCompatibleRespectsOccupancyAndForbidden) {
-  Device dev = device::uniformDevice(8, 4);
-  dev.addForbidden(Rect{6, 0, 2, 2}, "f");
-  const Rect src{0, 0, 2, 2};
-  const std::vector<Rect> occupied{src, Rect{2, 0, 2, 2}};
-  EXPECT_TRUE(isFreeCompatible(dev, src, Rect{4, 0, 2, 2}, occupied));
-  EXPECT_FALSE(isFreeCompatible(dev, src, Rect{2, 0, 2, 2}, occupied));  // occupied
-  EXPECT_FALSE(isFreeCompatible(dev, src, Rect{6, 0, 2, 2}, occupied));  // forbidden
-  EXPECT_FALSE(isFreeCompatible(dev, src, Rect{5, 0, 2, 2}, occupied));  // hits forbidden col 6
-}
-
 TEST(Compatibility, EnumerationMatchesDefinition) {
   const Device dev = device::columnarFromPattern("t", "CBCCBC", 3);
   const Rect src{0, 0, 2, 2};

@@ -16,7 +16,7 @@
 #include "device/builders.hpp"
 #include "driver/incumbent.hpp"
 #include "model/floorplan.hpp"
-#include "model/generator.hpp"
+#include "oracle/generator.hpp"
 #include "search/candidates.hpp"
 #include "search/occupancy.hpp"
 #include "search/solver.hpp"
