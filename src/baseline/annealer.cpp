@@ -21,45 +21,13 @@ using device::Rect;
 constexpr double kInitialTemperature = 1.0;
 constexpr double kCooling = 0.9995;  ///< geometric cooling per iteration
 
-/// Re-places all FC areas greedily for the given region rects. Returns false
-/// when a hard request cannot be satisfied.
-bool placeFcAreas(const model::FloorplanProblem& problem, const std::vector<Rect>& regions,
-                  std::vector<model::FcArea>& areas) {
-  const device::Device& dev = problem.dev();
-  search::Occupancy occ(dev.width(), dev.height());
-  for (const Rect& r : regions) occ.fill(r);
-  std::size_t slot = 0;
-  bool ok = true;
-  for (const model::RelocationRequest& req : problem.relocations()) {
-    const Rect& src = regions[static_cast<std::size_t>(req.region)];
-    std::vector<Rect> options;
-    for (const int x : search::matchingColumnSpans(dev, src.x, src.w))
-      for (const int y : search::validRows(dev, x, src.w, src.h))
-        options.push_back(Rect{x, y, src.w, src.h});
-    for (int i = 0; i < req.count; ++i, ++slot) {
-      areas[slot].placed = false;
-      for (const Rect& cand : options) {
-        if (occ.overlaps(cand)) continue;
-        occ.fill(cand);
-        areas[slot].rect = cand;
-        areas[slot].placed = true;
-        break;
-      }
-      if (!areas[slot].placed && req.hard) ok = false;
-    }
-  }
-  return ok;
-}
-
-/// waste/Rmax + WL/WLmax: both terms normalized to [0, 1], equally weighted.
-double costOf(const model::FloorplanProblem& problem, const model::Floorplan& fp) {
+/// waste/Rmax + WL/WLmax: both terms normalized to [0, 1], equally weighted,
+/// with WLmax at least 1.
+double costOf(const model::FloorplanProblem& problem, const model::ObjectiveMaxima& maxima,
+              const model::Floorplan& fp) {
   const model::FloorplanCosts costs = model::evaluate(problem, fp);
-  const double r_max = std::max<double>(1.0, static_cast<double>(problem.dev().totalFrames()));
-  double wl_max = 0;
-  for (const model::Net& net : problem.nets())
-    wl_max += net.weight * (problem.dev().width() + problem.dev().height());
-  wl_max = std::max(1.0, wl_max);
-  return static_cast<double>(costs.wasted_frames) / r_max + costs.wire_length / wl_max;
+  return static_cast<double>(costs.wasted_frames) / maxima.r +
+         costs.wire_length / std::max(1.0, maxima.wl);
 }
 
 }  // namespace
@@ -78,10 +46,12 @@ std::optional<AnnealResult> annealFloorplan(const model::FloorplanProblem& probl
   std::vector<search::RegionCandidates> cands;
   for (int n = 0; n < problem.numRegions(); ++n)
     cands.push_back(search::enumerateCandidates(problem, n));
+  const search::Occupancy forbidden = search::forbiddenGrid(problem.dev());
+  const model::ObjectiveMaxima maxima = model::objectiveMaxima(problem);
 
   Rng rng(options.seed ^ 0x5eedu);
   model::Floorplan current = *start;
-  double current_cost = costOf(problem, current);
+  double current_cost = costOf(problem, maxima, current);
   model::Floorplan best = current;
   double best_cost = current_cost;
 
@@ -125,9 +95,9 @@ std::optional<AnnealResult> annealFloorplan(const model::FloorplanProblem& probl
     for (int m = 0; m < problem.numRegions() && !overlap; ++m)
       overlap = m != n && trial.regions[static_cast<std::size_t>(m)].overlaps(cand);
     if (overlap) continue;
-    if (!placeFcAreas(problem, trial.regions, trial.fc_areas)) continue;
+    if (!fp::placeFcAreas(problem, forbidden, trial.regions, trial.fc_areas)) continue;
 
-    const double trial_cost = costOf(problem, trial);
+    const double trial_cost = costOf(problem, maxima, trial);
     const double delta = trial_cost - current_cost;
     if (delta <= 0 || rng.nextDouble() < std::exp(-delta / std::max(1e-9, temperature))) {
       current = std::move(trial);

@@ -17,7 +17,7 @@ Device::Device(std::string name, int width, int height, std::vector<TileType> ty
       grid_[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
             static_cast<std::size_t>(x)] = column_types[static_cast<std::size_t>(x)];
   validate();
-  computeColumnTypes();
+  computeColumnTables();
 }
 
 Device::Device(std::string name, int width, int height, std::vector<TileType> types,
@@ -32,7 +32,7 @@ Device::Device(std::string name, int width, int height, std::vector<TileType> ty
                     static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_),
                 "device '" << name_ << "': grid size mismatch");
   validate();
-  computeColumnTypes();
+  computeColumnTables();
 }
 
 void Device::validate() const {
@@ -45,7 +45,7 @@ void Device::validate() const {
     RFP_CHECK_MSG(t.frames > 0, "tile type '" << t.name << "': frames must be positive");
 }
 
-void Device::computeColumnTypes() {
+void Device::computeColumnTables() {
   column_type_.resize(static_cast<std::size_t>(width_));
   for (int x = 0; x < width_; ++x) {
     int t0 = typeAt(x, 0);
@@ -53,6 +53,30 @@ void Device::computeColumnTypes() {
       if (typeAt(x, y) != t0) t0 = -1;
     column_type_[static_cast<std::size_t>(x)] = t0;
   }
+  if (!isColumnar()) return;
+  // One common-prefix pass over the column types: lcp(a, b) = type[a] ==
+  // type[b] ? 1 + lcp(a+1, b+1) : 0, and b matches (a, w) iff lcp(a, b) >= w.
+  // lcp[a * (W+1) + b], with lcp(·, W) = lcp(W, ·) = 0.
+  const auto W = static_cast<std::size_t>(width_);
+  std::vector<std::size_t> lcp((W + 1) * (W + 1), 0);
+  for (std::size_t a = W; a-- > 0;)
+    for (std::size_t b = 0; b < W; ++b)
+      if (column_type_[a] == column_type_[b])
+        lcp[a * (W + 1) + b] = 1 + lcp[(a + 1) * (W + 1) + b + 1];
+  // b belongs to lists (a, 1..lcp(a, b)); ascending b keeps every list
+  // ascending. One walk sizes the lists, the second fills them, so all lists
+  // share one array.
+  const auto eachMatch = [&](auto&& visit) {
+    for (std::size_t a = 0; a < W; ++a)
+      for (std::size_t b = 0; b < W; ++b)
+        for (std::size_t w = 1; w <= lcp[a * (W + 1) + b]; ++w) visit(a * W + w - 1, b);
+  };
+  span_start_.assign(W * W + 1, 0);
+  eachMatch([&](std::size_t i, std::size_t) { ++span_start_[i + 1]; });
+  for (std::size_t i = 0; i < W * W; ++i) span_start_[i + 1] += span_start_[i];
+  span_xs_.resize(span_start_.back());
+  std::vector<std::size_t> next(span_start_.begin(), span_start_.end() - 1);
+  eachMatch([&](std::size_t i, std::size_t b) { span_xs_[next[i]++] = static_cast<int>(b); });
 }
 
 int Device::tileTypeId(const std::string& name) const noexcept {
@@ -124,15 +148,6 @@ std::vector<int> Device::totalTiles(bool usable_only) const {
 
 long Device::totalFrames() const {
   return framesInRect(bounds());
-}
-
-std::vector<int> Device::columnSignature(const Rect& r) const {
-  RFP_CHECK_MSG(bounds().containsRect(r), "signature rect " << r.toString()
-                                                            << " outside device");
-  std::vector<int> sig;
-  sig.reserve(static_cast<std::size_t>(r.w));
-  for (int x = r.x; x < r.x2(); ++x) sig.push_back(typeAt(x, r.y));
-  return sig;
 }
 
 }  // namespace rfp::device

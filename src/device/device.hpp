@@ -11,7 +11,9 @@
 // areas* that reconfigurable regions and free-compatible areas must avoid.
 #pragma once
 
+#include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,18 @@ class Device {
   /// The type of column x; requires the column to be uniform. O(1): read
   /// from the per-column types computed at construction.
   [[nodiscard]] int columnType(int x) const;
+  /// The x positions whose columns [x', x'+w) have the types of columns
+  /// [x, x+w), ascending and x included: the column spans compatible with
+  /// (x, w) by Definition .1 (y positions are free on a columnar device, up
+  /// to forbidden areas). 0 <= x < W and 1 <= w <= W; empty when x + w > W
+  /// and on a non-columnar device. O(1): read from the table built at
+  /// construction.
+  [[nodiscard]] std::span<const int> matchingSpans(int x, int w) const noexcept {
+    if (span_start_.empty()) return {};
+    const std::size_t i = static_cast<std::size_t>(x) * static_cast<std::size_t>(width_) +
+                          static_cast<std::size_t>(w) - 1;
+    return {span_xs_.data() + span_start_[i], span_xs_.data() + span_start_[i + 1]};
+  }
 
   // ---- forbidden areas -----------------------------------------------------
   /// `r` must lie inside the device and cover at least one tile (checked).
@@ -86,16 +100,11 @@ class Device {
   [[nodiscard]] std::vector<int> totalTiles(bool usable_only) const;
   [[nodiscard]] long totalFrames() const;
 
-  /// Column-type signature of `r`: the sequence of tile types, column by
-  /// column, of the rectangle's top row. For columnar devices this fully
-  /// determines the footprint together with (w, h) — the basis of area
-  /// compatibility (Definition .1 / Fig. 1).
-  [[nodiscard]] std::vector<int> columnSignature(const Rect& r) const;
-
  private:
   void validate() const;
-  /// Fills `column_type_` from `grid_`; called once by each constructor.
-  void computeColumnTypes();
+  /// Fills `column_type_` from `grid_`, then, on a columnar device, the
+  /// matchingSpans table; called once by each constructor.
+  void computeColumnTables();
 
   std::string name_;
   int width_ = 0;
@@ -105,6 +114,10 @@ class Device {
   /// Per column: its type when uniform, -1 otherwise. Derived from `grid_`
   /// once in the constructors, so it cannot go stale.
   std::vector<int> column_type_;
+  /// matchingSpans(x, w) is span_xs_[span_start_[i], span_start_[i+1]) with
+  /// i = x * W + w - 1; both empty on a non-columnar device.
+  std::vector<std::size_t> span_start_;
+  std::vector<int> span_xs_;
   std::vector<Rect> forbidden_;
   std::vector<std::string> forbidden_labels_;
 };

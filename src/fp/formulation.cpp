@@ -390,8 +390,6 @@ void MilpFormulation::buildRelocation() {
 }
 
 void MilpFormulation::buildObjective() {
-  const device::Device& dev = problem_.dev();
-
   // Wire length: bounding-box HPWL over region centers.
   wl_expr_ = LinExpr();
   for (std::size_t net_index = 0; net_index < problem_.nets().size(); ++net_index) {
@@ -426,20 +424,14 @@ void MilpFormulation::buildObjective() {
       model_.setObjective(wl_expr_, lp::ObjSense::kMinimize);
       break;
     case ObjectiveKind::kWeighted: {
-      // Eq. 14 with the library-wide normalizers (see model::evaluate).
-      double wl_max = 0;
-      for (const model::Net& net : problem_.nets())
-        wl_max += net.weight * (dev.width() + dev.height());
-      const double p_max = std::max(1.0, 2.0 * num_regions_ * (dev.width() + dev.height()));
-      const double r_max = std::max<double>(1.0, static_cast<double>(dev.totalFrames()));
-      double rl_max = 0;  // Eq. 15
-      for (const Slot& s : slots_) rl_max += s.weight;
+      // Eq. 14 with the library-wide normalizers (as model::evaluate).
+      const model::ObjectiveMaxima m = model::objectiveMaxima(problem_);
       const model::ObjectiveWeights& q = problem_.weights();
       LinExpr obj;
-      if (wl_max > 0) obj += (q.q1_wirelength / wl_max) * wl_expr_;
-      obj += (q.q2_perimeter / p_max) * perimeter_expr_;
-      obj += (q.q3_wasted / r_max) * waste_expr_;
-      if (rl_max > 0) obj += (q.q4_relocation / rl_max) * rl_expr_;
+      obj += (q.q1_wirelength / m.wl) * wl_expr_;
+      obj += (q.q2_perimeter / m.p) * perimeter_expr_;
+      obj += (q.q3_wasted / m.r) * waste_expr_;
+      obj += (q.q4_relocation / m.rl) * rl_expr_;
       model_.setObjective(obj, lp::ObjSense::kMinimize);
       break;
     }

@@ -22,13 +22,13 @@ using device::Rect;
 /// minimal shape starves the free-compatible areas of room, still find a
 /// first solution (Sec. II-A requires the HO input to place the FC areas).
 std::optional<model::Floorplan> attempt(const model::FloorplanProblem& problem,
+                                        const search::Occupancy& forbidden,
                                         const std::vector<int>& order,
                                         const std::vector<search::RegionCandidates>& cands,
                                         const std::vector<std::size_t>& shape_skip) {
   const device::Device& dev = problem.dev();
   search::Occupancy occ(dev.width(), dev.height());
   std::vector<Rect> rects(static_cast<std::size_t>(problem.numRegions()));
-  std::vector<bool> placed(static_cast<std::size_t>(problem.numRegions()), false);
 
   for (const int n : order) {
     bool ok = false;
@@ -42,7 +42,6 @@ std::optional<model::Floorplan> attempt(const model::FloorplanProblem& problem,
         if (occ.overlaps(r)) continue;
         occ.fill(r);
         rects[static_cast<std::size_t>(n)] = r;
-        placed[static_cast<std::size_t>(n)] = true;
         ok = true;
         break;
       }
@@ -53,28 +52,7 @@ std::optional<model::Floorplan> attempt(const model::FloorplanProblem& problem,
   model::Floorplan fp;
   fp.regions = rects;
   fp.fc_areas = model::expandFcRequests(problem);
-
-  // FC areas: enumerate compatible placements of each region footprint.
-  std::size_t slot = 0;
-  for (const model::RelocationRequest& req : problem.relocations()) {
-    const Rect& src = rects[static_cast<std::size_t>(req.region)];
-    std::vector<Rect> options;
-    for (const int x : search::matchingColumnSpans(dev, src.x, src.w))
-      for (const int y : search::validRows(dev, x, src.w, src.h))
-        options.push_back(Rect{x, y, src.w, src.h});
-    for (int i = 0; i < req.count; ++i, ++slot) {
-      bool ok = false;
-      for (const Rect& cand : options) {
-        if (occ.overlaps(cand)) continue;
-        occ.fill(cand);
-        fp.fc_areas[slot].rect = cand;
-        fp.fc_areas[slot].placed = true;
-        ok = true;
-        break;
-      }
-      if (!ok && req.hard) return std::nullopt;
-    }
-  }
+  if (!placeFcAreas(problem, forbidden, fp.regions, fp.fc_areas)) return std::nullopt;
   return fp;
 }
 
@@ -87,6 +65,7 @@ std::optional<model::Floorplan> constructiveFloorplan(const model::FloorplanProb
   cands.reserve(static_cast<std::size_t>(problem.numRegions()));
   for (int n = 0; n < problem.numRegions(); ++n)
     cands.push_back(search::enumerateCandidates(problem, n));
+  const search::Occupancy forbidden = search::forbiddenGrid(problem.dev());
 
   // Deterministic first order: largest minimum-frame demand first (hardest
   // regions claim space early).
@@ -114,7 +93,7 @@ std::optional<model::Floorplan> constructiveFloorplan(const model::FloorplanProb
         shape_skip[n] = rng.nextBool() ? 0 : rng.nextBelow(std::min<std::size_t>(num_shapes, 32));
       }
     }
-    auto fp = attempt(problem, order, cands, shape_skip);
+    auto fp = attempt(problem, forbidden, order, cands, shape_skip);
     if (fp && model::check(problem, *fp).empty()) {
       const model::FloorplanCosts costs = model::evaluate(problem, *fp);
       if (options.incumbent) options.incumbent->publish(*fp, costs, "heuristic");
@@ -127,6 +106,34 @@ std::optional<model::Floorplan> constructiveFloorplan(const model::FloorplanProb
     }
   }
   return std::nullopt;
+}
+
+bool placeFcAreas(const model::FloorplanProblem& problem, const search::Occupancy& forbidden,
+                  const std::vector<Rect>& regions, std::vector<model::FcArea>& areas) {
+  const device::Device& dev = problem.dev();
+  search::Occupancy occ(dev.width(), dev.height());
+  for (const Rect& r : regions) occ.fill(r);
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(forbidden.wordsPerColumn()));
+  std::vector<Rect> candidates;
+  std::size_t slot = 0;
+  for (const model::RelocationRequest& req : problem.relocations()) {
+    candidates.clear();
+    search::appendCompatibleRects(dev, forbidden, regions[static_cast<std::size_t>(req.region)],
+                                  rows.data(), candidates);
+    for (int i = 0; i < req.count; ++i, ++slot) {
+      model::FcArea& area = areas[slot];
+      area.placed = false;
+      for (const Rect& cand : candidates) {
+        if (occ.overlaps(cand)) continue;
+        occ.fill(cand);
+        area.rect = cand;
+        area.placed = true;
+        break;
+      }
+      if (!area.placed && req.hard) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace rfp::fp

@@ -10,12 +10,16 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "model/floorplan.hpp"
 #include "model/problem.hpp"
 
 namespace rfp::driver {
 class SharedIncumbent;  // driver/incumbent.hpp
+}
+namespace rfp::search {
+class Occupancy;  // search/occupancy.hpp
 }
 namespace rfp::telemetry {
 struct Context;  // support/telemetry/trace.hpp
@@ -47,5 +51,16 @@ struct HeuristicOptions {
 /// satisfied for success; soft requests are placed best-effort.
 [[nodiscard]] std::optional<model::Floorplan> constructiveFloorplan(
     const model::FloorplanProblem& problem, const HeuristicOptions& options = {});
+
+/// Places the free-compatible areas of `problem` first fit around the region
+/// rects `regions`: request by request, each area of `areas` (in
+/// expandFcRequests order) on the first of search::appendCompatibleRects'
+/// candidates that the regions and the areas placed before it leave free.
+/// `forbidden` is the device's forbiddenGrid. A soft request's area with no
+/// free candidate is left unplaced; returns false at the first hard one.
+[[nodiscard]] bool placeFcAreas(const model::FloorplanProblem& problem,
+                                const search::Occupancy& forbidden,
+                                const std::vector<device::Rect>& regions,
+                                std::vector<model::FcArea>& areas);
 
 }  // namespace rfp::fp

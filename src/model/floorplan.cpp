@@ -47,6 +47,21 @@ double wireLength(const FloorplanProblem& problem, const std::vector<device::Rec
   return total;
 }
 
+ObjectiveMaxima objectiveMaxima(const FloorplanProblem& problem) {
+  const device::Device& dev = problem.dev();
+  ObjectiveMaxima m;
+  double wl = 0;
+  for (const Net& net : problem.nets()) wl += net.weight * (dev.width() + dev.height());
+  double rl = 0;  // Eq. 15
+  for (const RelocationRequest& req : problem.relocations())
+    for (int i = 0; i < req.count; ++i) rl += req.weight;
+  if (wl > 0) m.wl = wl;
+  m.p = std::max(1.0, 2.0 * problem.numRegions() * (dev.width() + dev.height()));
+  m.r = std::max<double>(1.0, static_cast<double>(dev.totalFrames()));
+  if (rl > 0) m.rl = rl;
+  return m;
+}
+
 FloorplanCosts evaluate(const FloorplanProblem& problem, const Floorplan& fp) {
   RFP_CHECK_MSG(static_cast<int>(fp.regions.size()) == problem.numRegions(),
                 "floorplan region count mismatch");
@@ -60,22 +75,13 @@ FloorplanCosts evaluate(const FloorplanProblem& problem, const Floorplan& fp) {
   for (const FcArea& a : fp.fc_areas)
     if (!a.placed) costs.relocation += a.weight;
 
-  // Eq. 14 normalized weighted sum. Normalizers follow the paper's intent:
-  // each term is scaled into [0, 1] by an instance-level maximum.
-  const device::Device& dev = problem.dev();
-  double wl_max = 0;
-  for (const Net& net : problem.nets()) wl_max += net.weight * (dev.width() + dev.height());
-  const double p_max = 2.0 * problem.numRegions() * (dev.width() + dev.height());
-  const double r_max = static_cast<double>(dev.totalFrames());
-  double rl_max = 0;  // Eq. 15
-  for (const FcArea& a : fp.fc_areas) rl_max += a.weight;
-
+  const ObjectiveMaxima m = objectiveMaxima(problem);
   const ObjectiveWeights& q = problem.weights();
   costs.objective = 0;
-  if (wl_max > 0) costs.objective += q.q1_wirelength * costs.wire_length / wl_max;
-  if (p_max > 0) costs.objective += q.q2_perimeter * costs.perimeter / p_max;
-  if (r_max > 0) costs.objective += q.q3_wasted * static_cast<double>(costs.wasted_frames) / r_max;
-  if (rl_max > 0) costs.objective += q.q4_relocation * costs.relocation / rl_max;
+  costs.objective += q.q1_wirelength * costs.wire_length / m.wl;
+  costs.objective += q.q2_perimeter * costs.perimeter / m.p;
+  costs.objective += q.q3_wasted * static_cast<double>(costs.wasted_frames) / m.r;
+  costs.objective += q.q4_relocation * costs.relocation / m.rl;
   return costs;
 }
 

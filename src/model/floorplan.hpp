@@ -47,6 +47,23 @@ struct FloorplanCosts {
 /// area (all unplaced). Solvers fill in rect/placed.
 [[nodiscard]] std::vector<FcArea> expandFcRequests(const FloorplanProblem& problem);
 
+/// Eq. 14's normalizers, the instance-level maxima that scale its four terms
+/// into [0, 1]: WLmax = Σ net weight·(W+H) in net order, Pmax =
+/// 2·regions·(W+H), Rmax = the device's frames, RLmax (Eq. 15) = Σ FC area
+/// weight in expandFcRequests order. A maximum that sums to 0 or less (no
+/// nets, no FC request) is 1; its term is then 0 with weights >= 0, as if
+/// left out.
+struct ObjectiveMaxima {
+  double wl = 1;
+  double p = 1;
+  double r = 1;
+  double rl = 1;
+};
+
+/// The one definition of the Eq. 14 normalizers, for evaluate, the MILP
+/// objective and the exact search's bound.
+[[nodiscard]] ObjectiveMaxima objectiveMaxima(const FloorplanProblem& problem);
+
 /// Computes all cost terms. The floorplan must have one rect per region.
 [[nodiscard]] FloorplanCosts evaluate(const FloorplanProblem& problem, const Floorplan& fp);
 

@@ -7,8 +7,6 @@
 // region, other free-compatible area, or forbidden area.
 #pragma once
 
-#include <vector>
-
 #include "device/device.hpp"
 
 namespace rfp::partition {
@@ -17,11 +15,5 @@ namespace rfp::partition {
 /// position. (On columnar devices this reduces to equal column signatures.)
 [[nodiscard]] bool areCompatible(const device::Device& dev, const device::Rect& a,
                                  const device::Rect& b);
-
-/// Enumerates every placement of a rectangle compatible with `source`
-/// (including `source` itself) that stays on the device and avoids forbidden
-/// areas. Ordered by (x, y).
-[[nodiscard]] std::vector<device::Rect> enumerateCompatiblePlacements(
-    const device::Device& dev, const device::Rect& source);
 
 }  // namespace rfp::partition

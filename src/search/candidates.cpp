@@ -11,20 +11,15 @@ namespace rfp::search {
 
 namespace {
 
-/// The one definition of valid rows: appends to `ys`, ascending, every top
-/// row y whose h-row window is clear in `span_or`, an orColumns result of
-/// `grid` (left as it is). `windows` is wordsPerColumn() words of scratch.
-/// Returns the number of rows appended.
-std::size_t appendFreeRows(const Occupancy& grid, const std::uint64_t* span_or, int h,
-                           std::uint64_t* windows, std::vector<int>& ys) {
-  const int words = grid.wordsPerColumn();
-  std::copy_n(span_or, words, windows);
-  grid.freeWindows(windows, h);
-  const std::size_t before = ys.size();
-  for (int k = 0; k < words; ++k)
-    for (std::uint64_t bits = windows[k]; bits != 0; bits &= bits - 1)
-      ys.push_back(64 * k + __builtin_ctzll(bits));
-  return ys.size() - before;
+/// The one definition of valid rows: turns `rows`, an orColumns result of
+/// `grid`, into its free h-row windows and calls visit(y) for each window's
+/// top row y, ascending.
+template <class Visit>
+void forEachFreeRow(const Occupancy& grid, std::uint64_t* rows, int h, Visit&& visit) {
+  grid.freeWindows(rows, h);
+  for (int k = 0; k < grid.wordsPerColumn(); ++k)
+    for (std::uint64_t bits = rows[k]; bits != 0; bits &= bits - 1)
+      visit(64 * k + __builtin_ctzll(bits));
 }
 
 }  // namespace
@@ -99,7 +94,9 @@ RegionCandidates enumerateCandidates(const model::FloorplanProblem& problem, int
           waste += static_cast<long>(count[t] * h - need[t]) * frames[t];
         if (max_waste >= 0 && waste > max_waste) break;  // waste grows with h
         const std::size_t at = pool.size();
-        const std::size_t rows = appendFreeRows(forbidden, span, h, windows.data(), pool);
+        std::copy_n(span, words, windows.begin());
+        forEachFreeRow(forbidden, windows.data(), h, [&](int y) { pool.push_back(y); });
+        const std::size_t rows = pool.size() - at;
         if (rows == 0) continue;
         for (std::size_t t = 0; t < T; ++t) pool.push_back(count[t] * h);
         out.min_waste = std::min(out.min_waste, waste);
@@ -120,58 +117,20 @@ RegionCandidates enumerateCandidates(const model::FloorplanProblem& problem, int
   return out;
 }
 
-std::vector<int> matchingColumnSpans(const device::Device& dev, int x0, int w) {
-  std::vector<int> out;
-  const device::Rect src{x0, 0, w, 1};
-  const std::vector<int> sig = dev.columnSignature(src);
-  for (int x = 0; x + w <= dev.width(); ++x) {
-    bool match = true;
-    for (int i = 0; i < w && match; ++i)
-      match = dev.columnType(x + i) == sig[static_cast<std::size_t>(i)];
-    if (match) out.push_back(x);
-  }
-  return out;
-}
-
-ColumnSpanTable::ColumnSpanTable(const device::Device& dev) : width_(dev.width()) {
-  const auto W = static_cast<std::size_t>(width_);
-  std::vector<int> type(W);
-  for (std::size_t x = 0; x < W; ++x) type[x] = dev.columnType(static_cast<int>(x));
-  // lcp[a * (W+1) + b], with lcp(·, W) = lcp(W, ·) = 0.
-  std::vector<std::size_t> lcp((W + 1) * (W + 1), 0);
-  for (std::size_t a = W; a-- > 0;)
-    for (std::size_t b = 0; b < W; ++b)
-      if (type[a] == type[b]) lcp[a * (W + 1) + b] = 1 + lcp[(a + 1) * (W + 1) + b + 1];
-  // b belongs to lists (a, 1..lcp(a, b)); ascending b keeps every list
-  // ascending. One walk sizes the lists, the second fills them.
-  const auto eachMatch = [&](auto&& visit) {
-    for (std::size_t a = 0; a < W; ++a)
-      for (std::size_t b = 0; b < W; ++b)
-        for (std::size_t w = 1; w <= lcp[a * (W + 1) + b]; ++w) visit(a * W + w - 1, b);
-  };
-  start_.assign(W * W + 1, 0);
-  eachMatch([&](std::size_t i, std::size_t) { ++start_[i + 1]; });
-  for (std::size_t i = 0; i < W * W; ++i) start_[i + 1] += start_[i];
-  xs_.resize(start_.back());
-  std::vector<std::size_t> next(start_.begin(), start_.end() - 1);
-  eachMatch([&](std::size_t i, std::size_t b) { xs_[next[i]++] = static_cast<int>(b); });
-}
-
 Occupancy forbiddenGrid(const device::Device& dev) {
   Occupancy grid(dev.width(), dev.height());
   for (const device::Rect& f : dev.forbidden()) grid.fill(f);
   return grid;
 }
 
-std::vector<int> validRows(const device::Device& dev, int x, int w, int h) {
-  RFP_CHECK(x >= 0 && w >= 1 && x + w <= dev.width() && h >= 1);
-  const Occupancy forbidden = forbiddenGrid(dev);
-  const auto words = static_cast<std::size_t>(forbidden.wordsPerColumn());
-  std::vector<std::uint64_t> span_or(2 * words);
-  forbidden.orColumns(x, w, span_or.data());
-  std::vector<int> ys;
-  appendFreeRows(forbidden, span_or.data(), h, span_or.data() + words, ys);
-  return ys;
+void appendCompatibleRects(const device::Device& dev, const Occupancy& forbidden,
+                           const device::Rect& src, std::uint64_t* rows,
+                           std::vector<device::Rect>& out) {
+  for (const int x : dev.matchingSpans(src.x, src.w)) {
+    forbidden.orColumns(x, src.w, rows);
+    forEachFreeRow(forbidden, rows, src.h,
+                   [&](int y) { out.push_back(device::Rect{x, y, src.w, src.h}); });
+  }
 }
 
 }  // namespace rfp::search

@@ -8,6 +8,7 @@
 // at paper scale (DESIGN.md §3 substitution 2).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -73,42 +74,17 @@ static_assert(!std::is_copy_constructible_v<RegionCandidates> &&
                                                    int n, long max_waste = -1,
                                                    bool min_height_only = false);
 
-/// All x positions whose column-type signature matches columns [x0, x0+w) —
-/// the compatible column spans per Definition .1 (y positions are free on a
-/// columnar device, up to forbidden areas). Includes x0 itself.
-[[nodiscard]] std::vector<int> matchingColumnSpans(const device::Device& dev, int x0, int w);
-
-/// matchingColumnSpans for every column span (x, w) of a columnar device,
-/// built in O(W² + output) from one common-prefix pass over the column types:
-/// lcp(a, b) = type[a] == type[b] ? 1 + lcp(a+1, b+1) : 0, and x' matches
-/// (x, w) iff lcp(x, x') >= w. Each list is ascending, as matchingColumnSpans
-/// returns it; spans with x + w > W have an empty list. All lists share one
-/// array, so building the table allocates a few times, not once per span.
-class ColumnSpanTable {
- public:
-  ColumnSpanTable() = default;
-  explicit ColumnSpanTable(const device::Device& dev);
-
-  /// The x positions matching columns [x, x+w); 0 <= x < W, 1 <= w <= W.
-  [[nodiscard]] std::span<const int> spans(int x, int w) const {
-    const std::size_t i = static_cast<std::size_t>(x) * static_cast<std::size_t>(width_) +
-                          static_cast<std::size_t>(w) - 1;
-    return {xs_.data() + start_[i], xs_.data() + start_[i + 1]};
-  }
-
- private:
-  int width_ = 0;
-  /// List (x, w) is xs_[start_[i], start_[i+1]) with i = x * W + w - 1.
-  std::vector<std::size_t> start_;
-  std::vector<int> xs_;
-};
-
 /// The device's forbidden tiles as an occupancy grid.
 [[nodiscard]] Occupancy forbiddenGrid(const device::Device& dev);
 
-/// Valid top rows, ascending, for an h-tall rect at columns [x, x+w)
-/// avoiding forbidden areas: the free h-row windows of forbiddenGrid(dev),
-/// found as enumerateCandidates finds a shape's rows.
-[[nodiscard]] std::vector<int> validRows(const device::Device& dev, int x, int w, int h);
+/// The free-compatible candidates of a region placed at `src`: appends to
+/// `out`, ascending in (x, y), every rect of src's size at a column span
+/// compatible with src's (Definition .1, Device::matchingSpans) whose rows
+/// are clear in `forbidden`, the device's forbiddenGrid. src itself is among
+/// them when it avoids the forbidden areas. `rows` is
+/// forbidden.wordsPerColumn() words of scratch.
+void appendCompatibleRects(const device::Device& dev, const Occupancy& forbidden,
+                           const device::Rect& src, std::uint64_t* rows,
+                           std::vector<device::Rect>& out);
 
 }  // namespace rfp::search

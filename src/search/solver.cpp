@@ -53,7 +53,6 @@ struct Instance {
   std::vector<std::vector<int>> req;         ///< req[n][t] = required tiles
   std::vector<int> hard_fc;                  ///< hard FC slots per region
   std::vector<std::size_t> witness_start;    ///< Σ hard_fc of regions before n
-  ColumnSpanTable span_table;  ///< built only when FC slots are present
   /// The device's forbidden tiles (sized in buildInstance); every worker's
   /// occupancy starts as a copy, so its overlap tests cover forbidden areas
   /// without a separate check.
@@ -65,7 +64,7 @@ struct Instance {
   std::vector<int> region_net_start;
   std::vector<int> region_nets;
   SearchOptions opt;
-  double wl_max = 1, p_max = 1, r_max = 1, rl_max = 1;  ///< Eq. 14 normalizers
+  model::ObjectiveMaxima maxima;  ///< Eq. 14 normalizers
 
   [[nodiscard]] const model::FloorplanProblem& prob() const { return *problem; }
 };
@@ -439,10 +438,10 @@ class Worker {
       perim_lb += inst_.min_perimeter[static_cast<std::size_t>(inst_.region_order[static_cast<std::size_t>(d)])];
     const double wl_lb = wireLengthLowerBound(child, cx, cy);
     const model::ObjectiveWeights& q = inst_.prob().weights();
-    const double obj = q.q1_wirelength * wl_lb / inst_.wl_max +
-                       q.q2_perimeter * perim_lb / inst_.p_max +
-                       q.q3_wasted * static_cast<double>(waste_lb) / inst_.r_max +
-                       q.q4_relocation * rl_ / inst_.rl_max;
+    const double obj = q.q1_wirelength * wl_lb / inst_.maxima.wl +
+                       q.q2_perimeter * perim_lb / inst_.maxima.p +
+                       q.q3_wasted * static_cast<double>(waste_lb) / inst_.maxima.r +
+                       q.q4_relocation * rl_ / inst_.maxima.rl;
     return weightedKey(obj) < cutoff;
   }
 
@@ -596,7 +595,7 @@ class Worker {
     Rect* witness = &witnesses_[inst_.witness_start[static_cast<std::size_t>(n)]];
     std::uint64_t* rows = rowBits(inst_.prob().numRegions());
     int found = 0;
-    for (const int x : inst_.span_table.spans(src.x, src.w)) {
+    for (const int x : inst_.prob().dev().matchingSpans(src.x, src.w)) {
       occ_.orColumns(x, src.w, rows);
       occ_.freeWindows(rows, src.h);
       // The source rect itself is occupied, so these are genuinely free
@@ -683,7 +682,6 @@ class Worker {
     // same region share one list. Order: fewest candidates first.
     std::vector<SlotPlan> plans;
     plans.reserve(inst_.slots.size());
-    const int height = inst_.prob().dev().height();
     std::uint64_t* forbidden_rows = rowBits(inst_.prob().numRegions());
     std::vector<std::vector<Rect>> per_region(
         static_cast<std::size_t>(inst_.prob().numRegions()));
@@ -692,14 +690,9 @@ class Worker {
       const int n = inst_.slots[i].region;
       if (!computed[static_cast<std::size_t>(n)]) {
         computed[static_cast<std::size_t>(n)] = true;
-        const Rect& src = rects_[static_cast<std::size_t>(n)];
-        for (const int x : inst_.span_table.spans(src.x, src.w)) {
-          inst_.forbidden.orColumns(x, src.w, forbidden_rows);
-          inst_.forbidden.freeWindows(forbidden_rows, src.h);
-          for (int y = 0; y + src.h <= height; ++y)
-            if (Occupancy::windowFree(forbidden_rows, y))
-              per_region[static_cast<std::size_t>(n)].push_back(Rect{x, y, src.w, src.h});
-        }
+        appendCompatibleRects(inst_.prob().dev(), inst_.forbidden,
+                              rects_[static_cast<std::size_t>(n)], forbidden_rows,
+                              per_region[static_cast<std::size_t>(n)]);
       }
       plans.push_back(SlotPlan{static_cast<int>(i), per_region[static_cast<std::size_t>(n)]});
     }
@@ -971,20 +964,7 @@ Instance buildInstance(const model::FloorplanProblem& problem, const SearchOptio
       inst.region_nets[static_cast<std::size_t>(next_net[static_cast<std::size_t>(r)]++)] =
           static_cast<int>(e);
 
-  // Column-span table for the FC checks (only needed when FC slots exist).
-  if (!inst.slots.empty()) inst.span_table = ColumnSpanTable(problem.dev());
-
-  // Eq. 14 normalizers (same convention as model::evaluate).
-  const device::Device& dev = problem.dev();
-  inst.wl_max = 0;
-  for (const model::Net& net : problem.nets())
-    inst.wl_max += net.weight * (dev.width() + dev.height());
-  if (inst.wl_max <= 0) inst.wl_max = 1;
-  inst.p_max = std::max(1.0, 2.0 * problem.numRegions() * (dev.width() + dev.height()));
-  inst.r_max = std::max<double>(1.0, static_cast<double>(dev.totalFrames()));
-  inst.rl_max = 0;
-  for (const FcSlot& s : inst.slots) inst.rl_max += s.weight;
-  if (inst.rl_max <= 0) inst.rl_max = 1;
+  inst.maxima = model::objectiveMaxima(problem);
   return inst;
 }
 

@@ -197,12 +197,6 @@ inline void adoption(const Context* ctx, const char* engine, const char* akey, d
     ctx->metrics->counter("incumbent.adoptions").increment();
 }
 
-/// Counter-bump helper mirroring `instant`'s null tolerance.
-inline void bump(const Context* ctx, Counter* c, long n = 1) noexcept {
-  (void)ctx;
-  if (c != nullptr) c->add(n);
-}
-
 /// Summary returned by `validateChromeTrace`.
 struct TraceSummary {
   bool ok = false;

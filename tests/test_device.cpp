@@ -1,6 +1,9 @@
 // Tests for the device model, builders and the text-format parser.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "device/builders.hpp"
 #include "device/catalog.hpp"
 #include "device/parser.hpp"
@@ -87,15 +90,6 @@ TEST(Device, UsableTotalsExcludeForbidden) {
   EXPECT_EQ(dev.totalTiles(true)[0], 12);
 }
 
-TEST(Device, ColumnSignature) {
-  const Device dev = columnarFromPattern("t", "CCBDC", 3);
-  const std::vector<int> sig = dev.columnSignature(Rect{1, 0, 3, 2});
-  ASSERT_EQ(sig.size(), 3u);
-  EXPECT_EQ(sig[0], 0);
-  EXPECT_EQ(sig[1], 1);
-  EXPECT_EQ(sig[2], 2);
-}
-
 TEST(Device, BrokenColumnDeviceIsNotColumnar) {
   const Device dev = brokenColumnDevice();
   EXPECT_FALSE(dev.isColumnar());
@@ -112,6 +106,52 @@ TEST(Device, ColumnTypeMatchesEveryTileOnCatalogDevices) {
     for (int x = 0; x < dev.width(); ++x)
       for (int y = 0; y < dev.height(); ++y) ASSERT_EQ(dev.columnType(x), dev.typeAt(x, y));
   }
+}
+
+/// The column spans matching columns [x0, x0+w), ascending: every x whose
+/// columns have the same types, column by column.
+std::vector<int> scanMatchingSpans(const Device& dev, int x0, int w) {
+  std::vector<int> out;
+  for (int x = 0; x + w <= dev.width(); ++x) {
+    bool match = true;
+    for (int i = 0; i < w && match; ++i) match = dev.columnType(x + i) == dev.columnType(x0 + i);
+    if (match) out.push_back(x);
+  }
+  return out;
+}
+
+TEST(Device, MatchingSpans) {
+  const Device dev = columnarFromPattern("t", "CBCCBC", 3);
+  const std::span<const int> xs = dev.matchingSpans(0, 2);  // pattern CB
+  EXPECT_EQ(std::vector<int>(xs.begin(), xs.end()), (std::vector<int>{0, 3}));
+  EXPECT_TRUE(brokenColumnDevice().matchingSpans(0, 1).empty());  // not columnar
+}
+
+TEST(Device, MatchingSpansEqualPerQueryScan) {
+  // The table built at construction lists exactly what a per-query scan of
+  // the column types finds, in the same ascending order, for every span of
+  // every catalog device, of a pattern with repeats and of a uniform device.
+  std::vector<Device> devices;
+  for (const CatalogEntry& entry : catalog()) devices.push_back(entry.build());
+  devices.push_back(columnarFromPattern("t", "CCBCCBCCDCCBCC", 3));
+  devices.push_back(uniformDevice(9, 4));
+  for (const Device& dev : devices) {
+    SCOPED_TRACE(dev.name());
+    const int W = dev.width();
+    for (int x = 0; x < W; ++x)
+      for (int w = 1; w <= W; ++w) {
+        const std::span<const int> got = dev.matchingSpans(x, w);
+        if (x + w > W) {
+          ASSERT_TRUE(got.empty()) << "x=" << x << " w=" << w;
+          continue;
+        }
+        ASSERT_EQ(std::vector<int>(got.begin(), got.end()), scanMatchingSpans(dev, x, w))
+            << "x=" << x << " w=" << w;
+      }
+  }
+  // On a uniform device every span matches every position it fits.
+  const std::span<const int> got = devices.back().matchingSpans(2, 4);
+  EXPECT_EQ(std::vector<int>(got.begin(), got.end()), (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Device, GridConstructorValidation) {

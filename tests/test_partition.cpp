@@ -4,6 +4,7 @@
 
 #include "device/builders.hpp"
 #include "partition/columnar.hpp"
+#include "oracle/compatibility.hpp"
 #include "partition/compatibility.hpp"
 
 namespace rfp::partition {

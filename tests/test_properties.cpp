@@ -14,6 +14,7 @@
 #include "fp/milp_floorplanner.hpp"
 #include "milp/bb.hpp"
 #include "model/floorplan.hpp"
+#include "oracle/compatibility.hpp"
 #include "oracle/generator.hpp"
 #include "partition/columnar.hpp"
 #include "partition/compatibility.hpp"

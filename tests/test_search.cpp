@@ -16,6 +16,7 @@
 #include "device/builders.hpp"
 #include "driver/incumbent.hpp"
 #include "model/floorplan.hpp"
+#include "oracle/compatibility.hpp"
 #include "oracle/generator.hpp"
 #include "search/candidates.hpp"
 #include "search/occupancy.hpp"
@@ -192,47 +193,53 @@ TEST(Candidates, WasteBudgetPrunes) {
 TEST(Candidates, ForbiddenRowsExcluded) {
   device::Device dev = device::uniformDevice(6, 6);
   dev.addForbidden(Rect{0, 2, 6, 2}, "band");
-  const std::vector<int> ys = validRows(dev, 0, 2, 2);
-  // h=2 at y: must avoid rows 2-3 → y in {0, 4}.
-  ASSERT_EQ(ys.size(), 2u);
-  EXPECT_EQ(ys[0], 0);
-  EXPECT_EQ(ys[1], 4);
+  const Occupancy forbidden = forbiddenGrid(dev);
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(forbidden.wordsPerColumn()));
+  std::vector<Rect> rects;
+  appendCompatibleRects(dev, forbidden, Rect{0, 0, 2, 2}, rows.data(), rects);
+  // h=2 at y: must avoid rows 2-3 → y in {0, 4}, at each of the 5 spans.
+  ASSERT_EQ(rects.size(), 10u);
+  EXPECT_EQ(rects[0], (Rect{0, 0, 2, 2}));
+  EXPECT_EQ(rects[1], (Rect{0, 4, 2, 2}));
 }
 
-TEST(Candidates, MatchingColumnSpans) {
-  const device::Device dev = device::columnarFromPattern("t", "CBCCBC", 3);
-  const std::vector<int> xs = matchingColumnSpans(dev, 0, 2);  // pattern CB
-  ASSERT_EQ(xs.size(), 2u);
-  EXPECT_EQ(xs[0], 0);
-  EXPECT_EQ(xs[1], 3);
-}
-
-TEST(Candidates, ColumnSpanTableMatchesPerQueryScan) {
-  // The common-prefix table must list exactly what the per-query scan
-  // returns, in the same (ascending) order, for every span of the device.
-  const device::Device devices[] = {device::virtex5FX70T(),
-                                    device::columnarFromPattern("t", "CCBCCBCCDCCBCC", 3),
-                                    device::uniformDevice(9, 4)};
-  for (const device::Device& dev : devices) {
-    SCOPED_TRACE(dev.name());
-    const int W = dev.width();
-    const ColumnSpanTable table(dev);
-    for (int x = 0; x < W; ++x)
-      for (int w = 1; w <= W; ++w) {
-        SCOPED_TRACE("x=" + std::to_string(x) + " w=" + std::to_string(w));
-        if (x + w > W) {
-          EXPECT_TRUE(table.spans(x, w).empty());
-          continue;
+TEST(Candidates, CompatibleRectsMatchDefinitionScan) {
+  // The span-and-bit-grid enumeration lists exactly the Definition .1 scan's
+  // placements, in the same (x, y) order: for every candidate rect of every
+  // SDR region on the paper's device, and for every minimal-height candidate
+  // on a device taller than one 64-row word whose forbidden blocks straddle
+  // row 64.
+  const device::Device fx = device::virtex5FX70T();
+  const model::FloorplanProblem sdr = model::makeSdrProblem(fx);
+  device::Device tall = device::columnarFromPattern("tall", "CCBCCDCCBCCD", 90);
+  tall.addForbidden(Rect{2, 60, 3, 8}, "straddle");
+  tall.addForbidden(Rect{7, 63, 2, 2}, "boundary");
+  tall.addForbidden(Rect{0, 20, 1, 50}, "long");
+  tall.addForbidden(Rect{10, 64, 2, 26}, "top");
+  model::FloorplanProblem tall_problem(&tall);
+  tall_problem.addRegion(model::RegionSpec{"a", {40, 4, 0}});
+  tall_problem.addRegion(model::RegionSpec{"b", {90, 0, 6}});
+  tall_problem.addRegion(model::RegionSpec{"c", {3, 1, 1}});
+  const std::pair<const model::FloorplanProblem*, bool> cases[] = {{&sdr, false},
+                                                                    {&tall_problem, true}};
+  for (const auto& [p, min_height_only] : cases) {
+    const Occupancy forbidden = forbiddenGrid(p->dev());
+    std::vector<std::uint64_t> rows(static_cast<std::size_t>(forbidden.wordsPerColumn()));
+    std::size_t checked = 0;
+    for (int n = 0; n < p->numRegions(); ++n) {
+      const RegionCandidates cands = enumerateCandidates(*p, n, -1, min_height_only);
+      for (const Shape& s : cands.shapes)
+        for (const int y : s.ys) {
+          const Rect src{s.x, y, s.w, s.h};
+          std::vector<Rect> got;
+          appendCompatibleRects(p->dev(), forbidden, src, rows.data(), got);
+          ASSERT_EQ(got, partition::enumerateCompatiblePlacements(p->dev(), src))
+              << p->dev().name() << " region " << n << " " << src.toString();
+          ++checked;
         }
-        const std::span<const int> got = table.spans(x, w);
-        EXPECT_EQ(std::vector<int>(got.begin(), got.end()), matchingColumnSpans(dev, x, w));
-      }
+    }
+    EXPECT_GT(checked, 1000u) << p->dev().name();
   }
-  // On a uniform device every span matches every position it fits.
-  const device::Device uniform = device::uniformDevice(9, 4);
-  const ColumnSpanTable table(uniform);
-  const std::span<const int> got = table.spans(2, 4);
-  EXPECT_EQ(std::vector<int>(got.begin(), got.end()), (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 /// A shape as the per-row scan enumerates it: owned rows and coverage.
